@@ -5,15 +5,20 @@ default, a flat ``path = value`` listing with ``--format text``.  Progress
 chatter from the long passes goes to standard error only, so the report
 stream stays clean.  Exit codes: 0 all executed checks passed, 2 a check
 failed, 3 a resource guard or budget stopped the run, 64 usage errors.
+
+One invocation builds its configuration once: subcommands that need the
+generator set take the configuration from it, and one Groebner certificate
+serves every stage that reads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,22 +35,14 @@ from .configs import (
     build_knn,
     build_leech,
     build_ngon,
+    cell24_points,
     read_points,
     write_points,
 )
+from .exact import Scalar
 from .gamma import EntryGuardError, gamma2_status, gamma_profile
-from .generators import (
-    GeneratorSet,
-    build_generator_set,
-    e7_section,
-    restrict_to_section,
-    write_generators,
-)
-from .groebner import (
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    certify_full,
-)
+from .generators import GeneratorSet, build_generator_set, restrict_to_section, write_generators
+from .groebner import BudgetExceededError, DEFAULT_BUDGET, Certification, certify_full
 from .lattice import basis_from_generators, enumerate_short_vectors, unimodularity_check
 from .verify import (
     CRITICAL_DEGREE,
@@ -75,8 +72,6 @@ THEOREM_CONFIGS = ("icosahedron", "e6", "e7", "e8", "leech")
 LATTICE_CONFIGS = ("e8", "leech")
 # configurations whose candidate generators submit to desk-scale certification
 CERTIFIABLE = ("icosahedron", "e6", "e7", "cube4", "ngon", "knn")
-
-Progress = Callable[[str], None]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,29 +112,12 @@ def _build_config(name: str, n: Optional[int]) -> SphericalConfiguration:
     }[name]()
 
 
-def _generators(name: str, n: Optional[int]) -> GeneratorSet:
-    return build_generator_set(name, _default_n(name, n))
-
-
-def _certification_instance(name: str, n: Optional[int]):
-    """Configuration and generators in the coordinates the engine can finish."""
-    cfg = _build_config(name, n)
-    gens = _generators(name, n)
-    if name == "e7":
-        gens = restrict_to_section(gens, e7_section())
-    return cfg, gens
-
-
-def _report_skeleton(key: str, mode: str) -> Dict[str, object]:
-    return {
-        "config": key,
-        "mode": mode,
-        "claims": [],
-        "gamma": {},
-        "design": {},
-        "counts": {},
-        "timings": {},
-    }
+@contextlib.contextmanager
+def _timed(report: Dict[str, object], key: str) -> Iterator[None]:
+    """Record the wall time of the block as ``report["timings"][key]``."""
+    t0 = time.perf_counter()
+    yield
+    report["timings"][key] = round(time.perf_counter() - t0, 3)
 
 
 def _text_lines(obj, prefix: str = "") -> List[str]:
@@ -156,20 +134,160 @@ def _text_lines(obj, prefix: str = "") -> List[str]:
     return [f"{prefix} = {obj}"]
 
 
-def _emit(report: Dict[str, object], fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
+def _finish(report: Dict[str, object], args, ok: bool) -> int:
+    """Write the report; exit 0 when ``ok``, else 2."""
+    if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
         text = "\n".join(_text_lines(report)) + "\n"
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def _stderr_progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
+
+
+def _start(
+    args, mode: str, generators: bool
+) -> Tuple[Dict[str, object], SphericalConfiguration, Optional[GeneratorSet]]:
+    """An empty report, the run's configuration, and its generator set if asked for.
+
+    A generator set carries the configuration it was built on, so a run that
+    needs both builds the configuration once.
+    """
+    name, n = args.config, args.n
+    report: Dict[str, object] = {
+        "config": _config_key(name, n),
+        "mode": mode,
+        "claims": [],
+        "gamma": {},
+        "design": {},
+        "counts": {},
+        "timings": {},
+    }
+    with _timed(report, "build"):
+        G = build_generator_set(name, _default_n(name, n)) if generators else None
+        cfg = G.config if G is not None else _build_config(name, n)
+    return report, cfg, G
+
+
+def _certificate(args, report: Dict[str, object], G: GeneratorSet) -> Certification:
+    """The run's one Groebner certificate.
+
+    Generators in more variables than the configuration has coordinates (e7)
+    are restricted to its section first, where the engine can finish.
+    """
+    with _timed(report, "groebner"):
+        gens = G if G.nvars == G.config.m else restrict_to_section(G, G.section)
+        return certify_full(G.config, gens, budget=args.budget)
+
+
+def _file_points(path: str, G: GeneratorSet) -> List[Tuple[Scalar, ...]]:
+    """The points of a point file, in the variables of the generators.
+
+    Points in the section coordinates of a configuration whose generators live
+    in the ambient space (``build e7 --points-out``) are lifted to it.
+    """
+    pf = read_points(path)
+    section = G.config.section
+    if pf.m == G.nvars:
+        return pf.points
+    if section is not None and (pf.m, G.nvars) == (section.dim, section.ambient_dim):
+        return [section.to_ambient(y) for y in pf.points]
+    raise ValueError(
+        f"points have {pf.m} coordinates, the {G.name} generators take {G.nvars}"
+    )
+
+
+def _checks(
+    args, report: Dict[str, object], mode: str, G: GeneratorSet
+) -> Tuple[bool, Optional[Certification]]:
+    """Run the check suite into the report: (all green, the certificate if one ran)."""
+    name, cfg = args.config, G.config
+    points = None
+    if getattr(args, "points", None):
+        try:
+            points = _file_points(args.points, G)
+        except (OSError, ValueError) as exc:
+            report["claims"] = [
+                {"id": f"{name}.points_file", "status": FAIL, "mode": mode, "detail": str(exc)}
+            ]
+            return False, None
+
+    progress = _stderr_progress if name == "leech" and mode == FULL else None
+    with _timed(report, "vanishing"):
+        if points is not None:
+            vanish = check_vanishing(G, points=points)
+        else:
+            vanish = check_vanishing(G, mode=mode, seed=args.seed, progress=progress)
+    components = {"vanishing": vanish}
+    if name != "knn":
+        # knn points live inside two hyperplanes, so full-rank spanning
+        # is the wrong question there
+        with _timed(report, "spanning"):
+            components["support.spanning"] = spanning_check(cfg)
+    if cfg.section is not None:
+        with _timed(report, "section"):
+            components["support.section"] = section_embedding_check(cfg)
+    if name == "cube4":
+        components["gallery"] = check_gallery_vanishing(G, cell24_points())
+    else:
+        with _timed(report, "jacobian"):
+            components["jacobian"] = jacobian_full_pass(G, progress=progress)
+    report["counts"] = {"points": cfg.npoints, "generators": len(G)}
+    if name not in THEOREM_CONFIGS:
+        claims = list(components.values())
+        report["claims"] = [rec.to_dict() for rec in claims]
+        return all(rec.passed or rec.status == SKIPPED for rec in claims), None
+
+    with _timed(report, "nontrivial"):
+        components["nontrivial"] = nontrivial_generator_check(G, CRITICAL_DEGREE[name])
+    with _timed(report, "design"):
+        design = design_strength_gegenbauer(
+            cfg, DESIGN_STRENGTH[name], mode=mode, seed=args.seed, threads=args.threads
+        )
+    cert = _certificate(args, report, G) if name in CERTIFIABLE else None
+    assembled = assemble_certificate(
+        name, components, design=design, groebner_certified=cert is not None and cert.certified
+    )
+    report["claims"] = [rec.to_dict() for rec in assembled.records]
+    report["design"] = design.to_dict()
+    return assembled.passed, cert
+
+
+def _gamma_stage(
+    args,
+    report: Dict[str, object],
+    cfg: SphericalConfiguration,
+    G: Optional[GeneratorSet],
+    cert: Optional[Certification],
+) -> None:
+    """The threshold profile into the report.
+
+    Certifiable configurations read the run's certificate: ``cert`` when an
+    earlier stage made it, else it is made here.
+    """
+    name, key = args.config, report["config"]
+    g2 = None
+    if name in CERTIFIABLE:
+        if cert is None:
+            cert = _certificate(args, report, G)
+        if cert.certified:
+            # the inputs provably generate the ideal, so their top degree
+            # bounds the generation threshold; the reduced staircase may climb
+            g2 = gamma2_status(cfg, G.max_degree(), certified=True)
+    elif name in THEOREM_CONFIGS:
+        g2 = gamma2_status(cfg, CRITICAL_DEGREE[name], certified=False)
+    with _timed(report, "gamma"):
+        profile = gamma_profile(
+            cfg, exhibited_degree=CRITICAL_DEGREE.get(name), gamma2=g2, name=key
+        )
+    report["gamma"] = {key: profile.to_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +296,7 @@ def _stderr_progress(msg: str) -> None:
 
 
 def _cmd_build(args) -> int:
-    key = _config_key(args.config, args.n)
-    report = _report_skeleton(key, FULL)
-    t0 = time.time()
-    cfg = _build_config(args.config, args.n)
+    report, cfg, G = _start(args, FULL, generators=bool(args.generators_out))
     counts: Dict[str, object] = {"points": cfg.npoints, "dimension": cfg.m}
     if args.config == "leech":
         code = build_golay()
@@ -189,126 +304,40 @@ def _cmd_build(args) -> int:
         counts["weight8_words"] = code.weight_distribution.get(8, 0)
         counts["type_split"] = list(cfg.type_counts)
     if args.config == "cube4":
-        counts["gallery_points"] = len(build_4cube()[1])
+        counts["gallery_points"] = len(cell24_points())
     report["counts"] = counts
-    report["timings"]["build"] = round(time.time() - t0, 3)
-    if args.points_out:
-        write_points(cfg, args.points_out)
-        report["counts"]["points_file"] = args.points_out
-    if args.generators_out:
-        write_generators(_generators(args.config, args.n), args.generators_out)
-        report["counts"]["generators_file"] = args.generators_out
-    _emit(report, args.format, args.out)
-    return EXIT_OK
-
-
-def _verify_bundle(
-    args, report: Dict[str, object], mode: str, progress: Optional[Progress]
-) -> bool:
-    """Run the check suite for one configuration into the report; True iff green."""
-    name = args.config
-    cfg = _build_config(name, args.n)
-    G = _generators(name, args.n)
-    timings = report["timings"]
-    override_points = None
-    if getattr(args, "points", None):
-        try:
-            override_points = read_points(args.points).points
-        except (OSError, ValueError) as exc:
-            report["claims"] = [
-                {"id": f"{name}.points_file", "status": FAIL, "mode": mode, "detail": str(exc)}
-            ]
-            return False
-
-    t0 = time.time()
-    if override_points is not None:
-        vanish = check_vanishing(G, points=override_points)
-    else:
-        vanish = check_vanishing(G, mode=mode, seed=args.seed, progress=progress)
-    timings["vanishing"] = round(time.time() - t0, 3)
-
-    if name in THEOREM_CONFIGS:
-        components = {"vanishing": vanish, "support.spanning": spanning_check(cfg)}
-        if cfg.section is not None:
-            components["support.section"] = section_embedding_check(cfg)
-        t0 = time.time()
-        components["jacobian"] = jacobian_full_pass(G, progress=progress)
-        timings["jacobian"] = round(time.time() - t0, 3)
-        components["nontrivial"] = nontrivial_generator_check(G, CRITICAL_DEGREE[name])
-        t0 = time.time()
-        design = design_strength_gegenbauer(
-            cfg, DESIGN_STRENGTH[name], mode=mode, seed=args.seed, threads=args.threads
-        )
-        timings["design"] = round(time.time() - t0, 3)
-        certified = False
-        if name in CERTIFIABLE:
-            cert_cfg, gens = _certification_instance(name, args.n)
-            t0 = time.time()
-            certified = certify_full(cert_cfg, gens, budget=args.budget).certified
-            timings["groebner"] = round(time.time() - t0, 3)
-        assembled = assemble_certificate(
-            name, components, design=design, groebner_certified=certified
-        )
-        report["claims"] = [rec.to_dict() for rec in assembled.records]
-        report["design"] = design.to_dict()
-        ok = assembled.passed
-    else:
-        claims = [vanish]
-        if name != "knn":
-            # knn points live inside two hyperplanes, so full-rank spanning
-            # is the wrong question there
-            claims.append(spanning_check(cfg))
-        if name == "cube4":
-            claims.append(check_gallery_vanishing(G, build_4cube()[1]))
-        else:
-            t0 = time.time()
-            claims.append(jacobian_full_pass(G, progress=progress))
-            timings["jacobian"] = round(time.time() - t0, 3)
-        report["claims"] = [rec.to_dict() for rec in claims]
-        ok = all(rec.passed or rec.status == SKIPPED for rec in claims)
-    report["counts"] = {"points": cfg.npoints, "generators": len(G)}
-    return ok
+    with _timed(report, "write"):
+        if args.points_out:
+            write_points(cfg, args.points_out)
+            counts["points_file"] = args.points_out
+        if G is not None:
+            write_generators(G, args.generators_out)
+            counts["generators_file"] = args.generators_out
+    return _finish(report, args, True)
 
 
 def _cmd_verify(args) -> int:
+    """``verify`` runs the check suite; ``report`` adds the gamma and lattice sections."""
     name = args.config
     mode = args.mode or (SAMPLED if name == "leech" else FULL)
-    key = _config_key(name, args.n)
-    report = _report_skeleton(key, mode)
-    progress = _stderr_progress if name == "leech" and mode == FULL else None
-    ok = _verify_bundle(args, report, mode, progress)
-    _emit(report, args.format, args.out)
-    return EXIT_OK if ok else EXIT_CHECK
-
-
-def _gamma_section(args) -> Tuple[Dict[str, object], str]:
-    name = args.config
-    key = _config_key(name, args.n)
-    cfg = _build_config(name, args.n)
-    exhibited = CRITICAL_DEGREE.get(name)
-    g2 = None
-    if name in CERTIFIABLE:
-        cert_cfg, gens = _certification_instance(name, args.n)
-        cert = certify_full(cert_cfg, gens, budget=args.budget)
-        if cert.certified:
-            # the inputs provably generate the ideal, so their top degree
-            # bounds the generation threshold; the reduced staircase may climb
-            degree = max(p.degree() for _, p in gens)
-            g2 = gamma2_status(cfg, degree, certified=True)
-    elif name in THEOREM_CONFIGS:
-        g2 = gamma2_status(cfg, CRITICAL_DEGREE[name], certified=False)
-    profile = gamma_profile(cfg, exhibited_degree=exhibited, gamma2=g2, name=key)
-    return {key: profile.to_dict()}, key
+    report, cfg, G = _start(args, mode, generators=True)
+    ok, cert = _checks(args, report, mode, G)
+    if args.command == "report":
+        _gamma_stage(args, report, cfg, G, cert)
+        if name in LATTICE_CONFIGS:
+            with _timed(report, "lattice"):
+                uni = unimodularity_check(basis_from_generators(cfg))
+            report["counts"].update(
+                det_gram=uni.det_gram, det_expected=uni.expected, unimodular=uni.unimodular
+            )
+            ok = ok and uni.unimodular
+    return _finish(report, args, ok)
 
 
 def _cmd_gamma(args) -> int:
-    section, key = _gamma_section(args)
-    report = _report_skeleton(key, FULL)
-    t0 = time.time()
-    report["gamma"] = section
-    report["timings"]["gamma"] = round(time.time() - t0, 3)
-    _emit(report, args.format, args.out)
-    return EXIT_OK
+    report, cfg, G = _start(args, FULL, generators=args.config in CERTIFIABLE)
+    _gamma_stage(args, report, cfg, G, None)
+    return _finish(report, args, True)
 
 
 def _cmd_groebner(args) -> int:
@@ -316,21 +345,17 @@ def _cmd_groebner(args) -> int:
     if name == "leech":
         print("idealforge groebner: leech is out of reach for the engine", file=sys.stderr)
         return EXIT_USAGE
-    key = _config_key(name, args.n)
-    report = _report_skeleton(key, FULL)
-    cfg, gens = _certification_instance(name, args.n)
-    t0 = time.time()
-    cert = certify_full(cfg, gens, budget=args.budget)
-    report["timings"]["groebner"] = round(time.time() - t0, 3)
+    report, cfg, G = _start(args, FULL, generators=True)
+    cert = _certificate(args, report, G)
     report["claims"] = [
         {
-            "id": f"{key}.groebner",
+            "id": f"{report['config']}.groebner",
             "status": PASS if cert.certified else FAIL,
             "mode": FULL,
             "detail": f"level {cert.level}: {cert.detail}",
         }
     ]
-    counts: Dict[str, object] = {"points": cfg.npoints, "generators": len(gens)}
+    counts: Dict[str, object] = {"points": cfg.npoints, "generators": len(G)}
     counts["quotient_dimension"] = cert.quotient_dimension
     if cert.quotient is not None:
         counts["hilbert"] = cert.quotient.hilbert_coefficients()
@@ -342,8 +367,7 @@ def _cmd_groebner(args) -> int:
                 fh.write(line + "\n")
         counts["basis_file"] = args.basis_out
     report["counts"] = counts
-    _emit(report, args.format, args.out)
-    return EXIT_OK if cert.certified else EXIT_CHECK
+    return _finish(report, args, cert.certified)
 
 
 def _cmd_enumerate(args) -> int:
@@ -354,15 +378,12 @@ def _cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    report = _report_skeleton(name, FULL)
-    cfg = _build_config(name, None)
-    t0 = time.time()
-    basis = basis_from_generators(cfg)
-    uni = unimodularity_check(basis)
-    report["timings"]["basis"] = round(time.time() - t0, 3)
-    t0 = time.time()
-    result = enumerate_short_vectors(basis, cfg.r2, threads=args.threads)
-    report["timings"]["enumeration"] = round(time.time() - t0, 3)
+    report, cfg, _ = _start(args, FULL, generators=False)
+    with _timed(report, "basis"):
+        basis = basis_from_generators(cfg)
+        uni = unimodularity_check(basis)
+    with _timed(report, "enumeration"):
+        result = enumerate_short_vectors(basis, cfg.r2, threads=args.threads)
     arr, _den = cfg.integer_array()
     found = np.array(result.vectors, dtype=np.int64)
     set_equal = found.shape == arr.shape and bool(
@@ -377,32 +398,6 @@ def _cmd_enumerate(args) -> int:
         "unimodular": uni.unimodular,
     }
     ok = result.count == cfg.npoints and set_equal and uni.unimodular
-    return _finish(report, args, ok)
-
-
-def _finish(report: Dict[str, object], args, ok: bool) -> int:
-    _emit(report, args.format, args.out)
-    return EXIT_OK if ok else EXIT_CHECK
-
-
-def _cmd_report(args) -> int:
-    name = args.config
-    mode = args.mode or (SAMPLED if name == "leech" else FULL)
-    key = _config_key(name, args.n)
-    report = _report_skeleton(key, mode)
-    progress = _stderr_progress if name == "leech" and mode == FULL else None
-    ok = _verify_bundle(args, report, mode, progress)
-    t0 = time.time()
-    section, _ = _gamma_section(args)
-    report["gamma"] = section
-    report["timings"]["gamma"] = round(time.time() - t0, 3)
-    if name in LATTICE_CONFIGS:
-        basis = basis_from_generators(_build_config(name, None))
-        uni = unimodularity_check(basis)
-        report["counts"]["det_gram"] = uni.det_gram
-        report["counts"]["det_expected"] = uni.expected
-        report["counts"]["unimodular"] = uni.unimodular
-        ok = ok and uni.unimodular
     return _finish(report, args, ok)
 
 
@@ -469,7 +464,7 @@ def build_parser() -> _Parser:
 
     p_report = subs.add_parser("report", help="verify plus thresholds in one report")
     _add_common(p_report)
-    p_report.set_defaults(func=_cmd_report)
+    p_report.set_defaults(func=_cmd_verify)
 
     return parser
 

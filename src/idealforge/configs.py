@@ -2,7 +2,8 @@
 
 Small configurations keep exact scalar coordinates throughout.  The Leech shell
 is assembled in numpy int64 (coordinates are small integers, so every product
-this module forms is exact) with exact tuples materialized on demand.
+this module forms is exact; ``pair_distribution`` checks that range before it
+multiplies) with exact tuples materialized on demand.
 """
 
 from __future__ import annotations
@@ -109,6 +110,12 @@ class SectionMap:
         return tuple(
             sum(self.rows[i][j] * ambient_point[i] for i in range(self.ambient_dim))
             for j in range(self.dim)
+        )
+
+    def to_ambient(self, section_point: Sequence[Scalar]) -> Tuple[Scalar, ...]:
+        return tuple(
+            sum(self.rows[i][j] * section_point[j] for j in range(self.dim))
+            for i in range(self.ambient_dim)
         )
 
 
@@ -481,13 +488,18 @@ def build_4cube() -> Tuple[SphericalConfiguration, List[Tuple[int, ...]]]:
         "cube4", 4, 4, [4, 2, 0, -2, -4], points=pts, antipodal=True
     )
     cfg.validate_norms()
+    return cfg, cell24_points()
+
+
+def cell24_points() -> List[Tuple[int, ...]]:
+    """The 24 permutation vectors (±1, ±1, 0, 0), the 4-cube's companion gallery."""
     cell24 = []
     for i, j in itertools.combinations(range(4), 2):
         for si, sj in itertools.product((1, -1), repeat=2):
             v = [0] * 4
             v[i], v[j] = si, sj
             cell24.append(tuple(v))
-    return cfg, cell24
+    return cell24
 
 
 def build_knn(n: int) -> SphericalConfiguration:
@@ -603,6 +615,18 @@ def _pair_block(args):
     return lo, counts, witness
 
 
+def _check_exact_range(arr: np.ndarray, limit: int, kind: str) -> None:
+    """Raise unless every row inner product, and every partial sum, stays below ``limit``.
+
+    Each term of a product of rows is at most max|a|^2 in magnitude, so m of
+    them stay below m * max|a|^2: exact in int64 below 2**63, in float64 below
+    2**53.
+    """
+    bound = max(int(arr.max()), -int(arr.min()))
+    if arr.shape[1] * bound * bound >= limit:
+        raise ArithmeticError(f"inner products left the exact {kind} range")
+
+
 def pair_distribution(
     X: SphericalConfiguration,
     mode: str = "full",
@@ -623,6 +647,7 @@ def pair_distribution(
     arr, den = arr_den
     omegas_scaled = np.array([int(w * den * den) for w in X.omegas], dtype=np.int64)
     if mode == "sampled":
+        _check_exact_range(arr, 2**63, "int64")
         D = arr[base] @ arr.T
         counts = np.zeros((len(base), len(X.omegas)), dtype=np.int64)
         for k, w in enumerate(omegas_scaled):
@@ -638,6 +663,7 @@ def pair_distribution(
         return PairDistribution(X.name, "sampled", X.omegas, base, counts, ok, witness)
 
     # full mode over a large integer set: blocked float64 products (exact in range)
+    _check_exact_range(arr, 2**53, "float64")
     global _PAIR_ARRAY, _PAIR_OMEGAS
     _PAIR_ARRAY = arr
     _PAIR_OMEGAS = omegas_scaled

@@ -869,11 +869,7 @@ def section_embedding_check(cfg: SphericalConfiguration) -> ClaimRecord:
     for k, (y, x) in enumerate(zip(cfg.points, cfg.ambient_points)):
         if sec.to_section(x) != y:
             witnesses.append(("forward", k))
-        lifted = tuple(
-            sum(sec.rows[i][j] * y[j] for j in range(sec.dim))
-            for i in range(sec.ambient_dim)
-        )
-        if lifted != tuple(x):
+        if sec.to_ambient(y) != tuple(x):
             witnesses.append(("lift", k))
         if len(witnesses) >= 5:
             break

@@ -3,13 +3,26 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from idealforge import cli
 from idealforge.cli import EXIT_CHECK, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
-from idealforge.configs import read_points
+from idealforge.configs import SphericalConfiguration, read_points
 
 TOP_KEYS = ["config", "mode", "claims", "gamma", "design", "counts", "timings"]
+
+# reports with `timings` removed; a change to how the command line runs its
+# stages must reproduce them byte for byte
+GOLDEN = Path(__file__).parent / "data"
+GOLDEN_RUNS = {
+    "report_icosahedron": ["report", "icosahedron"],
+    "report_ngon6": ["report", "ngon", "--n", "6"],
+    "report_knn3": ["report", "knn", "--n", "3"],
+    "report_cube4": ["report", "cube4"],
+    "verify_e8_sampled7": ["verify", "e8", "--sampled", "--seed", "7"],
+}
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -67,10 +80,13 @@ def test_usage_errors_exit_64():
 
 
 def test_point_file_roundtrip_passes(tmp_path):
-    pts = tmp_path / "ico.pts"
-    assert run(["build", "icosahedron", "--points-out", str(pts), "--out", str(tmp_path / "b.json")]) == EXIT_OK
-    assert read_points(str(pts)).npoints == 12
-    assert run(["verify", "icosahedron", "--points", str(pts), "--out", str(tmp_path / "v.json")]) == EXIT_OK
+    # e7 files hold 7 section coordinates; its generators take the 8 ambient ones
+    for name, count in (("icosahedron", 12), ("e7", 126)):
+        pts = tmp_path / f"{name}.pts"
+        assert run(["build", name, "--points-out", str(pts), "--out", str(tmp_path / "b.json")]) == EXIT_OK
+        assert read_points(str(pts)).npoints == count
+        code, doc = run_json(["verify", name, "--points", str(pts)], tmp_path)
+        assert code == EXIT_OK, doc["claims"]
 
 
 def test_corrupted_point_value_fails(tmp_path):
@@ -94,6 +110,52 @@ def test_unreadable_point_file_fails(tmp_path):
     assert code == EXIT_CHECK
     assert doc["claims"][0]["id"] == "icosahedron.points_file"
     assert doc["claims"][0]["status"] == "fail"
+
+
+def test_point_file_arity_mismatch_fails(tmp_path):
+    pts = tmp_path / "e8.pts"
+    assert run(["build", "e8", "--points-out", str(pts), "--out", str(tmp_path / "b.json")]) == EXIT_OK
+    code, doc = run_json(["verify", "icosahedron", "--points", str(pts)], tmp_path)
+    assert code == EXIT_CHECK
+    assert doc["claims"][0]["id"] == "icosahedron.points_file"
+    assert doc["claims"][0]["status"] == "fail"
+    assert "8 coordinates" in doc["claims"][0]["detail"]
+
+
+def test_report_builds_and_certifies_once(tmp_path, monkeypatch):
+    built, certified = [], []
+    init, certify = SphericalConfiguration.__init__, cli.certify_full
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["name"])
+        init(self, *args, **kwargs)
+
+    def counting_certify(*args, **kwargs):
+        certified.append(args[0].name)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(SphericalConfiguration, "__init__", counting_init)
+    monkeypatch.setattr(cli, "certify_full", counting_certify)
+    code, doc = run_json(["report", "icosahedron"], tmp_path)
+    assert code == EXIT_OK
+    assert built == ["icosahedron"]
+    assert certified == ["icosahedron"]
+    assert doc["gamma"]["icosahedron"]["gamma2"]["level"] == "FULL_GROEBNER"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_reports(name, tmp_path):
+    code, doc = run_json(GOLDEN_RUNS[name], tmp_path)
+    assert code == EXIT_OK
+    timings = doc.pop("timings")
+    assert timings and all(v >= 0 for v in timings.values())
+    assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_gamma_times_its_work(tmp_path):
+    code, doc = run_json(["gamma", "icosahedron"], tmp_path)
+    assert code == EXIT_OK
+    assert doc["timings"]["gamma"] > 0
 
 
 def test_reports_identical_without_timings(tmp_path):

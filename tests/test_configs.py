@@ -9,6 +9,7 @@ import pytest
 from idealforge.exact import Quad, dot, rank, Matrix
 from idealforge.configs import (
     PHI,
+    SphericalConfiguration,
     build_4cube,
     build_e6,
     build_e7,
@@ -65,6 +66,17 @@ def test_icosahedron_points_and_products():
     # normalized inner products are ±1 and ±1/sqrt(5)
     inv_sqrt5 = Quad(0, Fraction(1, 5), 5)
     assert PHI / ico.r2 == inv_sqrt5
+
+
+def test_pair_distribution_refuses_inexact_numpy_products():
+    # more than 2000 points with squared coordinates near 2**62: the int64
+    # product of such rows leaves its exact range, the float64 one rounds
+    a = 2**31 + 1
+    pts = [(a, 0), (-a, 0), (0, a), (0, -a)] * 520
+    X = SphericalConfiguration("wide", 2, a * a, [a * a, 0, -a * a], points=pts)
+    for mode in ("sampled", "full"):
+        with pytest.raises(ArithmeticError, match="exact"):
+            pair_distribution(X, mode=mode)
 
 
 def test_icosahedron_pair_distribution():
