@@ -207,7 +207,11 @@ def _file_points(path: str, G: GeneratorSet) -> List[Tuple[Scalar, ...]]:
 def _checks(
     args, report: Dict[str, object], mode: str, G: GeneratorSet
 ) -> Tuple[bool, Optional[Certification]]:
-    """Run the check suite into the report: (all green, the certificate if one ran)."""
+    """Run the check suite into the report: (all green, the certificate if one ran).
+
+    With ``--points`` only the vanishing check runs, on the file's points:
+    the other claims are about the built configuration, which was not read.
+    """
     name, cfg = args.config, G.config
     points = None
     if getattr(args, "points", None):
@@ -225,6 +229,10 @@ def _checks(
             vanish = check_vanishing(G, points=points)
         else:
             vanish = check_vanishing(G, mode=mode, seed=args.seed, progress=progress)
+    if points is not None:
+        report["counts"] = {"points": len(points), "generators": len(G)}
+        report["claims"] = [vanish.to_dict()]
+        return vanish.passed, None
     components = {"vanishing": vanish}
     if name != "knn":
         # knn points live inside two hyperplanes, so full-rank spanning

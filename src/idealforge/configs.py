@@ -627,6 +627,21 @@ def _check_exact_range(arr: np.ndarray, limit: int, kind: str) -> None:
         raise ArithmeticError(f"inner products left the exact {kind} range")
 
 
+def _observed_omegas(r2: Scalar, arr: np.ndarray, base: List[int], den: int) -> List[Scalar]:
+    """r2, then every other inner product of a base row with a point, descending.
+
+    The value list of a configuration declared without one (a point file):
+    like ``_pair_exact``'s, but read off the int64 products of the base rows.
+    """
+    _check_exact_range(arr, 2**63, "int64")
+    seen: set = set()
+    for lo in range(0, len(base), 128):
+        seen.update(np.unique(arr[base[lo : lo + 128]] @ arr.T).tolist())
+    values = {Fraction(v, den * den) for v in seen}
+    values.discard(r2)
+    return [r2] + sorted(values, reverse=True)
+
+
 def pair_distribution(
     X: SphericalConfiguration,
     mode: str = "full",
@@ -645,11 +660,12 @@ def pair_distribution(
         return _pair_exact(X, base, mode)
 
     arr, den = arr_den
-    omegas_scaled = np.array([int(w * den * den) for w in X.omegas], dtype=np.int64)
+    omegas = X.omegas if X.omegas is not None else _observed_omegas(X.r2, arr, base, den)
+    omegas_scaled = np.array([int(w * den * den) for w in omegas], dtype=np.int64)
     if mode == "sampled":
         _check_exact_range(arr, 2**63, "int64")
         D = arr[base] @ arr.T
-        counts = np.zeros((len(base), len(X.omegas)), dtype=np.int64)
+        counts = np.zeros((len(base), len(omegas)), dtype=np.int64)
         for k, w in enumerate(omegas_scaled):
             counts[:, k] = (D == w).sum(axis=1)
         witness = None
@@ -660,7 +676,7 @@ def pair_distribution(
             bad = np.nonzero(~np.isin(D[r], omegas_scaled))[0]
             ok = False
             witness = (base[r], int(bad[0]), int(D[r, bad[0]]))
-        return PairDistribution(X.name, "sampled", X.omegas, base, counts, ok, witness)
+        return PairDistribution(X.name, "sampled", omegas, base, counts, ok, witness)
 
     # full mode over a large integer set: blocked float64 products (exact in range)
     _check_exact_range(arr, 2**53, "float64")
@@ -668,7 +684,7 @@ def pair_distribution(
     _PAIR_ARRAY = arr
     _PAIR_OMEGAS = omegas_scaled
     blocks = [(lo, min(lo + 128, n)) for lo in range(0, n, 128)]
-    counts = np.zeros((n, len(X.omegas)), dtype=np.int64)
+    counts = np.zeros((n, len(omegas)), dtype=np.int64)
     witness = None
     if threads > 1:
         import multiprocessing as mp
@@ -684,7 +700,7 @@ def pair_distribution(
             counts[lo : lo + c.shape[0]] = c
             if w is not None and witness is None:
                 witness = w
-    return PairDistribution(X.name, "full", X.omegas, base, counts, witness is None, witness)
+    return PairDistribution(X.name, "full", omegas, base, counts, witness is None, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 SUPPORTED_D = (2, 3, 5)
 
@@ -403,6 +403,49 @@ class Echelon:
         return False
 
 
+def stride_order(n: int) -> Iterator[int]:
+    """All of 0..n-1 in a fixed order that breaks up consecutive runs.
+
+    Structured point streams can dwell in a low-dimensional slice for tens of
+    thousands of rows; a coprime stride mixes the families, so a running rank
+    reaches its ceiling after a handful of rows.
+    """
+    if n == 0:
+        return iter(())
+    step = 104729
+    while gcd(step, n) != 1:
+        step += 1
+    return ((i * step) % n for i in range(n))
+
+
+def independent_rows(rows: Sequence, limit: int, skip: Iterable[int] = ()) -> List[int]:
+    """Indices of up to ``limit`` linearly independent rows, chosen exactly.
+
+    Rows stream through an :class:`Echelon` in :func:`stride_order`; a row is
+    kept when it raises the rank, and rows listed in ``skip`` are never kept.
+    Fewer than ``limit`` indices (capped at the column count) means the rows
+    outside ``skip`` have exactly that rank.
+    Numpy rows are converted to Python ints first: the cross-multiplication
+    in the elimination could overflow int64.
+    """
+    if len(rows) == 0:
+        return []
+    ncols = len(rows[0])
+    limit = min(limit, ncols)
+    skip = {int(i) for i in skip}
+    ech = Echelon(ncols)
+    out: List[int] = []
+    for i in stride_order(len(rows)):
+        if len(out) >= limit:
+            break
+        if i in skip:
+            continue
+        row = rows[i]
+        if ech.add_row(row.tolist() if hasattr(row, "tolist") else row):
+            out.append(i)
+    return out
+
+
 def rank(M: Matrix) -> int:
     """Exact rank by fraction-free elimination, deterministic pivoting."""
     ech = Echelon(M.ncols)
@@ -562,10 +605,15 @@ class HnfAccumulator:
         return True
 
     def normalized_rows(self) -> List[List[int]]:
-        """Rows of the HNF: positive pivots, entries above each pivot reduced."""
+        """Rows of the HNF: positive pivots, entries above each pivot in [0, pivot).
+
+        Pivots are reduced first to last: reducing by a later row only touches
+        columns from its pivot on, so it keeps the earlier pivot columns
+        reduced and the result depends on the lattice alone.
+        """
         cols = sorted(self.pivot_rows)
         rows = [list(self.pivot_rows[c]) for c in cols]
-        for idx in range(len(rows) - 1, -1, -1):
+        for idx in range(len(rows)):
             col = cols[idx]
             piv = rows[idx][col]
             for above in range(idx):

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .configs import SphericalConfiguration
-from .exact import Echelon, Quad, Scalar, dot, is_rational
+from .exact import Echelon, Quad, Scalar, dot, is_rational, stride_order
 from .poly import SparsePoly, nm_poly
 from .verify import DESIGN_STRENGTH, LEVEL_FULL_GROEBNER, LEVEL_PAPER
 
@@ -156,7 +156,8 @@ def evaluation_nullity(
     vectors in the kernel are exactly the degree <= k forms vanishing on the
     configuration.  When ``stop_rank`` is given and the running rank reaches
     it, the scan stops early: the caller promises rank can never exceed that
-    value, so equality is already decided.
+    value, so equality is already decided.  That scan visits the points in
+    :func:`~idealforge.exact.stride_order`, which reaches the ceiling sooner.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -167,13 +168,7 @@ def evaluation_nullity(
             f"{cfg.npoints} x {ncols} exact entries exceed the guard ({guard})"
         )
     n = cfg.npoints
-    if stop_rank is not None:
-        # structured point streams can dwell in a low-dimensional slice for
-        # tens of thousands of rows; a coprime stride mixes the families so
-        # the rank ceiling is reached after a handful of additions
-        order = _strided(n)
-    else:
-        order = range(n)
+    order = stride_order(n) if stop_rank is not None else range(n)
     packed = cfg.integer_array()
     ech = Echelon(ncols)
     if packed is not None:
@@ -191,14 +186,6 @@ def evaluation_nullity(
             if stop_rank is not None and ech.rank >= stop_rank:
                 return EvalRank(ncols, ech.rank, ncols - ech.rank, False)
     return EvalRank(ncols, ech.rank, ncols - ech.rank, True)
-
-
-def _strided(n: int) -> Iterator[int]:
-    """All of 0..n-1 in a fixed order that breaks up consecutive runs."""
-    step = 104729
-    while gcd(step, n) != 1:
-        step += 1
-    return ((i * step) % n for i in range(n))
 
 
 def trivial_dimension(cfg: SphericalConfiguration, k: int) -> int:

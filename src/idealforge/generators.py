@@ -421,21 +421,26 @@ def _e8_set() -> GeneratorSet:
     )
 
 
-def _e7_set() -> GeneratorSet:
-    cfg = build_e7()
-    items: List[Tuple[str, object]] = [(LABEL_NM, nm_poly(8, cfg.r2))]
+def _e7_items(r2: Scalar) -> List[Tuple[str, object]]:
+    """Nm and the e7 cubics, in the 8 ambient variables."""
+    items: List[Tuple[str, object]] = [(LABEL_NM, nm_poly(8, r2))]
     for j, b in enumerate(e7_defining_vectors()):
         items.append(
             (f"{LABEL_CUBIC} {j}", FactoredPoly(8, [(b, 1), (b, 0), (b, -1)]))
         )
-    return GeneratorSet("e7", 8, cfg.r2, items, config=cfg, section=e7_section())
+    return items
+
+
+def _e7_set() -> GeneratorSet:
+    cfg = build_e7()
+    return GeneratorSet("e7", 8, cfg.r2, _e7_items(cfg.r2), config=cfg, section=e7_section())
 
 
 def _e6_set() -> GeneratorSet:
-    restricted = restrict_to_section(_e7_set(), e6_section())
-    restricted.name = "e6"
-    restricted.config = build_e6()
-    return restricted
+    """The e7 generators restricted to the e6 section."""
+    cfg = build_e6()
+    ambient = GeneratorSet("e6", 8, cfg.r2, _e7_items(cfg.r2), config=cfg)
+    return restrict_to_section(ambient, e6_section())
 
 
 def _leech_set() -> GeneratorSet:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .configs import SphericalConfiguration
-from .exact import HnfAccumulator, Matrix, det, ldlt, _fdiv
+from .exact import HnfAccumulator, Matrix, det, independent_rows, ldlt
 
 
 class RankDeficientError(ValueError):
@@ -82,48 +82,40 @@ def basis_from_generators(X: SphericalConfiguration, scale: Optional[int] = None
         scale = den * den * X.lattice_scale
 
     acc = HnfAccumulator(m)
-    rows = arr
-
-    # feed exactly until full rank, then use a vectorized membership filter
-    fed = 0
-    n = rows.shape[0]
-    while fed < n and len(acc.pivot_rows) < m:
-        acc.add_row([int(v) for v in rows[fed]])
-        fed += 1
+    for i in independent_rows(arr, m):
+        acc.add_row(arr[i].tolist())
     if len(acc.pivot_rows) < m:
         raise RankDeficientError(f"generators span rank {len(acc.pivot_rows)} < {m}")
 
-    remaining = rows[fed:]
+    # add the first point outside the current lattice until none is left
+    remaining = arr
     while remaining.shape[0]:
-        cols = sorted(acc.pivot_rows)
-        P = [acc.pivot_rows[c] for c in cols]
-        dval = 1
-        for i, c in enumerate(cols):
-            dval *= P[i][c]
-        adj = _triangular_adjugate(P, cols, dval)
-        maxadj = max((abs(v) for row in adj for v in row), default=0)
+        P = acc.normalized_rows()
+        dval = math.prod(P[i][i] for i in range(m))
+        adj = _triangular_adjugate(P, dval)
+        maxadj = max(abs(v) for row in adj for v in row)
         maxcoord = int(np.abs(remaining).max())
-        if m * maxadj * maxcoord < 2**62:
-            A = np.array(adj, dtype=np.int64)
-            Z = remaining @ A
+        if m * maxadj * maxcoord < 2**62 and dval < 2**62:
+            Z = remaining @ np.array(adj, dtype=np.int64)
             bad = (Z % dval != 0).any(axis=1)
         else:  # stay exact when int64 could overflow
-            bad = np.array([not acc.contains([int(v) for v in r]) for r in remaining])
+            bad = np.array([not acc.contains(r.tolist()) for r in remaining])
         if not bad.any():
             break
         remaining = remaining[bad]
-        acc.add_row([int(v) for v in remaining[0]])
+        acc.add_row(remaining[0].tolist())
         remaining = remaining[1:]
 
     basis_rows = acc.normalized_rows()
     return LatticeBasis(basis_rows, scale=scale, coord_den=den, name=X.name)
 
 
-def _triangular_adjugate(P: List[List[int]], cols: List[int], dval: int) -> List[List[int]]:
+def _triangular_adjugate(P: List[List[int]], dval: int) -> List[List[int]]:
     """det(P) * P^{-1} as integer rows, so that r in rowspan_Z(P) iff r @ A = 0 mod det.
 
-    With full rank the pivot columns are 0..m-1 and P is upper triangular, so
-    each row of P^{-1} comes from one forward substitution y P = e_target.
+    P is a full-rank Hermite form: upper triangular with pivots on the
+    diagonal, so each row of P^{-1} comes from one forward substitution
+    y P = e_target.
     """
     m = len(P)
     out = []
@@ -132,8 +124,8 @@ def _triangular_adjugate(P: List[List[int]], cols: List[int], dval: int) -> List
         for c in range(m):
             s = Fraction(1) if c == target else Fraction(0)
             for k in range(c):
-                s -= y[k] * P[k][cols[c]]
-            y[c] = s / P[c][cols[c]]
+                s -= y[k] * P[k][c]
+            y[c] = s / P[c][c]
         row = [v * dval for v in y]
         if any(v.denominator != 1 for v in row):
             raise ArithmeticError("adjugate of an integer triangular matrix must be integral")

@@ -31,7 +31,16 @@ from .configs import (
     SphericalConfiguration,
     pair_distribution,
 )
-from .exact import Echelon, Matrix, Scalar, _fdiv, dot, rank, scalar_to_text
+from .exact import (
+    Echelon,
+    Matrix,
+    Scalar,
+    _fdiv,
+    dot,
+    independent_rows,
+    rank,
+    scalar_to_text,
+)
 from .generators import FactoredPoly, GeneratorSet, orthogonal_complement_basis
 from .poly import SparsePoly, is_trivial, nm_poly
 from .sampling import sample_indices
@@ -348,65 +357,12 @@ def _scaled_units(G: GeneratorSet, point):
     return scaled, roots, extreme
 
 
-def _first_independent_indices(
-    reps: np.ndarray,
-    m: int,
-    seed_idxs: Sequence[int] = (),
-    skip_idxs: Sequence[int] = (),
-    skip_mask: Optional[np.ndarray] = None,
-) -> List[int]:
-    """Indices of the first m rows (in order) that are linearly independent.
-
-    A float Gram-Schmidt residual screens out rows already in the span; every
-    accepted row is confirmed on the exact echelon, so float error can only
-    cause a skip, never a wrong certificate.  seed_idxs are taken first,
-    skip rows are never selected.
-    """
-    R = reps.astype(np.float64)
-    norms2 = np.einsum("ij,ij->i", R, R)
-    if skip_mask is not None:
-        norms2[skip_mask] = 0.0
-    for i in skip_idxs:
-        norms2[i] = 0.0
-    ech = Echelon(reps.shape[1])
-    out: List[int] = []
-
-    def accept(i: int) -> bool:
-        nonlocal norms2
-        if not ech.add_row([int(v) for v in reps[i]]):
-            norms2[i] = 0.0
-            return False
-        n2 = float(R[i] @ R[i])
-        if n2 > 1e-12:
-            u = R[i] / math.sqrt(n2)
-            proj = R @ u
-            np.subtract(R, np.outer(proj, u), out=R)
-            norms2 = norms2 - proj * proj
-            np.maximum(norms2, 0.0, out=norms2)
-        norms2[i] = 0.0
-        out.append(int(i))
-        return True
-
-    for i in seed_idxs:
-        if not accept(int(i)):
-            raise ArithmeticError("seed rows were not independent")
-    while len(out) < m:
-        cand = np.nonzero(norms2 > 1e-7)[0]
-        progressed = False
-        for i in cand:
-            if accept(int(i)):
-                progressed = True
-                break
-        if not progressed:
-            break
-    return out
-
-
 def _select_independent(G: GeneratorSet, point):
     """nvars (base, slicing, scalar) triples with independent gradient rows.
 
     Mirrors the radicality argument: pick independent base vectors c other
-    than the point's own pair, and for each a complement vector b with
+    than the point's own pair (``independent_rows`` skips the representatives
+    that meet the point at +-r2), and for each a complement vector b with
     b.point != 0.  The gradient row of the matching generator is then
     scalar * c with scalar = (b.point) * prod of the non-vanishing root
     differences, all in integer units.
@@ -416,9 +372,7 @@ def _select_independent(G: GeneratorSet, point):
     reps = G.pair_reps
     sc = np.array([int(x) for x in scaled], dtype=np.int64)
     ca_all = reps @ sc
-    picks = _first_independent_indices(
-        reps, m, skip_mask=(np.abs(ca_all) == extreme)
-    )
+    picks = independent_rows(reps, m, skip=np.flatnonzero(np.abs(ca_all) == extreme))
     if len(picks) < m:
         raise ArithmeticError("could not select a full independent base set")
     chosen = []
@@ -546,84 +500,74 @@ def jacobian_full_pass(
 def _vectorized_jacobian_pass(G: GeneratorSet, progress: Progress = None):
     """Full simple-zero pass for the sliced-zonal families.
 
-    A fixed independent set C of nvars base pairs serves every point at once:
-    for c in C and point x with x != +-c, the pass certifies that c.x is an
-    interior root and that some complement vector b of c has b.x != 0, so the
-    gradient row of that generator at x is a nonzero multiple of c.  The rows
-    then span by the one-time independence check of C.  Points x = +-c use a
-    per-slot substitute base vector, checked individually.
+    An independent set C of nvars pair representatives serves every point at
+    once.  For c in C and a point x where c.x is an interior root and some
+    complement vector b of c has b.x != 0, the gradient row of that generator
+    at x is a nonzero multiple of c; the rows then span by the independence
+    of C.  A point x that meets some c in C at +-r2 (on the shell, x = +-c:
+    2m points) is checked again, against every vector of a second base
+    C' = independent_rows(reps, m, skip=C).  That is sound because a point is
+    +-c for at most one representative c, which lies in C; so C' contains
+    no +-x for any x in +-C, and C' must meet each such x in interior roots.
     """
     cfg = G.config
     arr, den = cfg.integer_array()
     reps = G.pair_reps
     m = G.nvars
     scale = den * den
-    extreme = int(cfg.r2 * scale)
-    interior = {w * scale for w in G.interior_roots}
+    interior = np.array([w * scale for w in G.interior_roots], dtype=np.int64)
 
-    base_idx = _first_independent_indices(reps, m)
-    if len(base_idx) < m:
-        return [("independent-base-selection", len(base_idx))]
+    base = independent_rows(reps, m)
+    second = independent_rows(reps, m, skip=base)
+    if len(second) < m:
+        return [("independent-base-selection", len(base), len(second))]
+    failure, paired = _closed_form_failure(
+        arr, reps[base], interior, extreme=int(cfg.r2 * scale)
+    )
+    if failure is not None:
+        return [failure]
+    if progress is not None:
+        progress(f"jacobian pass: {int(paired.sum())} points left for the second base")
+    rows = np.flatnonzero(paired)
+    failure, _ = _closed_form_failure(arr[rows], reps[second], interior)
+    if failure is not None:
+        kind, slot, r = failure[:3]
+        return [("second-base", kind, slot, int(rows[r])) + failure[3:]]
+    return []
 
-    substitutes: Dict[int, int] = {}
-    for slot in range(m):
-        others = [k for k in base_idx if k != base_idx[slot]]
-        sel = _first_independent_indices(
-            reps, m, seed_idxs=others, skip_idxs=base_idx
-        )
-        if len(sel) < m:
-            return [("substitute-selection", slot)]
-        substitutes[slot] = sel[-1]
 
-    witnesses: List[Tuple] = []
-    pts_f = arr.astype(np.float64)
+def _closed_form_failure(
+    pts: np.ndarray, base: np.ndarray, interior: np.ndarray, extreme: Optional[int] = None
+) -> Tuple[Optional[Tuple], np.ndarray]:
+    """First point whose gradient row for some base vector fails the closed form.
 
-    def slicing_seen(c_row: np.ndarray) -> np.ndarray:
-        """True per point where some complement vector of c has nonzero value."""
-        j = int((c_row != 0).argmax())
-        w = int(c_row[j]) * arr - np.outer(arr[:, j], c_row)
-        w[:, j] = 0
-        return (w != 0).any(axis=1)
-
-    for slot, idx in enumerate(base_idx):
-        c_row = reps[idx]
-        vals = pts_f @ c_row.astype(np.float64)
-        ivals = np.rint(vals).astype(np.int64)
-        if not np.array_equal(ivals, vals):
-            raise ArithmeticError("inner products left the exact float64 range")
-        is_pair = np.abs(ivals) == extreme
-        ok_interior = np.zeros(arr.shape[0], dtype=bool)
-        for w in interior:
-            ok_interior |= ivals == w
-        stray = ~(ok_interior | is_pair)
+    The row for base vector c at x is a nonzero multiple of c when c.x is an
+    interior root and x is no multiple of c: the complement vectors of c span
+    its orthogonal complement, so one of them has b.x != 0.  x is a multiple
+    of c iff (c.x)^2 == (c.c)(x.x).  Points meeting a base vector at
+    +-``extreme`` are not failures but paired; returns (failure or None,
+    paired mask).  All products are int64, exact since
+    (m * max|entry|^2)^2 < 2^63 is enforced.
+    """
+    paired = np.zeros(pts.shape[0], dtype=bool)
+    if pts.shape[0] == 0:
+        return None, paired
+    bound = max(int(np.abs(pts).max()), int(np.abs(base).max()))
+    if (pts.shape[1] * bound * bound) ** 2 >= 2**63:
+        raise ArithmeticError("inner products left the exact int64 range")
+    norms = np.einsum("ij,ij->i", pts, pts)
+    for slot, c in enumerate(base):
+        vals = pts @ c
+        hit = np.abs(vals) == extreme if extreme is not None else np.zeros_like(paired)
+        stray = ~(np.isin(vals, interior) | hit)
         if stray.any():
-            bad = int(np.argwhere(stray)[0][0])
-            witnesses.append(("inner-product-range", slot, bad, int(ivals[bad])))
-            return witnesses
-        seen = slicing_seen(c_row)
-        missing = (~is_pair) & (~seen)
-        if missing.any():
-            bad = int(np.argwhere(missing)[0][0])
-            witnesses.append(("no-slicing-vector", slot, bad))
-            return witnesses
-        # x = +-c itself: this slot's generator row degenerates there, so the
-        # substitute base vector must provide the same guarantees
-        sub = reps[substitutes[slot]]
-        for r in np.nonzero(is_pair)[0]:
-            x = arr[r]
-            sval = int(x @ sub)
-            if sval not in interior:
-                witnesses.append(("substitute-interior", slot, int(r), sval))
-                return witnesses
-            jj = int((sub != 0).argmax())
-            w = int(sub[jj]) * x - int(x[jj]) * sub
-            w[jj] = 0
-            if not w.any():
-                witnesses.append(("substitute-slicing", slot, int(r)))
-                return witnesses
-        if progress is not None:
-            progress(f"jacobian pass base {slot + 1}/{m}")
-    return witnesses
+            r = int(stray.argmax())
+            return ("inner-product-range", slot, r, int(vals[r])), paired
+        parallel = ~hit & (vals * vals == norms * int(c @ c))
+        if parallel.any():
+            return ("no-slicing-vector", slot, int(parallel.argmax())), paired
+        paired |= hit
+    return None, paired
 
 
 # ---------------------------------------------------------------------------
@@ -836,16 +780,7 @@ def spanning_check(cfg: SphericalConfiguration) -> ClaimRecord:
     """The points linearly span the whole space (streamed, early exit)."""
     t0 = time.time()
     arr_den = cfg.integer_array()
-    if arr_den is not None:
-        r = len(_first_independent_indices(arr_den[0], cfg.m))
-    else:
-        ech = Echelon(cfg.m)
-        r = 0
-        for p in cfg.points:
-            if ech.add_row(list(p)):
-                r += 1
-                if r == cfg.m:
-                    break
+    r = len(independent_rows(cfg.points if arr_den is None else arr_den[0], cfg.m))
     return ClaimRecord(
         f"{cfg.name}.spanning",
         PASS if r == cfg.m else FAIL,

@@ -22,6 +22,7 @@ GOLDEN_RUNS = {
     "report_knn3": ["report", "knn", "--n", "3"],
     "report_cube4": ["report", "cube4"],
     "verify_e8_sampled7": ["verify", "e8", "--sampled", "--seed", "7"],
+    "report_leech_sampled2": ["report", "leech", "--sampled", "--seed", "2"],
 }
 
 
@@ -87,6 +88,18 @@ def test_point_file_roundtrip_passes(tmp_path):
         assert read_points(str(pts)).npoints == count
         code, doc = run_json(["verify", name, "--points", str(pts)], tmp_path)
         assert code == EXIT_OK, doc["claims"]
+
+
+def test_point_file_reports_only_what_it_checked(tmp_path):
+    # one icosahedron point: the vanishing check on it is the only claim
+    pts = tmp_path / "ico.pts"
+    run(["build", "icosahedron", "--points-out", str(pts), "--out", str(tmp_path / "b.json")])
+    one = tmp_path / "one.pts"
+    one.write_text("\n".join(pts.read_text().splitlines()[:2]) + "\n")
+    code, doc = run_json(["verify", "icosahedron", "--points", str(one)], tmp_path)
+    assert code == EXIT_OK
+    assert [(c["id"], c["status"]) for c in doc["claims"]] == [("icosahedron.vanishing", "pass")]
+    assert doc["counts"]["points"] == 1
 
 
 def test_corrupted_point_value_fails(tmp_path):

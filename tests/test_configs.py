@@ -9,6 +9,7 @@ import pytest
 from idealforge.exact import Quad, dot, rank, Matrix
 from idealforge.configs import (
     PHI,
+    _pair_exact,
     SphericalConfiguration,
     build_4cube,
     build_e6,
@@ -77,6 +78,24 @@ def test_pair_distribution_refuses_inexact_numpy_products():
     for mode in ("sampled", "full"):
         with pytest.raises(ArithmeticError, match="exact"):
             pair_distribution(X, mode=mode)
+
+
+def test_pair_distribution_derives_values_without_a_declared_list():
+    # a point file declares no inner-product list; with more than 2000
+    # integer points the numpy path reads the values off the products
+    g = np.stack(np.meshgrid(*[np.arange(-14, 15)] * 4, indexing="ij"), -1).reshape(-1, 4)
+    pts = [tuple(int(v) for v in p) for p in g[(g * g).sum(axis=1) == 210]]
+    assert len(pts) == 4608
+    X = SphericalConfiguration("z4shell", 4, 210, None, points=pts)
+    pd = pair_distribution(X, mode="sampled", count=12)
+    assert pd.closure_ok and pd.omegas[0] == 210
+    assert pd.omegas[1:] == sorted(pd.omegas[1:], reverse=True)
+    # the exact oracle, given every integer value in range, on the same rows
+    Y = SphericalConfiguration("z4shell", 4, 210, list(range(210, -211, -1)), points=pts)
+    exact = _pair_exact(Y, pd.base_indices, "sampled")
+    for k in range(len(pd.base_indices)):
+        seen = {w: c for w, c in pd.histogram(k).items() if c}
+        assert seen == {w: c for w, c in exact.histogram(k).items() if c}
 
 
 def test_icosahedron_pair_distribution():

@@ -12,6 +12,7 @@ from idealforge.exact import (
     det,
     dot,
     hnf,
+    independent_rows,
     ldlt,
     nullspace_basis,
     parse_scalar,
@@ -162,6 +163,44 @@ def test_hnf_span_equivalence():
             back.add_row(r)
         for r in H.rows:
             assert back.contains(r)
+
+
+def test_hnf_is_canonical():
+    # entries above each pivot lie in [0, pivot), so the form depends on the
+    # lattice alone and not on the order the rows arrive in
+    rng = random.Random(43)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        H = hnf(Matrix(rows)).rows
+        for i, r in enumerate(H):
+            col = next(j for j, x in enumerate(r) if x)
+            assert r[col] > 0
+            assert all(0 <= above[col] < r[col] for above in H[:i]), H
+        rng.shuffle(rows)
+        assert hnf(Matrix(rows)).rows == H
+
+
+def test_independent_rows_agrees_with_rank():
+    rng = random.Random(47)
+    for trial in range(60):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 5)
+        if trial % 2:
+            rows = [[Quad(rng.randint(-2, 2), rng.randint(-1, 1), 5) for _ in range(nc)] for _ in range(nr)]
+        else:
+            # low-rank integer rows: combinations of two generators
+            g = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(2)]
+            rows = [[rng.randint(-2, 2) * a + rng.randint(-2, 2) * b for a, b in zip(*g)] for _ in range(nr)]
+        picks = independent_rows(rows, nc)
+        assert len(picks) == rank(Matrix(rows))
+        assert rank(Matrix([rows[i] for i in picks])) == len(picks)
+        assert len(independent_rows(rows, 1)) == min(1, len(picks))
+        skip = set(rng.sample(range(nr), rng.randint(0, nr)))
+        kept = independent_rows(rows, nc, skip=skip)
+        assert not skip & set(kept)
+        rest = [r for i, r in enumerate(rows) if i not in skip]
+        assert len(kept) == (rank(Matrix(rest)) if rest else 0)
+    assert independent_rows([], 3) == []
 
 
 def test_hnf_rejects_non_integer():

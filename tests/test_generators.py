@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealforge.configs import build_4cube, build_e7, build_ngon
+from idealforge.configs import SphericalConfiguration, build_4cube, build_e7, build_ngon
 from idealforge.exact import Quad, dot
 from idealforge.generators import (
     FactoredPoly,
@@ -279,3 +279,18 @@ def test_generator_export_roundtrip(tmp_path):
 def test_unknown_configuration_name():
     with pytest.raises(ValueError):
         build_generator_set("dodecahedron")
+
+
+def test_e6_set_builds_at_most_three_configurations(monkeypatch):
+    # e8 twice (for the e6 shell and the e7 cubics) and e6 itself
+    built = []
+    init = SphericalConfiguration.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["name"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SphericalConfiguration, "__init__", counting_init)
+    G = build_generator_set("e6")
+    assert len(built) <= 3 and "e7" not in built
+    assert (G.name, G.config.name, G.nvars, G.field_d) == ("e6", "e6", 6, 3)

@@ -1,5 +1,6 @@
 """Verification-pass tests: frozen design sums, Jacobian ranks, vanishing."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from idealforge.configs import (
     build_leech,
     build_ngon,
 )
+from idealforge.exact import independent_rows, stride_order
 from idealforge.generators import (
     build_generator_set,
     e7_section,
@@ -28,6 +30,7 @@ from idealforge.verify import (
     SKIPPED,
     ClaimRecord,
     MissingCheckError,
+    _closed_form_failure,
     assemble_certificate,
     check_gallery_vanishing,
     check_vanishing,
@@ -226,6 +229,46 @@ def test_jacobian_e8():
         assert symbolic_selected_rows(G, pt) == [
             tuple(r) for r in closed_form_rows(G, pt)
         ]
+
+
+def test_jacobian_names_point_moved_off_shell():
+    G = build_generator_set("e8")
+    arr, den = G.config.integer_array()
+    arr[37, 0] += 1  # half a unit: off the shell, off every interior root
+    rec = jacobian_full_pass(G)
+    assert rec.status == FAIL
+    kind, _slot, point, _value = rec.witnesses[0]
+    assert (kind, point) == ("inner-product-range", 37)
+    # the origin meets every base vector at the interior root 0, but no
+    # complement vector sees it
+    arr[37] = 0
+    rec = jacobian_full_pass(G)
+    assert rec.status == FAIL
+    assert rec.witnesses[0] == ("no-slicing-vector", 0, 37)
+
+
+def test_jacobian_second_base_sees_exactly_the_pairs():
+    # the points meeting the first base at +-r2 are +-C, and the second
+    # base holds no +-x for any of them
+    G = build_generator_set("e8")
+    arr, den = G.config.integer_array()
+    reps, m = G.pair_reps, G.nvars
+    interior = [w * den * den for w in G.interior_roots]
+    base = independent_rows(reps, m)
+    second = independent_rows(reps, m, skip=base)
+    assert len(base) == len(second) == m and not set(base) & set(second)
+    extreme = int(G.config.r2 * den * den)
+    failure, paired = _closed_form_failure(arr, reps[base], interior, extreme)
+    assert failure is None
+    on_c = {tuple(s * v) for v in reps[base] for s in (1, -1)}
+    assert {tuple(x) for x in arr[paired]} == on_c and paired.sum() == 2 * m
+    failure, left = _closed_form_failure(arr[paired], reps[second], interior)
+    assert failure is None and not left.any()
+
+
+def test_independent_rows_leech_stride_reaches_full_rank_at_once():
+    reps = build_generator_set("leech").pair_reps
+    assert independent_rows(reps, 24) == list(itertools.islice(stride_order(len(reps)), 24))
 
 
 def test_jacobian_e7_section():
