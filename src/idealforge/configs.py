@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import Quad, Scalar, dot, scalar_to_text, parse_scalar
+from .exact import SUPPORTED_D, Quad, Scalar, dot, scalar_to_text, parse_scalar
 from .sampling import sample_indices
 
 PHI = Quad(Fraction(1, 2), Fraction(1, 2), 5)
@@ -173,6 +173,12 @@ class SphericalConfiguration:
         if self._points is None:
             self._points = [tuple(int(c) for c in row) for row in self._array.tolist()]
         return self._points
+
+    def point(self, k: int) -> Tuple[Scalar, ...]:
+        """Point k, without materializing the exact list of an array-backed set."""
+        if self._points is not None:
+            return self._points[k]
+        return tuple(int(c) for c in self._array[k])
 
     def integer_array(self) -> Optional[Tuple[np.ndarray, int]]:
         """(den * points) as an int64 array, or None when coordinates are irrational."""
@@ -720,6 +726,13 @@ def write_points(X: SphericalConfiguration, path: str):
 
 
 def read_points(path: str, name: str = "file") -> SphericalConfiguration:
+    """The configuration a point file holds.
+
+    The field must be Q or Q(sqrt d) with d in SUPPORTED_D, every coordinate
+    must lie in it, and the file must hold at least one point; otherwise
+    ValueError.
+    """
+    fields = {field_label(d): d for d in (None, *SUPPORTED_D)}
     with open(path) as fh:
         header = fh.readline().split(None, 5)
         if len(header) != 6 or header[0] != "dim" or header[2] != "norm" or header[4] != "field":
@@ -727,11 +740,9 @@ def read_points(path: str, name: str = "file") -> SphericalConfiguration:
         m = int(header[1])
         r2 = parse_scalar(header[3])
         field = header[5].strip()
-        if field == "Q":
-            field_d = None
-        else:
-            inner = field.removeprefix("Q(sqrt").removesuffix(")").strip()
-            field_d = int(inner)
+        if field not in fields:
+            raise ValueError(f"unsupported field {field!r}")
+        field_d = fields[field]
         pts = []
         for line in fh:
             line = line.strip()
@@ -740,5 +751,10 @@ def read_points(path: str, name: str = "file") -> SphericalConfiguration:
             coords = tuple(parse_scalar(tok) for tok in line.split())
             if len(coords) != m:
                 raise ValueError(f"point with {len(coords)} coordinates, expected {m}")
+            for c in coords:
+                if isinstance(c, Quad) and c.b != 0 and c.d != field_d:
+                    raise ValueError(f"coordinate {scalar_to_text(c)} is not in {field}")
             pts.append(coords)
+    if not pts:
+        raise ValueError("point file holds no points")
     return SphericalConfiguration(name, m, r2, None, points=pts, field_d=field_d)

@@ -1,6 +1,6 @@
 """Machine checks for the configuration ideals.
 
-Four families of checks, each exact:
+Five families of checks, each exact:
 
 * vanishing: every generator is zero at every configuration point (full passes
   for the small sets, a seeded sampled pass for the big one, with a structured
@@ -8,6 +8,8 @@ Four families of checks, each exact:
 * simple zeros: the Jacobian of the generating set has full rank at every
   point, computed symbolically or from the closed-form row shape of a sliced
   zonal gradient;
+* nontriviality: a generator of the critical degree is nonzero at one point
+  of the sphere, so it is no multiple of the sphere polynomial;
 * design strength: Gegenbauer pair sums and raw moment comparisons;
 * certificates: the per-claim records assembled into a report.
 
@@ -42,7 +44,6 @@ from .exact import (
     scalar_to_text,
 )
 from .generators import FactoredPoly, GeneratorSet, orthogonal_complement_basis
-from .poly import SparsePoly, is_trivial, nm_poly
 from .sampling import sample_indices
 
 PASS = "pass"
@@ -451,7 +452,11 @@ def jacobian_full_pass(
     G: GeneratorSet,
     progress: Progress = None,
 ) -> ClaimRecord:
-    """Rank = nvars at every point; vectorized for the sliced-zonal families."""
+    """Rank = nvars at every point.
+
+    The sliced-zonal families are vectorized over two independent base sets:
+    C for every point, then C' for the 2m points +-C (`_vectorized_jacobian_pass`).
+    """
     t0 = time.time()
     m = G.nvars
     claim = f"{G.name}.jacobian"
@@ -490,8 +495,9 @@ def jacobian_full_pass(
         FULL,
         witnesses,
         detail=(
-            f"rank {m} at {G.config.npoints} points via closed-form rows "
-            "over a fixed independent base set"
+            f"rank {m} at {G.config.npoints} points via closed-form rows over an "
+            f"independent base set C, and over a second base set C' for the {2 * m} "
+            "points +-C"
         ),
         seconds=time.time() - t0,
     )
@@ -818,23 +824,40 @@ def section_embedding_check(cfg: SphericalConfiguration) -> ClaimRecord:
     )
 
 
+def sphere_witness_point(G: GeneratorSet) -> Tuple[Scalar, ...]:
+    """The first configuration point reflected in u = (1, ..., m).
+
+    The reflection keeps it on the sphere and over the configuration's field.
+    Generators in more variables than the configuration has coordinates (e7)
+    get it lifted through the section map, into the section hyperplane.
+    """
+    cfg = G.config
+    x, u = cfg.point(0), range(1, cfg.m + 1)
+    s = Fraction(2, dot(u, u)) * dot(u, x)
+    w = tuple(xi - s * ui for xi, ui in zip(x, u))
+    return w if G.nvars == cfg.m else cfg.section.to_ambient(w)
+
+
 def nontrivial_generator_check(G: GeneratorSet, degree: int) -> ClaimRecord:
-    """Some generator of the claimed degree has nonzero remainder mod the norm."""
+    """Some generator of the claimed degree is nonzero at one point of the sphere.
+
+    Every multiple of Nm vanishes on the sphere, so a generator f with
+    f(w) != 0 at a point w of the sphere (`sphere_witness_point`, checked to
+    lie on it exactly) is not a multiple of Nm.  On e7, w lies in the section
+    hyperplane, so f is not trivial on the section either.  The degree is
+    exact: f vanishes on X, a t-design, and is nontrivial, so
+    deg f >= t//2 + 1 = ``degree``, while deg f is at most ``p.degree()``,
+    which counts the factors of a FactoredPoly.
+    """
     t0 = time.time()
-    nm = nm_poly(G.nvars, G.r2, G.field_d)
+    w = sphere_witness_point(G)
     candidates = list(G.items)
     if G.stream_count:
         candidates.append(G.streamed(0))
-    found = None
-    for label, p in candidates:
-        if label.startswith("NM"):
-            continue
-        sp = p.expand() if isinstance(p, FactoredPoly) else p
-        if sp.degree() != degree:
-            continue
-        if not is_trivial(sp, nm):
-            found = label
-            break
+    found = dot(w, w) == G.r2 and next(
+        (label for label, p in candidates if p.degree() == degree and p.eval(w) != 0),
+        None,
+    )
     return ClaimRecord(
         f"{G.name}.nontrivial-degree-{degree}",
         PASS if found else FAIL,

@@ -135,6 +135,47 @@ def test_point_file_arity_mismatch_fails(tmp_path):
     assert "8 coordinates" in doc["claims"][0]["detail"]
 
 
+def test_empty_point_file_fails(tmp_path):
+    empty = tmp_path / "empty.pts"
+    empty.write_text("dim 3 norm 2 field Q\n")
+    code, doc = run_json(["verify", "icosahedron", "--points", str(empty)], tmp_path)
+    assert code == EXIT_CHECK
+    assert [(c["id"], c["status"]) for c in doc["claims"]] == [("icosahedron.points_file", "fail")]
+
+
+@pytest.fixture(scope="module")
+def built_points(tmp_path_factory):
+    out = tmp_path_factory.mktemp("points")
+    files = {}
+    for name in ("icosahedron", "e8"):
+        files[name] = out / f"{name}.pts"
+        run(["build", name, "--points-out", str(files[name]), "--out", str(out / "b.json")])
+    return files
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("icosahedron", "Q(sqrt 7)"),
+        ("icosahedron", "Q(sqrt 2)"),
+        ("icosahedron", "Q"),
+        ("e8", "Q(sqrt 0)"),
+        ("e8", "Q(sqrt 4)"),
+        ("e8", "Q(sqrt -1)"),
+    ],
+)
+def test_point_file_field_is_enforced(name, field, built_points, tmp_path):
+    # an unsupported field, or sqrt(5) coordinates outside the declared one
+    lines = built_points[name].read_text().splitlines()
+    head = lines[0].split(None, 5)
+    lines[0] = " ".join(head[:5] + [field])
+    bad = tmp_path / "bad.pts"
+    bad.write_text("\n".join(lines) + "\n")
+    code, doc = run_json(["verify", name, "--points", str(bad)], tmp_path)
+    assert code == EXIT_CHECK
+    assert [(c["id"], c["status"]) for c in doc["claims"]] == [(f"{name}.points_file", "fail")]
+
+
 def test_report_builds_and_certifies_once(tmp_path, monkeypatch):
     built, certified = [], []
     init, certify = SphericalConfiguration.__init__, cli.certify_full

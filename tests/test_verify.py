@@ -16,13 +16,19 @@ from idealforge.configs import (
     build_icosahedron,
     build_leech,
     build_ngon,
+    e7_defining_vectors,
 )
-from idealforge.exact import independent_rows, stride_order
+from idealforge.exact import dot, independent_rows, stride_order
 from idealforge.generators import (
+    LABEL_NM,
+    FactoredPoly,
+    GeneratorSet,
+    as_sparse,
     build_generator_set,
     e7_section,
     restrict_to_section,
 )
+from idealforge.poly import SparsePoly, is_trivial, nm_poly
 from idealforge.verify import (
     FAIL,
     PASS,
@@ -44,6 +50,7 @@ from idealforge.verify import (
     section_embedding_check,
     spanning_check,
     sphere_moment,
+    sphere_witness_point,
     symbolic_selected_rows,
 )
 
@@ -323,6 +330,38 @@ def test_nontrivial_generators():
         rec = nontrivial_generator_check(build_generator_set(name), degree)
         assert rec.passed, name
         assert "witness generator" in rec.detail
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "e7", "e6", "e8"])
+def test_sphere_witness_agrees_with_division(name):
+    # a generator nonzero at the witness point is no multiple of Nm
+    G = build_generator_set(name)
+    w = sphere_witness_point(G)
+    assert dot(w, w) == G.r2
+    nm = nm_poly(G.nvars, G.r2, G.field_d)
+    nonzero = [(label, p) for label, p in G.items if p.eval(w) != 0]
+    assert nonzero
+    for label, p in nonzero:
+        assert not is_trivial(as_sparse(p), nm), label
+
+
+def test_nontrivial_rejects_a_cubic_trivial_on_the_e7_section():
+    # (Y7 - Y8) vanishes on the section hyperplane, so this cubic is trivial there
+    cfg = build_e7()
+    b = e7_defining_vectors()[0]
+    cubic = FactoredPoly(8, [((0,) * 6 + (1, -1), 0), (b, 0), (b, 0)])
+    items = [(LABEL_NM, nm_poly(8, cfg.r2)), ("CUBIC 0", cubic)]
+    G = GeneratorSet("e7", 8, cfg.r2, items, config=cfg, section=e7_section())
+    assert nontrivial_generator_check(G, 3).status == FAIL
+
+
+def test_nontrivial_rejects_multiples_of_nm():
+    cfg = build_e8()
+    nm = nm_poly(8, cfg.r2)
+    y1, y2 = SparsePoly.variable(8, 1), SparsePoly.variable(8, 2)
+    for multiple in (nm * y1, nm * y1 * y2):
+        G = GeneratorSet("e8", 8, cfg.r2, [("SLICED 0", multiple)], config=cfg)
+        assert nontrivial_generator_check(G, multiple.degree()).status == FAIL
 
 
 def test_certificate_assembly_e8():
