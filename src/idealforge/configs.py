@@ -1,9 +1,9 @@
 """Point configurations: Golay code, root-system shells, Leech vectors, gallery sets.
 
 Small configurations keep exact scalar coordinates throughout.  The Leech shell
-is assembled in numpy int64 (coordinates are small integers, so every product
-this module forms is exact; ``pair_distribution`` checks that range before it
-multiplies) with exact tuples materialized on demand.
+is assembled in numpy int64 with exact tuples materialized on demand; every
+product of its rows goes through ``exact.int_product``, which proves its
+range before it multiplies.
 """
 
 from __future__ import annotations
@@ -15,7 +15,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import SUPPORTED_D, Quad, Scalar, dot, scalar_to_text, parse_scalar
+from .exact import (
+    POINT_BLOCK,
+    SUPPORTED_D,
+    Quad,
+    Scalar,
+    dot,
+    int_product,
+    parse_scalar,
+    scalar_to_text,
+)
 from .sampling import sample_indices
 
 PHI = Quad(Fraction(1, 2), Fraction(1, 2), 5)
@@ -368,17 +377,14 @@ def e7_defining_vectors() -> List[Tuple[Scalar, ...]]:
 
 
 def _leech_type2(codewords: Sequence[int], flip: bool) -> np.ndarray:
-    shifts = np.arange(24)
+    """Row 24k+i: the sign pattern s of codeword k, with s_i shifted by -4 s_i."""
+    bits = (np.array(codewords, dtype=np.int64)[:, None] >> np.arange(24)) & 1
+    signs = 1 - 2 * bits
+    if flip:
+        signs = -signs
+    rows = np.repeat(signs, 24, axis=0)
     diag = np.arange(24)
-    rows = np.empty((len(codewords) * 24, 24), dtype=np.int64)
-    for k, w in enumerate(codewords):
-        bits = (w >> shifts) & 1
-        s = np.where(bits == 1, -1, 1).astype(np.int64)
-        if flip:
-            s = -s
-        block = np.tile(s, (24, 1))
-        block[diag, diag] -= 4 * s
-        rows[k * 24 : (k + 1) * 24] = block
+    rows.reshape(len(codewords), 24, 24)[:, diag, diag] -= 4 * signs
     return rows
 
 
@@ -407,10 +413,10 @@ def build_leech(code: Optional[BinaryCode] = None) -> SphericalConfiguration:
         type1[k * 128 : (k + 1) * 128, idx] = 2 * sign8
 
     type2 = _leech_type2(code.codewords, flip=False)
-    probe = type1[sample_indices(DEFAULT_SEED, 32, type1.shape[0])]
-    if np.any((type2 @ probe.T) % 8):
+    probe = type1[sample_indices(DEFAULT_SEED, 32, type1.shape[0])].T
+    if np.any(int_product(type2, probe) % 8):
         type2 = _leech_type2(code.codewords, flip=True)
-        if np.any((type2 @ probe.T) % 8):
+        if np.any(int_product(type2, probe) % 8):
             raise ConstructionError("no type-2 sign convention satisfies the mod-8 rule")
 
     type3 = np.zeros((1104, 24), dtype=np.int64)
@@ -423,7 +429,10 @@ def build_leech(code: Optional[BinaryCode] = None) -> SphericalConfiguration:
     arr = np.vstack([type1, type2, type3])
     if not np.all((arr * arr).sum(axis=1) == 32):
         raise ConstructionError("squared-norm check failed")
-    if np.unique(arr, axis=0).shape[0] != 196560:
+    # squared norm 32 bounds every |coordinate| by 5, so int8 holds each row
+    # exactly and its 24 bytes identify it
+    rows8 = np.ascontiguousarray(arr, dtype=np.int8).view(np.dtype((np.void, 24)))
+    if np.unique(rows8).shape[0] != 196560:
         raise ConstructionError("vectors are not distinct")
 
     cfg = SphericalConfiguration(
@@ -438,8 +447,8 @@ def build_leech(code: Optional[BinaryCode] = None) -> SphericalConfiguration:
     cfg.type_counts = (type1.shape[0], type2.shape[0], type3.shape[0])
 
     base = arr[sample_indices(DEFAULT_SEED, DEFAULT_SAMPLE, arr.shape[0])]
-    vals = np.unique(base @ arr.T)
-    if not np.isin(vals, np.array(cfg.omegas, dtype=np.int64)).all():
+    _, witness = _pair_counts(base, arr, np.array(cfg.omegas, dtype=np.int64))
+    if witness is not None:
         raise ConstructionError("sampled inner product outside the declared value set")
     return cfg
 
@@ -601,48 +610,50 @@ def _pair_exact(X: SphericalConfiguration, base: List[int], mode: str) -> PairDi
     return PairDistribution(X.name, mode, omegas, base, counts, ok, witness)
 
 
+def _pair_counts(rows: np.ndarray, arr: np.ndarray, omegas: np.ndarray):
+    """Histogram of each row's inner products with every point over ``omegas``.
+
+    Returns (counts, witness); witness is (row, point, value) at the first
+    point outside ``omegas`` of the first row that has one, else None.  The
+    products run in point blocks.
+    """
+    n = arr.shape[0]
+    counts = np.zeros((rows.shape[0], len(omegas)), dtype=np.int64)
+    bad: Dict[int, Tuple[int, int, int]] = {}
+    for lo in range(0, n, POINT_BLOCK):
+        D = int_product(rows, arr[lo : lo + POINT_BLOCK].T)
+        for k, w in enumerate(omegas):
+            counts[:, k] += (D == w).sum(axis=1)
+        for r in np.flatnonzero(counts.sum(axis=1) != lo + D.shape[1]).tolist():
+            if r not in bad:
+                j = int(np.argmax(~np.isin(D[r], omegas)))
+                bad[r] = (r, lo + j, int(D[r, j]))
+    return counts, bad[min(bad)] if bad else None
+
+
 _PAIR_ARRAY: Optional[np.ndarray] = None
 _PAIR_OMEGAS: Optional[np.ndarray] = None
 
 
 def _pair_block(args):
     lo, hi = args
-    A = _PAIR_ARRAY
-    D = A[lo:hi].astype(np.float64) @ A.astype(np.float64).T
-    counts = np.zeros((hi - lo, len(_PAIR_OMEGAS)), dtype=np.int64)
-    for k, w in enumerate(_PAIR_OMEGAS):
-        counts[:, k] = (D == w).sum(axis=1)
-    witness = None
-    total = counts.sum(axis=1)
-    if np.any(total != A.shape[0]):
-        r = int(np.argmax(total != A.shape[0]))
-        bad = np.nonzero(~np.isin(D[r], _PAIR_OMEGAS))[0]
-        witness = (lo + r, int(bad[0]), int(D[r, bad[0]]))
+    counts, witness = _pair_counts(_PAIR_ARRAY[lo:hi], _PAIR_ARRAY, _PAIR_OMEGAS)
+    if witness is not None:
+        witness = (lo + witness[0],) + witness[1:]
     return lo, counts, witness
-
-
-def _check_exact_range(arr: np.ndarray, limit: int, kind: str) -> None:
-    """Raise unless every row inner product, and every partial sum, stays below ``limit``.
-
-    Each term of a product of rows is at most max|a|^2 in magnitude, so m of
-    them stay below m * max|a|^2: exact in int64 below 2**63, in float64 below
-    2**53.
-    """
-    bound = max(int(arr.max()), -int(arr.min()))
-    if arr.shape[1] * bound * bound >= limit:
-        raise ArithmeticError(f"inner products left the exact {kind} range")
 
 
 def _observed_omegas(r2: Scalar, arr: np.ndarray, base: List[int], den: int) -> List[Scalar]:
     """r2, then every other inner product of a base row with a point, descending.
 
     The value list of a configuration declared without one (a point file):
-    like ``_pair_exact``'s, but read off the int64 products of the base rows.
+    like ``_pair_exact``'s, but read off the products of the base rows.
     """
-    _check_exact_range(arr, 2**63, "int64")
     seen: set = set()
     for lo in range(0, len(base), 128):
-        seen.update(np.unique(arr[base[lo : lo + 128]] @ arr.T).tolist())
+        rows = arr[base[lo : lo + 128]]
+        for plo in range(0, arr.shape[0], POINT_BLOCK):
+            seen.update(np.unique(int_product(rows, arr[plo : plo + POINT_BLOCK].T)).tolist())
     values = {Fraction(v, den * den) for v in seen}
     values.discard(r2)
     return [r2] + sorted(values, reverse=True)
@@ -669,23 +680,12 @@ def pair_distribution(
     omegas = X.omegas if X.omegas is not None else _observed_omegas(X.r2, arr, base, den)
     omegas_scaled = np.array([int(w * den * den) for w in omegas], dtype=np.int64)
     if mode == "sampled":
-        _check_exact_range(arr, 2**63, "int64")
-        D = arr[base] @ arr.T
-        counts = np.zeros((len(base), len(omegas)), dtype=np.int64)
-        for k, w in enumerate(omegas_scaled):
-            counts[:, k] = (D == w).sum(axis=1)
-        witness = None
-        ok = True
-        total = counts.sum(axis=1)
-        if np.any(total != n):
-            r = int(np.argmax(total != n))
-            bad = np.nonzero(~np.isin(D[r], omegas_scaled))[0]
-            ok = False
-            witness = (base[r], int(bad[0]), int(D[r, bad[0]]))
-        return PairDistribution(X.name, "sampled", omegas, base, counts, ok, witness)
+        counts, witness = _pair_counts(arr[base], arr, omegas_scaled)
+        if witness is not None:
+            witness = (base[witness[0]],) + witness[1:]
+        return PairDistribution(X.name, "sampled", omegas, base, counts, witness is None, witness)
 
-    # full mode over a large integer set: blocked float64 products (exact in range)
-    _check_exact_range(arr, 2**53, "float64")
+    # full mode over a large integer set: blocks of 128 base rows
     global _PAIR_ARRAY, _PAIR_OMEGAS
     _PAIR_ARRAY = arr
     _PAIR_OMEGAS = omegas_scaled

@@ -1,8 +1,10 @@
 """Exact scalars over Q and Q(sqrt d) for d in {2, 3, 5}, plus exact linear algebra.
 
 Scalars are plain ``int``/``Fraction`` for rational work and :class:`Quad` for
-quadratic-field work.  All arithmetic is exact; nothing in this module touches
-floating point.
+quadratic-field work.  All arithmetic is exact.  The one floating-point step
+is :func:`int_product`, the bulk integer matrix product, which multiplies in
+float64 only under a bound that makes every value it forms an exactly
+representable integer.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 SUPPORTED_D = (2, 3, 5)
 
@@ -446,6 +450,39 @@ def independent_rows(rows: Sequence, limit: int, skip: Iterable[int] = ()) -> Li
     return out
 
 
+# Bulk products against a whole point set run over blocks of this many
+# points: a 64-row base against one block is 8 MB in float64, so no product
+# against all 196,560 Leech points is held in float64 and int64 at once.
+POINT_BLOCK = 16384
+
+
+def _max_abs(X: np.ndarray) -> int:
+    return max(int(X.max()), -int(X.min())) if X.size else 0
+
+
+def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for integer arrays, exactly, as int64.
+
+    With k the inner dimension, every term a*b of an entry is at most
+    max|A| * max|B| in magnitude, and every partial sum of its k terms at
+    most k * max|A| * max|B|.  When that bound is below 2^53, every input,
+    term and partial sum is an integer that float64 holds exactly (if one
+    factor is all zero, so is every term), so each multiply, add or fused
+    multiply-add returns the exact value, whatever order BLAS sums in: the
+    product runs in float64 BLAS.  Below 2^63 the same argument holds for
+    int64, which numpy multiplies without BLAS.  Beyond that the product is
+    refused with ArithmeticError before anything is multiplied.
+    """
+    if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
+        raise TypeError("int_product needs integer arrays")
+    bound = A.shape[-1] * _max_abs(A) * _max_abs(B)
+    if bound < 2**53:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    if bound < 2**63:
+        return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
+    raise ArithmeticError(f"integer product bound {bound} leaves the exact int64 range")
+
+
 def rank(M: Matrix) -> int:
     """Exact rank by fraction-free elimination, deterministic pivoting."""
     ech = Echelon(M.ncols)
@@ -511,7 +548,7 @@ def det(M: Matrix) -> Scalar:
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError("Bareiss division not exact")
+        raise ArithmeticError(f"{num} is not a multiple of {den}")
     return q
 
 

@@ -336,6 +336,11 @@ def gamma1_exact(
     limit = hi if kmax is None else kmax
     for k in range(1, limit + 1):
         trivial = trivial_dimension(cfg, k)
+        if comb(cfg.m + k, cfg.m) - cfg.npoints > trivial:
+            # rank <= rows, so nullity >= ncols - npoints > trivial: a
+            # nontrivial form exists without eliminating (e8 at k=4:
+            # 495 - 240 = 255 > 45)
+            return k
         try:
             ev = evaluation_nullity(
                 cfg, k, guard=guard, stop_rank=ev_stop(cfg, k, trivial)

@@ -14,7 +14,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .configs import SphericalConfiguration
-from .exact import HnfAccumulator, Matrix, det, independent_rows, ldlt
+from .exact import (
+    POINT_BLOCK,
+    HnfAccumulator,
+    Matrix,
+    _exact_div,
+    det,
+    independent_rows,
+    int_product,
+    ldlt,
+)
 
 
 class RankDeficientError(ValueError):
@@ -87,18 +96,21 @@ def basis_from_generators(X: SphericalConfiguration, scale: Optional[int] = None
     if len(acc.pivot_rows) < m:
         raise RankDeficientError(f"generators span rank {len(acc.pivot_rows)} < {m}")
 
-    # add the first point outside the current lattice until none is left
+    # add the first point outside the current lattice until none is left;
+    # r is in the lattice iff r @ adj = 0 mod det, and reducing adj mod det
+    # keeps that test while it shrinks the product bound
     remaining = arr
     while remaining.shape[0]:
         P = acc.normalized_rows()
         dval = math.prod(P[i][i] for i in range(m))
-        adj = _triangular_adjugate(P, dval)
-        maxadj = max(abs(v) for row in adj for v in row)
-        maxcoord = int(np.abs(remaining).max())
-        if m * maxadj * maxcoord < 2**62 and dval < 2**62:
-            Z = remaining @ np.array(adj, dtype=np.int64)
-            bad = (Z % dval != 0).any(axis=1)
-        else:  # stay exact when int64 could overflow
+        adj = [[v % dval for v in row] for row in _triangular_adjugate(P, dval)]
+        try:  # np.array raises OverflowError, an ArithmeticError, past int64
+            A = np.array(adj, dtype=np.int64)
+            bad = np.concatenate([
+                (int_product(remaining[lo : lo + POINT_BLOCK], A) % dval != 0).any(axis=1)
+                for lo in range(0, remaining.shape[0], POINT_BLOCK)
+            ])
+        except ArithmeticError:  # stay exact beyond the kernel's range
             bad = np.array([not acc.contains(r.tolist()) for r in remaining])
         if not bad.any():
             break
@@ -114,22 +126,21 @@ def _triangular_adjugate(P: List[List[int]], dval: int) -> List[List[int]]:
     """det(P) * P^{-1} as integer rows, so that r in rowspan_Z(P) iff r @ A = 0 mod det.
 
     P is a full-rank Hermite form: upper triangular with pivots on the
-    diagonal, so each row of P^{-1} comes from one forward substitution
-    y P = e_target.
+    diagonal, so row t of A solves y P = dval * e_t by forward substitution,
+    y_c = (dval [c == t] - sum_{k<c} y_k P[k][c]) / P[c][c].  Every y_c is an
+    entry of the integral adjugate, so each division is exact in integers;
+    ``_exact_div`` raises ArithmeticError if one is not.
     """
     m = len(P)
     out = []
     for target in range(m):
-        y = [Fraction(0)] * m
+        y = [0] * m
         for c in range(m):
-            s = Fraction(1) if c == target else Fraction(0)
+            s = dval if c == target else 0
             for k in range(c):
                 s -= y[k] * P[k][c]
-            y[c] = s / P[c][c]
-        row = [v * dval for v in y]
-        if any(v.denominator != 1 for v in row):
-            raise ArithmeticError("adjugate of an integer triangular matrix must be integral")
-        out.append([int(v) for v in row])
+            y[c] = _exact_div(s, P[c][c])
+        out.append(y)
     return out
 
 
@@ -346,7 +357,7 @@ def enumerate_short_vectors(
         if len(half) > 10000:
             coeffs = np.array(half, dtype=np.int64)
             basis_arr = np.array(reduced, dtype=np.int64)
-            V = coeffs @ basis_arr
+            V = int_product(coeffs, basis_arr)
             for row in V.tolist():
                 v = tuple(row)
                 vectors.append(v)

@@ -13,9 +13,9 @@ Five families of checks, each exact:
 * design strength: Gegenbauer pair sums and raw moment comparisons;
 * certificates: the per-claim records assembled into a report.
 
-Bulk integer passes run through numpy in ranges where int64/float64 arithmetic
-is exact; the test suite cross-checks them against the generic exact evaluator
-on samples.
+Bulk integer passes multiply through ``exact.int_product``, which proves its
+int64/float64 range exact before it multiplies; the test suite cross-checks
+them against the generic exact evaluator on samples.
 """
 
 from __future__ import annotations
@@ -34,12 +34,15 @@ from .configs import (
     pair_distribution,
 )
 from .exact import (
+    POINT_BLOCK,
     Echelon,
     Matrix,
     Scalar,
     _fdiv,
+    _max_abs,
     dot,
     independent_rows,
+    int_product,
     rank,
     scalar_to_text,
 )
@@ -175,50 +178,47 @@ def _structured_sliced_pass(
     a.x = +-extreme forces x = +-a (checked), where every complement vector b
     has b.x = 0 by construction.  Any other inner product is a counterexample.
     The interior root set must be symmetric (both families are antipodal), so
-    membership is tested on absolute values.  All products of the int64
-    inputs stay far inside the exact float64 range, enforced by an abs bound.
+    membership is tested on absolute values.  The products of ``block``
+    representatives with each point block come from ``int_product``, which
+    proves them exact before it multiplies.
     """
     witnesses: List[Tuple] = []
-    pts_f = pts.astype(np.float64)
     n = reps.shape[0]
-    npts = pts.shape[0]
-    # integer matmuls stay exact in float64 while far below 2**53; the abs
-    # bound also catches any unexpectedly large value outright
     abs_interior = sorted({abs(w) for w in interior})
-    vbuf = np.empty((npts, block), dtype=np.float64)
-    abuf = np.empty((npts, block), dtype=np.float64)
-    okbuf = np.empty((npts, block), dtype=bool)
-    tmp = np.empty((npts, block), dtype=bool)
     for start in range(0, n, block):
         chunk = reps[start : start + block]
         w = chunk.shape[0]
-        whole = w == block
-        V = np.dot(
-            pts_f, chunk.T.astype(np.float64), out=vbuf if whole else None
-        )
-        A = np.abs(V, out=abuf if whole else None)
-        if float(A.max()) > 2.0**40:
-            raise ArithmeticError("inner products left the exact float64 range")
-        ok = np.equal(A, float(abs_interior[0]), out=okbuf if whole else None)
-        scratch = tmp if whole else np.empty_like(ok)
-        for val in abs_interior[1:]:
-            np.equal(A, float(val), out=scratch)
-            np.logical_or(ok, scratch, out=ok)
-        np.equal(A, float(extreme), out=scratch)
-        np.logical_or(ok, scratch, out=ok)
-        if not ok.all():
-            bad = np.argwhere(~ok)
-            for r, c in bad[:5]:
-                witnesses.append((f"pair{start + c}", int(r), int(V[r, c])))
+        hits = {1: 0, -1: 0}
+        mismatched = {1: False, -1: False}
+        for lo in range(0, pts.shape[0], POINT_BLOCK):
+            P = pts[lo : lo + POINT_BLOCK]
+            V = int_product(P, chunk.T)
+            A = np.abs(V)
+            ok = A == extreme
+            extremes = np.flatnonzero(ok)
+            for val in abs_interior:
+                ok |= A == val
+            if not ok.all():
+                for r, c in np.argwhere(~ok)[: 5 - len(witnesses)]:
+                    witnesses.append((f"pair{start + c}", lo + int(r), int(V[r, c])))
+                if len(witnesses) >= 5:
+                    break
+            if witnesses:
+                continue
+            rows, cols = np.divmod(extremes, w)
+            signs = np.sign(V.ravel()[extremes])
+            for sign in (1, -1):
+                at = signs == sign
+                hits[sign] += int(at.sum())
+                if not np.array_equal(P[rows[at]], sign * chunk[cols[at]]):
+                    mismatched[sign] = True
+        if witnesses:
             return witnesses
         for sign in (1, -1):
-            rows, cols = np.nonzero(V == sign * extreme)
-            if expect_full and len(rows) != w:
-                witnesses.append(("extreme-count", int(len(rows)), int(w)))
-                return witnesses
-            if len(rows) and not np.array_equal(pts[rows], sign * chunk[cols]):
-                witnesses.append(("extreme-identity", start, sign))
-                return witnesses
+            if expect_full and hits[sign] != w:
+                return [("extreme-count", hits[sign], int(w))]
+            if mismatched[sign]:
+                return [("extreme-identity", start, sign)]
         if progress is not None:
             progress(f"vanishing pass {min(start + block, n)}/{n} base pairs")
     return witnesses
@@ -371,8 +371,7 @@ def _select_independent(G: GeneratorSet, point):
     m = G.nvars
     scaled, roots, extreme = _scaled_units(G, point)
     reps = G.pair_reps
-    sc = np.array([int(x) for x in scaled], dtype=np.int64)
-    ca_all = reps @ sc
+    ca_all = int_product(reps, np.array([int(x) for x in scaled], dtype=np.int64))
     picks = independent_rows(reps, m, skip=np.flatnonzero(np.abs(ca_all) == extreme))
     if len(picks) < m:
         raise ArithmeticError("could not select a full independent base set")
@@ -552,28 +551,38 @@ def _closed_form_failure(
     its orthogonal complement, so one of them has b.x != 0.  x is a multiple
     of c iff (c.x)^2 == (c.c)(x.x).  Points meeting a base vector at
     +-``extreme`` are not failures but paired; returns (failure or None,
-    paired mask).  All products are int64, exact since
+    paired mask).  Failures are reported in base order, the first point
+    first.  The products c.x come from ``int_product``, one per point block
+    against the whole base; the squares stay int64, exact since
     (m * max|entry|^2)^2 < 2^63 is enforced.
     """
-    paired = np.zeros(pts.shape[0], dtype=bool)
-    if pts.shape[0] == 0:
+    n, nbase = pts.shape[0], base.shape[0]
+    paired = np.zeros(n, dtype=bool)
+    if n == 0:
         return None, paired
-    bound = max(int(np.abs(pts).max()), int(np.abs(base).max()))
+    bound = max(_max_abs(pts), _max_abs(base))
     if (pts.shape[1] * bound * bound) ** 2 >= 2**63:
         raise ArithmeticError("inner products left the exact int64 range")
-    norms = np.einsum("ij,ij->i", pts, pts)
-    for slot, c in enumerate(base):
-        vals = pts @ c
-        hit = np.abs(vals) == extreme if extreme is not None else np.zeros_like(paired)
-        stray = ~(np.isin(vals, interior) | hit)
-        if stray.any():
-            r = int(stray.argmax())
-            return ("inner-product-range", slot, r, int(vals[r])), paired
-        parallel = ~hit & (vals * vals == norms * int(c @ c))
-        if parallel.any():
-            return ("no-slicing-vector", slot, int(parallel.argmax())), paired
-        paired |= hit
-    return None, paired
+    base_norms = np.einsum("ij,ij->i", base, base)
+    first = np.full((2, nbase), n)  # first stray and first parallel point per slot
+    for lo in range(0, n, POINT_BLOCK):
+        P = pts[lo : lo + POINT_BLOCK]
+        V = int_product(P, base.T)
+        hit = np.abs(V) == extreme if extreme is not None else np.zeros(V.shape, dtype=bool)
+        stray = ~(np.isin(V, interior) | hit)
+        parallel = ~hit & (V * V == np.einsum("ij,ij->i", P, P)[:, None] * base_norms)
+        for kind, mask in enumerate((stray, parallel)):
+            new = mask.any(axis=0) & (first[kind] == n)
+            first[kind, new] = lo + mask[:, new].argmax(axis=0)
+        paired[lo : lo + P.shape[0]] = hit.any(axis=1)
+    failing = np.flatnonzero((first < n).any(axis=0))
+    if failing.size == 0:
+        return None, paired
+    slot = int(failing[0])
+    r = int(first[0, slot])
+    if r < n:
+        return ("inner-product-range", slot, r, dot(pts[r].tolist(), base[slot].tolist())), paired
+    return ("no-slicing-vector", slot, int(first[1, slot])), paired
 
 
 # ---------------------------------------------------------------------------

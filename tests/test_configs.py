@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from idealforge.exact import Quad, dot, rank, Matrix
+from idealforge import configs
+from idealforge.exact import POINT_BLOCK, Matrix, Quad, dot, int_product, rank
 from idealforge.configs import (
     PHI,
     _pair_exact,
@@ -78,6 +79,30 @@ def test_pair_distribution_refuses_inexact_numpy_products():
     for mode in ("sampled", "full"):
         with pytest.raises(ArithmeticError, match="exact"):
             pair_distribution(X, mode=mode)
+
+
+def test_sampled_pair_distribution_names_a_point_past_the_first_block(leech):
+    arr = leech.integer_array()[0].copy()
+    bad = 3 * POINT_BLOCK + 5
+    arr[bad, 0] += 1
+    X = SphericalConfiguration("leech", 24, 32, leech.omegas, array=arr)
+    pd = pair_distribution(X, mode="sampled", count=64)
+    assert not pd.closure_ok
+    first = next(i for i in pd.base_indices if arr[i, 0] != 0)
+    assert pd.witness == (first, bad, dot(arr[first].tolist(), arr[bad].tolist()))
+
+
+def test_sampled_pair_distribution_multiplies_in_point_blocks(leech, monkeypatch):
+    widths = []
+
+    def recording(A, B):
+        widths.append(B.shape[1])
+        return int_product(A, B)
+
+    monkeypatch.setattr(configs, "int_product", recording)
+    pd = pair_distribution(leech, mode="sampled", count=64)
+    assert pd.closure_ok
+    assert sum(widths) == leech.npoints and max(widths) < leech.npoints
 
 
 def test_pair_distribution_derives_values_without_a_declared_list():

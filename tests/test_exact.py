@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from idealforge.exact import (
@@ -13,6 +14,7 @@ from idealforge.exact import (
     dot,
     hnf,
     independent_rows,
+    int_product,
     ldlt,
     nullspace_basis,
     parse_scalar,
@@ -259,3 +261,48 @@ def test_rank_nullity_sum():
         rows = [[random_fraction(rng) for _ in range(nc)] for _ in range(nr)]
         M = Matrix(rows)
         assert rank(M) + len(nullspace_basis(M)) == nc
+
+
+def _bounded_factors(draw, st):
+    """Integer factors with k * max|A| * max|B| within a few k*a of 2^53 or 2^63."""
+    k = draw(st.integers(1, 5))
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    limit = draw(st.sampled_from([2**53, 2**63]))
+    a = draw(st.integers(1, 2**20))
+    b = min(max(limit // (k * a) + draw(st.integers(-2, 2)), 1), 2**63 - 1)
+
+    def entries(rows, cols, top):
+        vals = [draw(st.integers(-top, top)) for _ in range(rows * cols)]
+        vals[draw(st.integers(0, rows * cols - 1))] = draw(st.sampled_from([top, -top]))
+        return [vals[i * cols : (i + 1) * cols] for i in range(rows)]
+
+    return k * a * b, entries(n, k, a), entries(k, p, b)
+
+
+def test_int_product_matches_python_ints_at_the_bounds():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        bound, A, B = _bounded_factors(data.draw, st)
+        An, Bn = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+        if bound >= 2**63:
+            with pytest.raises(ArithmeticError):
+                int_product(An, Bn)
+            return
+        expected = [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)] for row in A]
+        got = int_product(An, Bn)
+        assert got.dtype == np.int64 and got.tolist() == expected
+
+    check()
+
+
+def test_int_product_float_path_never_rounds():
+    # 2^53 + 1 has no float64 value, so a float product would give 0 here
+    A = np.array([[2**53 + 1, -(2**53)]], dtype=np.int64)
+    assert int_product(A, np.array([[1], [1]])).tolist() == [[1]]
+    assert int_product(np.array([[3, -4]]), np.array([5, 7])).tolist() == [-13]
+    with pytest.raises(TypeError):
+        int_product(np.ones((2, 2)), np.ones((2, 2)))

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from idealforge import gamma
 from idealforge.configs import (
     build_4cube,
     build_e6,
@@ -127,6 +128,20 @@ def test_e8_evaluation_matrix_at_the_threshold():
     assert ev.rank == 240
     assert ev.nullity == 255
     assert ev.nullity > trivial_dimension(e8, 4) == 45
+
+
+def test_e8_threshold_needs_no_elimination_at_degree_4(monkeypatch):
+    # 495 monomials of degree <= 4 against 240 points leave a kernel of at
+    # least 255 > 45 trivial forms, so degree 4 is decided by counting
+    degrees = []
+
+    def recording(cfg, k, **kwargs):
+        degrees.append(k)
+        return evaluation_nullity(cfg, k, **kwargs)
+
+    monkeypatch.setattr(gamma, "evaluation_nullity", recording)
+    assert gamma1_exact(build_e8()) == 4
+    assert degrees == [1, 2, 3]
 
 
 def test_leech_interval_from_bounds():

@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
+from idealforge import verify
 from idealforge.configs import (
     build_4cube,
     build_e6,
@@ -37,6 +39,7 @@ from idealforge.verify import (
     ClaimRecord,
     MissingCheckError,
     _closed_form_failure,
+    _structured_sliced_pass,
     assemble_certificate,
     check_gallery_vanishing,
     check_vanishing,
@@ -195,6 +198,36 @@ def test_vanishing_leech_sampled():
     assert again.detail == rec.detail and again.status == rec.status
     other_seed = check_vanishing(G, mode=SAMPLED, seed=99)
     assert other_seed.passed
+
+
+def test_structured_pass_refuses_cancelling_large_terms():
+    # terms of 2^63 cancel to 0, an interior root; the bound
+    # k * max|a| * max|x| = 2^64 leaves every exact range, so no product runs
+    reps = np.array([[2**32, 2**32]], dtype=np.int64)
+    pts = np.array([[2**31, -(2**31)]], dtype=np.int64)
+    with pytest.raises(ArithmeticError):
+        _structured_sliced_pass(reps, pts, [0], 8, expect_full=False)
+    # 2^53 + 1 has no float64 value: a float product reads 0, int64 reads 1
+    reps = np.array([[2**53 + 1, 2**53]], dtype=np.int64)
+    pts = np.array([[1, -1]], dtype=np.int64)
+    assert _structured_sliced_pass(reps, pts, [0], 8, expect_full=False) == [("pair0", 0, 1)]
+
+
+def test_point_blocks_leave_passes_and_witnesses_unchanged(monkeypatch):
+    G = build_generator_set("e8")
+    whole = [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses]
+    assert whole == [[], []]
+    arr, _ = G.config.integer_array()
+    arr[200, 0] += 1
+    arr[37, 0] += 1
+    whole = [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses]
+    assert whole[0][0][1] == 37 and whole[1][0][2] == 37
+    for size in (1, 7):
+        monkeypatch.setattr(verify, "POINT_BLOCK", size)
+        assert [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses] == whole
+    arr[37, 0] -= 1
+    arr[200, 0] -= 1
+    assert check_vanishing(G).passed and jacobian_full_pass(G).passed
 
 
 def test_vanishing_perturbed_point_fails():
