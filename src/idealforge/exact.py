@@ -4,7 +4,8 @@ Scalars are plain ``int``/``Fraction`` for rational work and :class:`Quad` for
 quadratic-field work.  All arithmetic is exact.  The one floating-point step
 is :func:`int_product`, the bulk integer matrix product, which multiplies in
 float64 only under a bound that makes every value it forms an exactly
-representable integer.
+representable integer.  The one modular step is :func:`rank_mod_p`, a lower
+bound on a rank that proves it only where it meets an upper bound.
 """
 
 from __future__ import annotations
@@ -165,11 +166,6 @@ class Quad:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
-
     def __repr__(self):
         return f"Quad({self.a!r}, {self.b!r}, d={self.d})"
 
@@ -183,18 +179,6 @@ Scalar = Union[int, Fraction, Quad]
 def scalar_field(x: Scalar) -> Optional[int]:
     """Field tag: None for Q, d for Q(sqrt d)."""
     return x.d if isinstance(x, Quad) else None
-
-
-def is_rational(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction)) or x.b == 0
-
-
-def as_quad(x: Scalar, d: int) -> Quad:
-    if isinstance(x, Quad):
-        if x.b != 0 and x.d != d:
-            raise FieldMismatchError(f"scalar lives in Q(sqrt {x.d}), not Q(sqrt {d})")
-        return Quad(x.a, x.b, d)
-    return Quad(x, 0, d)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +263,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     for a, b in zip(u, v):
         total = total + a * b
     return total
-
-
-def vec_scale(c: Scalar, u: Sequence[Scalar]) -> Vector:
-    return tuple(c * x for x in u)
-
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +457,64 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if bound < 2**63:
         return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
     raise ArithmeticError(f"integer product bound {bound} leaves the exact int64 range")
+
+
+# The one prime of the modular rank.  p < 2^20, so entries kept in [0, p)
+# multiply to less than 2^40 and a row update a - f*b stays inside int64.
+# p = 1 (mod 120), so 2, 3 and 5 are squares mod p; SQRT_MOD_P[d] is a fixed
+# root s with s*s = d (mod p), written out so that nothing is searched at import.
+RANK_PRIME = 1047961
+SQRT_MOD_P = {2: 151033, 3: 58566, 5: 90752}
+
+
+def to_mod_p(x: Scalar) -> int:
+    """Image of x in F_p under the ring map sending sqrt(d) to SQRT_MOD_P[d].
+
+    A fraction a/b maps to a * b^-1; a + b*sqrt(d) maps to a + b*s.  The map
+    is defined on the scalars whose denominators are prime to p; a
+    denominator divisible by p raises ZeroDivisionError.
+    """
+    p = RANK_PRIME
+    if isinstance(x, int):
+        return x % p
+    if isinstance(x, Quad):
+        a = to_mod_p(x.a)
+        return a if x.b == 0 else (a + to_mod_p(x.b) * SQRT_MOD_P[x.d]) % p
+    if x.denominator % p == 0:
+        raise ZeroDivisionError(f"{x} has no image mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def rank_mod_p(M: np.ndarray) -> int:
+    """Rank mod RANK_PRIME of a 2-D integer array.
+
+    A lower bound on the exact rank of the matrix whose entries reduce to M.
+    Those entries lie in the ring of field elements with denominators prime
+    to p (``to_mod_p`` raises otherwise), and ``to_mod_p`` is a ring map on
+    it, so each minor reduces to the same minor of M; a minor nonzero mod p
+    is nonzero.  So rank mod p <= rank, and the answer proves the rank only
+    where it meets an upper bound.  Per-pivot elimination in int64 on
+    entries in [0, p): every product is below 2^40.
+    """
+    if M.dtype.kind not in "iu":
+        raise TypeError("rank_mod_p needs an integer array")
+    p = RANK_PRIME
+    A = np.mod(M, p).astype(np.int64)
+    nrows, ncols = A.shape
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(A[r:, col])
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r, col:] = A[r, col:] * pow(int(A[r, col]), -1, p) % p
+        A[r + 1:, col:] = (A[r + 1:, col:] - np.outer(A[r + 1:, col], A[r, col:])) % p
+        r += 1
+    return r
 
 
 def rank(M: Matrix) -> int:

@@ -5,20 +5,33 @@ vanishes on the configuration without being a multiple of the sphere
 polynomial (plus, for embedded configurations, the declared linear forms).
 That one is decidable by exact linear algebra: build the evaluation matrix
 of all monomials up to degree k at the points and compare its nullity
-against the dimension of the trivial kernel.  The second is the largest
-degree needed to generate the whole ideal; we only ever report upper bounds
-for it, tagged with the certificate level they rest on.
+against the dimension of the trivial kernel.  Most ranks are proven without
+exact elimination, where the rank modulo one prime (a lower bound) meets the
+row count, the parity split or the trivial kernel (upper bounds).  The
+second is the largest degree needed to generate the whole ideal; we only
+ever report upper bounds for it, tagged with the certificate level they
+rest on.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .configs import SphericalConfiguration
-from .exact import Echelon, Quad, Scalar, dot, is_rational, stride_order
+from .exact import (
+    RANK_PRIME,
+    Echelon,
+    Scalar,
+    dot,
+    rank_mod_p,
+    stride_order,
+    to_mod_p,
+)
 from .poly import SparsePoly, nm_poly
 from .verify import DESIGN_STRENGTH, LEVEL_FULL_GROEBNER, LEVEL_PAPER
 
@@ -86,35 +99,6 @@ def monomials_upto(m: int, k: int) -> List[Monomial]:
     return out
 
 
-def _column_scaled_points(cfg: SphericalConfiguration) -> List[Tuple[Scalar, ...]]:
-    """Points with pure sqrt(d) coordinates divided down to rationals.
-
-    Scaling one coordinate of every point by a fixed nonzero field element
-    multiplies each column of the evaluation matrix by a nonzero scalar,
-    which never changes its rank.  When a coordinate is a rational multiple
-    of sqrt(d) across the whole configuration (the 7-dimensional section is
-    the case that matters), dividing it out makes the elimination rational
-    and much faster.  Mixed coordinates are left alone.
-    """
-    pts = cfg.points
-    m = cfg.m
-    columns: List[List[Scalar]] = []
-    for i in range(m):
-        vals = [p[i] for p in pts]
-        if all(is_rational(v) for v in vals):
-            columns.append(vals)
-            continue
-        pure = all(
-            (isinstance(v, Quad) and v.a == 0) or (is_rational(v) and v == 0)
-            for v in vals
-        )
-        if pure:
-            columns.append([v.b if isinstance(v, Quad) else Fraction(0) for v in vals])
-        else:
-            columns.append(vals)
-    return [tuple(col[j] for col in columns) for j in range(len(pts))]
-
-
 def _monomial_row(point: Sequence[Scalar], monos: Sequence[Monomial], k: int) -> List[Scalar]:
     m = len(point)
     powers: List[List[Scalar]] = []
@@ -134,6 +118,90 @@ def _monomial_row(point: Sequence[Scalar], monos: Sequence[Monomial], k: int) ->
     return row
 
 
+def _monomial_matrix_mod_p(X: np.ndarray, monos: Sequence[Monomial], k: int) -> np.ndarray:
+    """Evaluation matrix mod p at the rows of X, whose entries lie in [0, p).
+
+    Every product is of two values in [0, p), so below 2^40 in int64.
+    """
+    p = RANK_PRIME
+    powers = [np.ones_like(X)]
+    for _ in range(k):
+        powers.append(powers[-1] * X % p)
+    out = np.empty((X.shape[0], len(monos)), dtype=np.int64)
+    for j, alpha in enumerate(monos):
+        col = powers[0][:, 0]
+        for i, e in enumerate(alpha):
+            if e:
+                col = col * powers[e][:, i] % p
+        out[:, j] = col
+    return out
+
+
+def _points_mod_p(cfg: SphericalConfiguration, rows: Optional[Sequence[int]]) -> np.ndarray:
+    """Coordinates mod p of the given points (all of them for None).
+
+    Integer configurations reduce their den-scaled array, which scales each
+    monomial column by den^degree and so keeps its exact rank; the exact list
+    of an array-backed set is never built.  Other coordinates go through
+    :func:`~idealforge.exact.to_mod_p`, which raises ZeroDivisionError on a
+    denominator divisible by p.
+    """
+    packed = cfg.integer_array()
+    if packed is not None:
+        arr = packed[0] if rows is None else packed[0][list(rows)]
+        return np.mod(arr, RANK_PRIME).astype(np.int64)
+    pts = cfg.points if rows is None else [cfg.points[i] for i in rows]
+    return np.array(
+        [[to_mod_p(c) for c in pt] for pt in pts], dtype=np.int64
+    ).reshape(len(pts), cfg.m)
+
+
+def sign_classes(cfg: SphericalConfiguration) -> int:
+    """Number of classes of the points under x ~ -x, counted from the points."""
+    return len({frozenset((p, tuple(-c for c in p))) for p in cfg.points})
+
+
+def rank_upper_bound(cfg: SphericalConfiguration, k: int) -> int:
+    """Proven ceiling on the rank of the degree <= k evaluation matrix.
+
+    The rank is at most the row count.  It is also at most the rank of the
+    even-degree columns plus that of the odd-degree ones.  With c the number
+    of classes of the points under x ~ -x, an even-degree monomial takes one
+    value per class and an odd-degree one takes one value per class up to
+    sign, so each block has at most c distinct rows up to sign:
+    rank <= min(#even, c) + min(#odd, c), for any point set.  For n distinct
+    points c >= n/2, so the split bound can fall below the column count only
+    when max(#even, #odd) > n/2, and only then is c counted.
+    """
+    n = cfg.npoints
+    ncols = comb(cfg.m + k, cfg.m)
+    even = sum(comb(cfg.m + d - 1, d) for d in range(0, k + 1, 2))
+    odd = ncols - even
+    if 2 * max(even, odd) <= n:
+        return min(n, ncols)
+    c = sign_classes(cfg)
+    return min(n, min(even, c) + min(odd, c))
+
+
+def _rank_mod_p(
+    cfg: SphericalConfiguration, monos: Sequence[Monomial], k: int, ceiling: int
+) -> int:
+    """Rank mod p of the evaluation matrix, from a head of the points first.
+
+    The first 2 * ncols points in stride order give a row subset, whose rank
+    mod p is still a lower bound; all points are reduced only when that head
+    stays below ``ceiling``.  Raises ZeroDivisionError when p divides a
+    denominator.
+    """
+    head = 2 * len(monos)
+    if cfg.npoints > head:
+        rows = list(islice(stride_order(cfg.npoints), head))
+        r = rank_mod_p(_monomial_matrix_mod_p(_points_mod_p(cfg, rows), monos, k))
+        if r >= ceiling:
+            return r
+    return rank_mod_p(_monomial_matrix_mod_p(_points_mod_p(cfg, None), monos, k))
+
+
 @dataclasses.dataclass
 class EvalRank:
     """Rank data of the degree <= k evaluation matrix at the points."""
@@ -141,7 +209,7 @@ class EvalRank:
     ncols: int
     rank: int
     nullity: int
-    complete: bool  # False when the scan stopped at a proven rank ceiling
+    complete: bool  # False when the rank met a caller's ceiling (stop_rank)
 
 
 def evaluation_nullity(
@@ -154,10 +222,14 @@ def evaluation_nullity(
 
     Rows are points, columns are monomials in graded order.  Coefficient
     vectors in the kernel are exactly the degree <= k forms vanishing on the
-    configuration.  When ``stop_rank`` is given and the running rank reaches
-    it, the scan stops early: the caller promises rank can never exceed that
-    value, so equality is already decided.  That scan visits the points in
-    :func:`~idealforge.exact.stride_order`, which reaches the ceiling sooner.
+    configuration.  The rank mod p is a lower bound on the rank
+    (:func:`~idealforge.exact.rank_mod_p`) and :func:`rank_upper_bound` an
+    upper bound; when they meet, the rank is proven without exact
+    elimination.  ``stop_rank`` is a further ceiling the caller promises the
+    rank never exceeds, so reaching it decides equality too.  Otherwise the
+    rows stream through an exact :class:`~idealforge.exact.Echelon`, in
+    :func:`~idealforge.exact.stride_order` when ``stop_rank`` is given, which
+    reaches that ceiling sooner.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -167,25 +239,34 @@ def evaluation_nullity(
         raise EntryGuardError(
             f"{cfg.npoints} x {ncols} exact entries exceed the guard ({guard})"
         )
+
+    def result(rank: int) -> EvalRank:
+        complete = stop_rank is None or rank < stop_rank
+        return EvalRank(ncols, rank, ncols - rank, complete)
+
+    ceiling = rank_upper_bound(cfg, k)
+    if stop_rank is not None:
+        ceiling = min(ceiling, stop_rank)
+    try:
+        r = _rank_mod_p(cfg, monos, k, ceiling)
+    except ZeroDivisionError:
+        r = -1  # a denominator divisible by p: eliminate exactly
+    if r > ceiling:
+        raise ArithmeticError(f"{cfg.name}: rank mod p {r} above the ceiling {ceiling}")
+    if r == ceiling:
+        return result(r)
+
     n = cfg.npoints
     order = stride_order(n) if stop_rank is not None else range(n)
     packed = cfg.integer_array()
     ech = Echelon(ncols)
-    if packed is not None:
-        arr, _den = packed
-        for i in order:
-            # den-scaled integer coordinates scale each column uniformly
-            row = _monomial_row([int(v) for v in arr[i]], monos, k)
-            ech.add_row(row)
-            if stop_rank is not None and ech.rank >= stop_rank:
-                return EvalRank(ncols, ech.rank, ncols - ech.rank, False)
-    else:
-        pts = _column_scaled_points(cfg)
-        for i in order:
-            ech.add_row(_monomial_row(pts[i], monos, k))
-            if stop_rank is not None and ech.rank >= stop_rank:
-                return EvalRank(ncols, ech.rank, ncols - ech.rank, False)
-    return EvalRank(ncols, ech.rank, ncols - ech.rank, True)
+    for i in order:
+        # den-scaled integer coordinates scale each column uniformly
+        point = [int(v) for v in packed[0][i]] if packed is not None else cfg.points[i]
+        ech.add_row(_monomial_row(point, monos, k))
+        if stop_rank is not None and ech.rank >= stop_rank:
+            break
+    return result(ech.rank)
 
 
 def trivial_dimension(cfg: SphericalConfiguration, k: int) -> int:
@@ -324,9 +405,13 @@ def gamma1_exact(
 ):
     """Least degree with a nontrivial vanishing form, by evaluation nullity.
 
-    Scans k = 1, 2, ... comparing the exact evaluation-matrix nullity
-    against the trivial kernel dimension; the first strict excess is the
-    answer.  Degrees whose matrix would blow the entry guard fall back to
+    Scans k = 1, 2, ... comparing the evaluation-matrix nullity against the
+    trivial kernel dimension; the first strict excess is the answer.  A
+    degree is decided without elimination when ncols minus
+    :func:`rank_upper_bound` already exceeds the trivial dimension, or when
+    the rank mod p reaches ncols minus it (the rank can go no higher, so the
+    nullity is the trivial one); exact elimination runs only when neither
+    holds.  Degrees whose matrix would blow the entry guard fall back to
     the proven interval from ``gamma1_bounds`` (the value for the big
     lattice is pinned by its bounds anyway).  A ``kmax`` below the proven
     upper bound may end the scan inconclusively, reported as None.
@@ -336,10 +421,11 @@ def gamma1_exact(
     limit = hi if kmax is None else kmax
     for k in range(1, limit + 1):
         trivial = trivial_dimension(cfg, k)
-        if comb(cfg.m + k, cfg.m) - cfg.npoints > trivial:
-            # rank <= rows, so nullity >= ncols - npoints > trivial: a
-            # nontrivial form exists without eliminating (e8 at k=4:
-            # 495 - 240 = 255 > 45)
+        if comb(cfg.m + k, cfg.m) - rank_upper_bound(cfg, k) > trivial:
+            # nullity >= ncols - (rank ceiling) > trivial: a nontrivial form
+            # exists without eliminating (e8 at k=4 by the row count,
+            # 495 - 240 = 255 > 45; e7 at k=3 by the parity split,
+            # 120 - (29 + 63) = 28 > 8)
             return k
         try:
             ev = evaluation_nullity(

@@ -119,14 +119,16 @@ def s_polynomial(
     return uf * f - ug * g
 
 
+def _as_given(gens) -> List:
+    """Generator inputs in their stored form (factored or sparse), in order."""
+    if isinstance(gens, GeneratorSet):
+        return [p for _label, p in gens]
+    return list(gens)
+
+
 def _collect(gens) -> List[SparsePoly]:
     """Generator inputs as expanded polynomials, in deterministic order."""
-    if isinstance(gens, GeneratorSet):
-        out = []
-        for _label, p in gens:
-            out.append(p.expand() if hasattr(p, "expand") else p)
-        return out
-    return [p.expand() if hasattr(p, "expand") else p for p in gens]
+    return [p.expand() if hasattr(p, "expand") else p for p in _as_given(gens)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +384,12 @@ def certify_full(
     Dimension mismatches downgrade the level and keep the diagnostics;
     budget exhaustion propagates as the resource error it is.
     """
-    polys = _collect(gens)
-    vanishing_ok = True
-    for p in polys:
-        for x in cfg.points:
-            if p.eval(x) != 0:
-                vanishing_ok = False
-                break
-        if not vanishing_ok:
-            break
+    given = _as_given(gens)
+    # a factored generator is evaluated factor by factor; only Buchberger
+    # needs the expansion
+    vanishing_ok = all(p.eval(x) == 0 for p in given for x in cfg.points)
 
-    basis = buchberger(polys, ordering=ordering, budget=budget)
+    basis = buchberger(given, ordering=ordering, budget=budget)
     try:
         quotient = quotient_data(basis)
     except InfiniteStaircaseError as exc:

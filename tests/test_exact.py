@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from idealforge.exact import (
+    RANK_PRIME,
+    SQRT_MOD_P,
+    SUPPORTED_D,
     FieldMismatchError,
     HnfAccumulator,
     Matrix,
@@ -19,7 +23,9 @@ from idealforge.exact import (
     nullspace_basis,
     parse_scalar,
     rank,
+    rank_mod_p,
     scalar_to_text,
+    to_mod_p,
 )
 
 
@@ -306,3 +312,66 @@ def test_int_product_float_path_never_rounds():
     assert int_product(np.array([[3, -4]]), np.array([5, 7])).tolist() == [-13]
     with pytest.raises(TypeError):
         int_product(np.ones((2, 2)), np.ones((2, 2)))
+
+
+def test_rank_prime_constants():
+    p = RANK_PRIME
+    assert p < 2**20 and p % 120 == 1
+    assert all(p % q for q in range(2, isqrt(p) + 1))
+    assert sorted(SQRT_MOD_P) == sorted(SUPPORTED_D)
+    for d, s in SQRT_MOD_P.items():
+        assert s * s % p == d
+        assert to_mod_p(Quad(0, 1, d)) == s
+
+
+def test_to_mod_p_is_a_ring_map_and_refuses_p_denominators():
+    p = RANK_PRIME
+    x, y = Quad(Fraction(1, 2), 3, 5), Quad(-2, Fraction(5, 7), 5)
+    assert to_mod_p(x * y) == to_mod_p(x) * to_mod_p(y) % p
+    assert to_mod_p(x + y) == (to_mod_p(x) + to_mod_p(y)) % p
+    assert to_mod_p(Fraction(-3, 4)) * 4 % p == p - 3
+    for bad in (Fraction(1, p), Fraction(3, 2 * p), Quad(1, Fraction(1, p), 2)):
+        with pytest.raises(ZeroDivisionError):
+            to_mod_p(bad)
+    with pytest.raises(TypeError):
+        rank_mod_p(np.ones((2, 2)))
+
+
+def test_rank_mod_p_bounds_the_exact_rank():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    p = RANK_PRIME
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        draw = data.draw
+        d = draw(st.sampled_from([None, 5]))
+        small = draw(st.booleans())
+        if small:
+            # every minor stays below p in size (Hadamard; over Q(sqrt 5) its
+            # norm does), so a nonzero minor stays nonzero mod p
+            nrows = draw(st.integers(1, 5 if d is None else 3))
+            part = st.integers(-3, 3) if d is None else st.integers(-1, 1)
+        else:
+            nrows = draw(st.integers(1, 5))
+            part = st.sampled_from([0, 1, -1, 2, p, -p, 2 * p, p + 1, p * p])
+        ncols = draw(st.integers(1, 6))
+        den = st.sampled_from([1, 2] if d is None or not small else [1])
+
+        def entry():
+            a = Fraction(draw(part), draw(den))
+            return a if d is None else Quad(a, Fraction(draw(part), draw(den)), d)
+
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        exact = rank(Matrix(rows))
+        got = rank_mod_p(np.array([[to_mod_p(x) for x in row] for row in rows]))
+        assert got <= exact
+        if small:
+            assert got == exact
+        if d is None and all(x.denominator == 1 for row in rows for x in row):
+            # unreduced integers, negative and beyond p, reduce inside
+            ints = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+            assert rank_mod_p(ints) == got
+
+    check()

@@ -1,12 +1,14 @@
 """Threshold scans against frozen counting values and known critical degrees."""
 
 import json
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from idealforge import gamma
 from idealforge.configs import (
+    SphericalConfiguration,
     build_4cube,
     build_e6,
     build_e7,
@@ -16,6 +18,7 @@ from idealforge.configs import (
     build_leech,
     build_ngon,
 )
+from idealforge.exact import RANK_PRIME, Echelon, Matrix, dot, rank
 from idealforge.gamma import (
     EntryGuardError,
     evaluation_nullity,
@@ -25,7 +28,9 @@ from idealforge.gamma import (
     gamma2_status,
     gamma_profile,
     monomials_upto,
+    rank_upper_bound,
     rk1,
+    sign_classes,
     trivial_dimension,
 )
 from idealforge.verify import LEVEL_FULL_GROEBNER, LEVEL_PAPER
@@ -230,3 +235,90 @@ def test_gamma_profile_leech_reports_pinned_value():
     assert prof.interval == (6, 6)
     assert prof.rk_table[5] == 115830
     assert prof.rk_table[6] == 573300
+
+
+def exact_scan_gamma1(cfg):
+    """Oracle: full exact rank of every evaluation matrix, degree by degree."""
+    k = 1
+    while True:
+        monos = monomials_upto(cfg.m, k)
+        M = Matrix([gamma._monomial_row(p, monos, k) for p in cfg.points])
+        if len(monos) - rank(M) > trivial_dimension(cfg, k):
+            return k
+        k += 1
+
+
+def test_gamma1_decided_without_exact_elimination(monkeypatch):
+    # mod-p ranks meet the row-count, parity or trivial-kernel ceilings at
+    # every degree, so no Fraction elimination runs
+    def refuse(self, row):
+        raise AssertionError("exact elimination ran")
+
+    monkeypatch.setattr(Echelon, "add_row", refuse)
+    builders = (build_e7, build_e8, build_e6, build_icosahedron)
+    assert [gamma1_exact(build()) for build in builders] == [3, 4, 3, 3]
+
+
+def test_parity_bound_decides_e7_at_degree_3():
+    e7 = build_e7()
+    assert sign_classes(e7) == 63
+    # 29 even and 91 odd monomials of degree <= 3 in 7 variables
+    assert rank_upper_bound(e7, 3) == 29 + 63
+    assert comb(10, 7) - rank_upper_bound(e7, 3) > trivial_dimension(e7, 3)
+
+
+def test_parity_bound_counts_classes_from_the_points_not_the_flag():
+    # ten rational points of the unit sphere (inverse stereographic images
+    # of integer points), no two antipodal, flagged antipodal all the same;
+    # c = 5 read off the flag would cap the degree-2 rank at 5 + 3 = 8 and
+    # claim a nontrivial quadric, while the true rank is 9
+    pts = []
+    for a, b in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (3, 1), (1, 3)]:
+        s = a * a + b * b + 1
+        pts.append((Fraction(2 * a, s), Fraction(2 * b, s), Fraction(s - 2, s)))
+    values = sorted({dot(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]}, reverse=True)
+    cfg = SphericalConfiguration("sphere10", 3, 1, [1] + values, points=pts, antipodal=True)
+    cfg.validate_norms()
+    assert sign_classes(cfg) == 10
+    assert rank_upper_bound(cfg, 2) == 10
+    assert exact_scan_gamma1(cfg) == 3
+    assert gamma1_exact(cfg) == 3
+
+
+def test_leech_gamma1_never_lists_the_points(monkeypatch):
+    leech = build_leech()
+
+    def refuse(self):
+        raise AssertionError("the exact point list was built")
+
+    monkeypatch.setattr(SphericalConfiguration, "points", property(refuse))
+    shapes = []
+    rank_mod_p = gamma.rank_mod_p
+
+    def recording(M):
+        shapes.append(M.shape)
+        return rank_mod_p(M)
+
+    monkeypatch.setattr(gamma, "rank_mod_p", recording)
+    assert gamma1_exact(leech) == (6, 6)
+    # degree 1 is proven on a head of 2 * 25 points; degree 2 trips the guard
+    assert shapes == [(50, 25)]
+
+
+def test_denominator_divisible_by_p_falls_back_to_exact_elimination(monkeypatch):
+    # the icosahedron shrunk by 1/p: its coordinates have no image mod p,
+    # so every rank comes from the exact Echelon, and ranks are unchanged
+    ico = build_icosahedron()
+    pts = [tuple(c * Fraction(1, RANK_PRIME) for c in x) for x in ico.points]
+    r2 = ico.r2 / RANK_PRIME**2
+    cfg = SphericalConfiguration("ico_over_p", 3, r2, None, points=pts, field_d=5)
+    rows = []
+    add_row = Echelon.add_row
+
+    def counting(self, row):
+        rows.append(row)
+        return add_row(self, row)
+
+    monkeypatch.setattr(Echelon, "add_row", counting)
+    assert [evaluation_nullity(cfg, k).rank for k in range(4)] == [1, 4, 9, 12]
+    assert len(rows) == 4 * 12

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from idealforge.configs import build_4cube, build_icosahedron, build_knn, build_ngon
-from idealforge.generators import build_generator_set
+from idealforge.generators import FactoredPoly, build_generator_set
 from idealforge.groebner import (
     BudgetExceededError,
     InfiniteStaircaseError,
@@ -182,3 +182,16 @@ def test_certify_reports_missing_generator():
     assert cert.level == LEVEL_PAPER
     assert not cert.vanishing_ok
     assert "misses" in cert.detail
+
+
+def test_factored_generator_missing_a_point_fails_certification():
+    # one tangent factor (x . Y - r2) per point but the last: the product
+    # vanishes on every point except that one
+    G = build_generator_set("ngon", 4)
+    cfg = G.config
+    f = FactoredPoly(2, [(x, cfg.r2) for x in cfg.points[:-1]])
+    assert [f.eval(x) == 0 for x in cfg.points] == [True, True, True, False]
+    cert = certify_full(cfg, [p for _label, p in G] + [f])
+    assert cert.level == LEVEL_PAPER
+    assert not cert.vanishing_ok
+    assert cert.detail == "a generator misses the points"
