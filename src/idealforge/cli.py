@@ -257,7 +257,12 @@ def _checks(
         components["nontrivial"] = nontrivial_generator_check(G, CRITICAL_DEGREE[name])
     with _timed(report, "design"):
         design = design_strength_gegenbauer(
-            cfg, DESIGN_STRENGTH[name], mode=mode, seed=args.seed, threads=args.threads
+            cfg,
+            DESIGN_STRENGTH[name],
+            mode=mode,
+            seed=args.seed,
+            threads=args.threads,
+            progress=progress,
         )
     cert = _certificate(args, report, G) if name in CERTIFIABLE else None
     assembled = assemble_certificate(

@@ -8,10 +8,11 @@ range before it multiplies.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,10 +20,17 @@ from .exact import (
     POINT_BLOCK,
     SUPPORTED_D,
     Quad,
+    QuadArray,
     Scalar,
     dot,
     int_product,
     parse_scalar,
+    quad_array,
+    quad_key,
+    quad_operands,
+    quad_parts,
+    quad_product,
+    quad_scalar,
     scalar_to_text,
 )
 from .sampling import sample_indices
@@ -215,6 +223,16 @@ class SphericalConfiguration:
         self._array = arr
         self._array_den = den
         return arr, den
+
+    def quad_array(self) -> QuadArray:
+        """The points as exact int64 arrays (A + B*sqrt(d)) / den (``exact.quad_array``).
+
+        Raises ArithmeticError when a scaled coordinate leaves int64.
+        """
+        arr_den = self.integer_array()
+        if arr_den is None:
+            return quad_array(self.points)
+        return QuadArray(arr_den[0], None, arr_den[1], None)
 
     def validate_norms(self):
         if self._array is not None and self._points is None:
@@ -446,8 +464,9 @@ def build_leech(code: Optional[BinaryCode] = None) -> SphericalConfiguration:
     )
     cfg.type_counts = (type1.shape[0], type2.shape[0], type3.shape[0])
 
-    base = arr[sample_indices(DEFAULT_SEED, DEFAULT_SAMPLE, arr.shape[0])]
-    _, witness = _pair_counts(base, arr, np.array(cfg.omegas, dtype=np.int64))
+    pts = QuadArray(arr, None, 1, None)
+    base = pts.take(sample_indices(DEFAULT_SEED, DEFAULT_SAMPLE, arr.shape[0]))
+    _, witness = _pair_counts(base, pts, [(w, 0) for w in cfg.omegas])
     if witness is not None:
         raise ConstructionError("sampled inner product outside the declared value set")
     return cfg
@@ -610,51 +629,65 @@ def _pair_exact(X: SphericalConfiguration, base: List[int], mode: str) -> PairDi
     return PairDistribution(X.name, mode, omegas, base, counts, ok, witness)
 
 
-def _pair_counts(rows: np.ndarray, arr: np.ndarray, omegas: np.ndarray):
-    """Histogram of each row's inner products with every point over ``omegas``.
+def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[int, int]]]):
+    """Histogram of each row's inner products with every point over the value keys.
 
-    Returns (counts, witness); witness is (row, point, value) at the first
-    point outside ``omegas`` of the first row that has one, else None.  The
-    products run in point blocks.
+    ``keys`` holds each value as exact integer parts (r, i) over the product
+    denominator rows.den * pts.den (``exact.quad_key``); a None key matches
+    nothing.  Returns (counts, witness); witness is (row, point, (r, i)) at
+    the first point outside the keys of the first row that has one, else
+    None: the keys are distinct, so a row whose counts fall short of the
+    points seen has one.  The products run in point blocks, one
+    ``int_product`` call each.
     """
-    n = arr.shape[0]
-    counts = np.zeros((rows.shape[0], len(omegas)), dtype=np.int64)
-    bad: Dict[int, Tuple[int, int, int]] = {}
-    for lo in range(0, n, POINT_BLOCK):
-        D = int_product(rows, arr[lo : lo + POINT_BLOCK].T)
-        for k, w in enumerate(omegas):
-            counts[:, k] += (D == w).sum(axis=1)
-        for r in np.flatnonzero(counts.sum(axis=1) != lo + D.shape[1]).tolist():
+    left, right = quad_operands(rows, pts)
+    counts = np.zeros((len(rows), len(keys)), dtype=np.int64)
+    bad: Dict[int, Tuple[int, int, Tuple[int, int]]] = {}
+
+    def hits(R, I, key):
+        hit = R == key[0]
+        return hit if I is None else hit & (I == key[1])
+
+    for lo in range(0, len(pts), POINT_BLOCK):
+        R, I = quad_parts(int_product(left, right[lo : lo + POINT_BLOCK].T), len(rows))
+        for k, key in enumerate(keys):
+            if key is not None:
+                counts[:, k] += hits(R, I, key).sum(axis=1)
+        for r in np.flatnonzero(counts.sum(axis=1) != lo + R.shape[1]).tolist():
             if r not in bad:
-                j = int(np.argmax(~np.isin(D[r], omegas)))
-                bad[r] = (r, lo + j, int(D[r, j]))
+                Ir = None if I is None else I[r]
+                seen = np.zeros(R.shape[1], dtype=bool)
+                for key in filter(None, keys):
+                    seen |= hits(R[r], Ir, key)
+                j = int(np.argmin(seen))
+                bad[r] = (r, lo + j, (int(R[r, j]), 0 if Ir is None else int(Ir[j])))
     return counts, bad[min(bad)] if bad else None
 
 
-_PAIR_ARRAY: Optional[np.ndarray] = None
-_PAIR_OMEGAS: Optional[np.ndarray] = None
+# what forked pool workers read
+_PAIR_POINTS: Optional[QuadArray] = None
+_PAIR_KEYS: Optional[list] = None
 
 
-def _pair_block(args):
-    lo, hi = args
-    counts, witness = _pair_counts(_PAIR_ARRAY[lo:hi], _PAIR_ARRAY, _PAIR_OMEGAS)
-    if witness is not None:
-        witness = (lo + witness[0],) + witness[1:]
-    return lo, counts, witness
+def _pair_block(rows: List[int]):
+    return _pair_counts(_PAIR_POINTS.take(rows), _PAIR_POINTS, _PAIR_KEYS)
 
 
-def _observed_omegas(r2: Scalar, arr: np.ndarray, base: List[int], den: int) -> List[Scalar]:
+def _observed_omegas(r2: Scalar, pts: QuadArray, base: List[int]) -> List[Scalar]:
     """r2, then every other inner product of a base row with a point, descending.
 
-    The value list of a configuration declared without one (a point file):
-    like ``_pair_exact``'s, but read off the products of the base rows.
+    The value list of a configuration declared without one (a point file),
+    read off the exact (R, I) parts of the products of the base rows.
     """
     seen: set = set()
     for lo in range(0, len(base), 128):
-        rows = arr[base[lo : lo + 128]]
-        for plo in range(0, arr.shape[0], POINT_BLOCK):
-            seen.update(np.unique(int_product(rows, arr[plo : plo + POINT_BLOCK].T)).tolist())
-    values = {Fraction(v, den * den) for v in seen}
+        rows = pts.take(base[lo : lo + 128])
+        for plo in range(0, len(pts), POINT_BLOCK):
+            R, I = quad_product(rows, pts.take(slice(plo, plo + POINT_BLOCK)))
+            I = np.zeros_like(R) if I is None else I
+            pairs = np.unique(np.stack([R.ravel(), I.ravel()], 1), axis=0)
+            seen.update(map(tuple, pairs.tolist()))
+    values = {quad_scalar(r, i, pts.den * pts.den, pts.d) for r, i in seen}
     values.discard(r2)
     return [r2] + sorted(values, reverse=True)
 
@@ -665,48 +698,44 @@ def pair_distribution(
     seed: int = DEFAULT_SEED,
     count: int = DEFAULT_SAMPLE,
     threads: int = 1,
+    progress: Optional[Callable[[str], None]] = None,
 ) -> PairDistribution:
-    """Inner-product histogram per base point, with closure and invariance checks."""
+    """Inner-product histogram per base point, with closure and invariance checks.
+
+    Every configuration, rational or over Q(sqrt d), takes one exact path:
+    the points as a ``QuadArray``, blocks of 128 base rows against all of
+    them through ``_pair_counts``, values matched as exact integer parts.
+    Coordinates or products beyond the exact int64 range raise
+    ArithmeticError.  Full mode reports each finished block to ``progress``.
+    """
+    global _PAIR_POINTS, _PAIR_KEYS
     if mode not in ("full", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = X.npoints
     base = list(range(n)) if mode == "full" else sample_indices(seed, count, n)
 
-    arr_den = X.integer_array()
-    if arr_den is None or n <= 2000:
-        return _pair_exact(X, base, mode)
-
-    arr, den = arr_den
-    omegas = X.omegas if X.omegas is not None else _observed_omegas(X.r2, arr, base, den)
-    omegas_scaled = np.array([int(w * den * den) for w in omegas], dtype=np.int64)
-    if mode == "sampled":
-        counts, witness = _pair_counts(arr[base], arr, omegas_scaled)
-        if witness is not None:
-            witness = (base[witness[0]],) + witness[1:]
-        return PairDistribution(X.name, "sampled", omegas, base, counts, witness is None, witness)
-
-    # full mode over a large integer set: blocks of 128 base rows
-    global _PAIR_ARRAY, _PAIR_OMEGAS
-    _PAIR_ARRAY = arr
-    _PAIR_OMEGAS = omegas_scaled
-    blocks = [(lo, min(lo + 128, n)) for lo in range(0, n, 128)]
-    counts = np.zeros((n, len(omegas)), dtype=np.int64)
+    pts = X.quad_array()
+    omegas = X.omegas if X.omegas is not None else _observed_omegas(X.r2, pts, base)
+    keys = [quad_key(w, pts.den * pts.den, pts.d) for w in omegas]
+    blocks = [base[lo : lo + 128] for lo in range(0, len(base), 128)]
+    counts = np.zeros((len(base), len(omegas)), dtype=np.int64)
     witness = None
-    if threads > 1:
-        import multiprocessing as mp
+    with contextlib.ExitStack() as stack:
+        results = (_pair_counts(pts.take(rows), pts, keys) for rows in blocks)
+        if threads > 1 and len(blocks) > 1:
+            import multiprocessing as mp
 
-        with mp.Pool(threads) as pool:
-            for lo, c, w in pool.imap_unordered(_pair_block, blocks, chunksize=8):
-                counts[lo : lo + c.shape[0]] = c
-                if w is not None and witness is None:
-                    witness = w
-    else:
-        for blk in blocks:
-            lo, c, w = _pair_block(blk)
-            counts[lo : lo + c.shape[0]] = c
+            _PAIR_POINTS, _PAIR_KEYS = pts, keys
+            pool = stack.enter_context(mp.Pool(threads))
+            results = pool.imap(_pair_block, blocks, chunksize=8)
+        for b, (c, w) in enumerate(results):
+            counts[128 * b : 128 * b + c.shape[0]] = c
             if w is not None and witness is None:
-                witness = w
-    return PairDistribution(X.name, "full", omegas, base, counts, witness is None, witness)
+                r, i = w[2]
+                witness = (blocks[b][w[0]], w[1], quad_scalar(r, i, pts.den * pts.den, pts.d))
+            if progress is not None and mode == "full":
+                progress(f"pair pass {128 * b + c.shape[0]}/{len(base)} base points")
+    return PairDistribution(X.name, mode, omegas, base, counts, witness is None, witness)
 
 
 # ---------------------------------------------------------------------------

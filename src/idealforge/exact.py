@@ -459,6 +459,114 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     raise ArithmeticError(f"integer product bound {bound} leaves the exact int64 range")
 
 
+class QuadArray:
+    """Rows of scalars over Q or Q(sqrt d) as int64 arrays: row = (A + B*sqrt(d)) / den.
+
+    B and d are None when every entry is rational, so a rational set pays
+    for one integer product, as before.
+    """
+
+    __slots__ = ("A", "B", "den", "d")
+
+    def __init__(self, A: np.ndarray, B: Optional[np.ndarray], den: int, d: Optional[int]):
+        self.A, self.B, self.den, self.d = A, B, den, d
+
+    def __len__(self) -> int:
+        return self.A.shape[0]
+
+    def take(self, rows) -> "QuadArray":
+        """The given rows (an index list or a slice)."""
+        B = None if self.B is None else self.B[rows]
+        return QuadArray(self.A[rows], B, self.den, self.d)
+
+
+def quad_array(rows: Sequence[Sequence[Scalar]]) -> QuadArray:
+    """The rows as a :class:`QuadArray` with den the least common denominator.
+
+    Raises FieldMismatchError when two entries lie in different quadratic
+    fields, and ArithmeticError when a scaled part leaves int64.
+    """
+    d = None
+    parts = []
+    for row in rows:
+        for x in row:
+            if isinstance(x, Quad) and x.b != 0:
+                if d is not None and x.d != d:
+                    raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
+                d = x.d
+                parts.append((x.a, x.b))
+            else:
+                parts.append((x.a if isinstance(x, Quad) else x, 0))
+    den = 1
+    for a, b in parts:
+        for q in (a, b):
+            if isinstance(q, Fraction) and den % q.denominator:
+                den = den * q.denominator // gcd(den, q.denominator)
+    shape = (len(rows), len(rows[0]) if len(rows) else 0)
+
+    def scaled(vals) -> np.ndarray:
+        ints = [int(v * den) for v in vals]
+        if ints and max(max(ints), -min(ints)) >= 2**63:
+            raise ArithmeticError("a scaled entry leaves the int64 range")
+        return np.array(ints, dtype=np.int64).reshape(shape)
+
+    A = scaled(a for a, _ in parts)
+    B = None if d is None else scaled(b for _, b in parts)
+    return QuadArray(A, B, den, d)
+
+
+def quad_operands(X: QuadArray, Y: QuadArray) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer arrays (L, M) with int_product(L, M.T) = R, or R stacked on I.
+
+    Here X @ Y^T = (R + I*sqrt(d)) / (X.den * Y.den).  Both rational: L, M
+    are A_X, A_Y.  Otherwise, with a missing B read as zero,
+    R = A_X A_Y^T + d B_X B_Y^T and I = B_X A_Y^T + A_X B_Y^T, so
+    L = [A_X | d*B_X ; B_X | A_X] and M = [A_Y | B_Y]: one ``int_product``
+    call, whose one bound covers every sum of both parts.  Since d in
+    SUPPORTED_D is no square, sqrt(d) is irrational and 1, sqrt(d) are
+    independent over Q: an entry is zero iff both R and I are zero there.
+    Mixing two quadratic fields raises FieldMismatchError.
+    """
+    if X.d is None and Y.d is None:
+        return X.A, Y.A
+    if X.d is not None and Y.d is not None and X.d != Y.d:
+        raise FieldMismatchError(f"cannot mix Q(sqrt {X.d}) with Q(sqrt {Y.d})")
+    d = X.d or Y.d
+    BX = np.zeros_like(X.A) if X.B is None else X.B
+    BY = np.zeros_like(Y.A) if Y.B is None else Y.B
+    if _max_abs(BX) * d >= 2**63:
+        raise ArithmeticError("d * B leaves the int64 range")
+    return np.vstack([np.hstack([X.A, d * BX]), np.hstack([BX, X.A])]), np.hstack([Y.A, BY])
+
+
+def quad_parts(both: np.ndarray, n: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(R, I) from a product of :func:`quad_operands` with n left rows; I None if rational."""
+    return both[:n], (both[n:] if both.shape[0] > n else None)
+
+
+def quad_product(X: QuadArray, Y: QuadArray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """X @ Y^T = (R + I*sqrt(d)) / (X.den * Y.den), exactly: returns (R, I)."""
+    L, M = quad_operands(X, Y)
+    return quad_parts(int_product(L, M.T), len(X))
+
+
+def quad_scalar(r: int, i: int, den: int, d: Optional[int]) -> Scalar:
+    """The exact scalar (r + i*sqrt(d)) / den."""
+    return Quad(Fraction(r, den), Fraction(i, den), d) if i else Fraction(r, den)
+
+
+def quad_key(w: Scalar, den: int, d: Optional[int]) -> Optional[Tuple[int, int]]:
+    """(r, i) with w = (r + i*sqrt(d)) / den in integers, or None if there is none.
+
+    None means no entry of a product over that den and d can equal w.
+    """
+    a, b, wd = (w.a, w.b, w.d) if isinstance(w, Quad) else (Fraction(w), 0, None)
+    r, i = a * den, b * den
+    if Fraction(r).denominator != 1 or Fraction(i).denominator != 1 or (i and wd != d):
+        return None
+    return int(r), int(i)
+
+
 # The one prime of the modular rank.  p < 2^20, so entries kept in [0, p)
 # multiply to less than 2^40 and a row update a - f*b stays inside int64.
 # p = 1 (mod 120), so 2, 3 and 5 are squares mod p; SQRT_MOD_P[d] is a fixed

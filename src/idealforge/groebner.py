@@ -29,7 +29,7 @@ from .poly import (
     mono_lcm,
     poly_to_text,
 )
-from .verify import LEVEL_FULL_GROEBNER, LEVEL_PAPER
+from .verify import LEVEL_FULL_GROEBNER, LEVEL_PAPER, _generic_vanishing
 
 Monomial = Tuple[int, ...]
 
@@ -385,9 +385,9 @@ def certify_full(
     budget exhaustion propagates as the resource error it is.
     """
     given = _as_given(gens)
-    # a factored generator is evaluated factor by factor; only Buchberger
-    # needs the expansion
-    vanishing_ok = all(p.eval(x) == 0 for p in given for x in cfg.points)
+    # factored generators are checked in one exact product over all their
+    # factors (verify._generic_vanishing); only Buchberger needs the expansion
+    vanishing_ok = not _generic_vanishing([(None, p) for p in given], cfg.points, 1)
 
     basis = buchberger(given, ordering=ordering, budget=budget)
     try:

@@ -6,7 +6,8 @@ Five families of checks, each exact:
   for the small sets, a seeded sampled pass for the big one, with a structured
   bulk pass available for a full run);
 * simple zeros: the Jacobian of the generating set has full rank at every
-  point, computed symbolically or from the closed-form row shape of a sliced
+  point, from its rank modulo a prime where that reaches full rank, else
+  computed symbolically, or from the closed-form row shape of a sliced
   zonal gradient;
 * nontriviality: a generator of the critical degree is nonzero at one point
   of the sphere, so it is no multiple of the sphere polynomial;
@@ -20,6 +21,7 @@ them against the generic exact evaluator on samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -35,16 +37,23 @@ from .configs import (
 )
 from .exact import (
     POINT_BLOCK,
+    RANK_PRIME,
     Echelon,
+    FieldMismatchError,
     Matrix,
+    QuadArray,
     Scalar,
     _fdiv,
     _max_abs,
     dot,
     independent_rows,
     int_product,
+    quad_array,
+    quad_product,
     rank,
+    rank_mod_p,
     scalar_to_text,
+    to_mod_p,
 )
 from .generators import FactoredPoly, GeneratorSet, orthogonal_complement_basis
 from .sampling import sample_indices
@@ -150,7 +159,58 @@ def _eval_points(G: GeneratorSet) -> Sequence[Tuple[Scalar, ...]]:
     return pts
 
 
-def _generic_vanishing(G: GeneratorSet, points, max_witnesses=5):
+def _generic_vanishing(G, points, max_witnesses=5):
+    """(label, point index, value) where a generator misses a point, generator-major.
+
+    ``G`` yields (label, poly) pairs.  Every affine factor (v, c) of the
+    FactoredPoly generators is evaluated at every point in one exact product,
+    [v | c] against the points extended by a coordinate -1
+    (``exact.quad_product``); Q(sqrt d) is a field, so a product vanishes at
+    a point iff one of its factors does.  SparsePoly generators keep
+    ``eval``, and ``eval`` recomputes the value of each witness.  Generators
+    run in chunks of 1024, so a streamed family is never held at once.  When
+    an entry leaves the exact int64 range or two fields meet, the exact
+    evaluation loop (``_eval_vanishing``) gives the answer instead.
+    """
+    if len(points) == 0:
+        return []
+    witnesses = []
+    try:
+        P = quad_array([tuple(x) + (-1,) for x in points])
+        gens = iter(G)
+        while len(witnesses) < max_witnesses:
+            chunk = list(itertools.islice(gens, 1024))
+            if not chunk:
+                break
+            missed = np.argwhere(_nonzero_at(chunk, P, points))
+            for g, x in missed[: max_witnesses - len(witnesses)]:
+                label, p = chunk[g]
+                witnesses.append((label, int(x), scalar_to_text(p.eval(points[x]))))
+    except (ArithmeticError, FieldMismatchError):
+        return _eval_vanishing(G, points, max_witnesses)
+    return witnesses
+
+
+def _nonzero_at(items, P: QuadArray, points) -> np.ndarray:
+    """Mask [g, x]: generator g of the (label, poly) items is nonzero at point x."""
+    nonzero = np.ones((len(items), len(P)), dtype=bool)
+    factored = [
+        (g, p) for g, (_, p) in enumerate(items) if isinstance(p, FactoredPoly) and p.factors
+    ]
+    if factored:
+        F = quad_array([tuple(v) + (c,) for _, p in factored for v, c in p.factors])
+        R, I = quad_product(F, P)
+        zero = (R == 0) if I is None else (R == 0) & (I == 0)
+        starts = np.cumsum([0] + [len(p.factors) for _, p in factored[:-1]])
+        nonzero[[g for g, _ in factored]] = ~np.logical_or.reduceat(zero, starts, axis=0)
+    for g, (_, p) in enumerate(items):
+        if not isinstance(p, FactoredPoly):
+            nonzero[g] = [p.eval(x) != 0 for x in points]
+    return nonzero
+
+
+def _eval_vanishing(G, points, max_witnesses=5):
+    """The exact evaluation loop behind ``_generic_vanishing``, same witnesses."""
     witnesses = []
     for label, p in G:
         for idx, pt in enumerate(points):
@@ -461,19 +521,12 @@ def jacobian_full_pass(
     claim = f"{G.name}.jacobian"
     if G.pair_reps is None:
         pts = _eval_points(G)
+        proven = _full_rank_mod_p(G, pts)
         witnesses = []
         for idx, pt in enumerate(pts):
-            ech = Echelon(m)
-            r = 0
-            for _, p in G.items:
-                if isinstance(p, FactoredPoly):
-                    row = list(p.gradient_at(pt))
-                else:
-                    row = [p.partial_derivative(i + 1).eval(pt) for i in range(m)]
-                if ech.add_row(row):
-                    r += 1
-                    if r == m:
-                        break
+            if proven[idx]:
+                continue
+            r = _exact_jacobian_rank(G, pt)
             if r != m:
                 witnesses.append((idx, r))
                 if len(witnesses) >= 5:
@@ -500,6 +553,85 @@ def jacobian_full_pass(
         ),
         seconds=time.time() - t0,
     )
+
+
+def _exact_jacobian_rank(G: GeneratorSet, pt) -> int:
+    """Exact rank of the generators' gradient rows at pt, stopping at nvars."""
+    m = G.nvars
+    ech = Echelon(m)
+    for _, p in G.items:
+        if isinstance(p, FactoredPoly):
+            row = list(p.gradient_at(pt))
+        else:
+            row = [p.partial_derivative(i + 1).eval(pt) for i in range(m)]
+        ech.add_row(row)
+        if ech.rank == m:
+            break
+    return ech.rank
+
+
+def _full_rank_mod_p(G: GeneratorSet, pts) -> np.ndarray:
+    """Mask of the points where the Jacobian's rank mod RANK_PRIME is nvars.
+
+    The rows are the images of the exact gradient rows under the ring map
+    ``to_mod_p``, so rank mod p <= rank <= nvars (``exact.rank_mod_p``):
+    where it reaches nvars the rank is proven; other points need the exact
+    rank.  Factor values (v.x - c) mod p at every point come from one
+    ``int_product`` of entries below p < 2^20 over nvars + 1 terms.  A
+    FactoredPoly's gradient is sum_i (prod_{j != i} u_j) v_i over its factor
+    values u, from prefix and suffix products mod p, one ``int_product`` per
+    point with k terms below p^2 for k factors (float64 while k < 2^13).
+    Other generators are differentiated exactly and reduced.  A point, or a
+    coefficient, without an image mod p (``to_mod_p`` raises) leaves that
+    point, or every point, unproven.
+    """
+    p, m = RANK_PRIME, G.nvars
+    proven = np.zeros(len(pts), dtype=bool)
+    factored = [q for _, q in G.items if isinstance(q, FactoredPoly)]
+    derivs = [
+        q.partial_derivative(i + 1)
+        for _, q in G.items
+        if not isinstance(q, FactoredPoly)
+        for i in range(m)
+    ]
+    live, coords, sparse_rows = [], [], []
+    for idx, x in enumerate(pts):
+        try:
+            row = [to_mod_p(c) for c in x] + [p - 1]
+            grads = [to_mod_p(dq.eval(x)) for dq in derivs]
+        except ZeroDivisionError:
+            continue
+        live.append(idx)
+        coords.append(row)
+        sparse_rows.append(grads)
+    if not live:
+        return proven
+    try:
+        F = np.array(
+            [[to_mod_p(c) for c in v] + [to_mod_p(c)] for q in factored for v, c in q.factors],
+            dtype=np.int64,
+        ).reshape(-1, m + 1)
+    except ZeroDivisionError:
+        return proven
+    U = int_product(F, np.array(coords, dtype=np.int64).T) % p
+    W = np.empty_like(U)
+    lo = 0
+    for q in factored:
+        u = U[lo : lo + len(q.factors)]
+        prefix, suffix = np.ones_like(u), np.ones_like(u)
+        for i in range(1, len(u)):
+            prefix[i] = prefix[i - 1] * u[i - 1] % p
+            suffix[-1 - i] = suffix[-i] * u[-i] % p
+        W[lo : lo + len(u)] = prefix * suffix % p
+        lo += len(u)
+    # S[g, i] = 1 when factor i belongs to generator g: the FactoredPoly
+    # gradient rows at the i-th live point are (S * W[:, i]) @ vectors mod p
+    S = np.repeat(np.eye(len(factored), dtype=np.int64), [q.degree() for q in factored], axis=1)
+    sparse = np.array(sparse_rows, dtype=np.int64).reshape(len(live), -1, m)
+    for i, idx in enumerate(live):
+        rows = int_product(S * W[:, i], F[:, :m]) % p
+        proven[idx] = rank_mod_p(np.vstack([rows, sparse[i]])) == m
+    return proven
 
 
 def _vectorized_jacobian_pass(G: GeneratorSet, progress: Progress = None):
@@ -647,15 +779,19 @@ def design_strength_gegenbauer(
     seed: int = DEFAULT_SEED,
     sample: int = DEFAULT_SAMPLE,
     threads: int = 1,
+    progress: Progress = None,
 ) -> DesignStrengthResult:
     """Pair-sum test: sums of C_k(x.y / r2) must vanish for k = 1..t.
 
     Checked per base point (each row of the pair histogram) and globally,
     with exact rational Gegenbauer values at the finitely many inner products.
+    A full pass reports its progress through ``pair_distribution``.
     """
     if t < 1:
         raise ValueError("strength t must be at least 1")
-    dist = pair_distribution(cfg, mode=mode, seed=seed, count=sample, threads=threads)
+    dist = pair_distribution(
+        cfg, mode=mode, seed=seed, count=sample, threads=threads, progress=progress
+    )
     ck_table = [gegenbauer_values(cfg.m, t, _fdiv(w, cfg.r2)) for w in dist.omegas]
 
     k_sums: Dict[int, Scalar] = {}

@@ -18,6 +18,8 @@ TOP_KEYS = ["config", "mode", "claims", "gamma", "design", "counts", "timings"]
 GOLDEN = Path(__file__).parent / "data"
 GOLDEN_RUNS = {
     "report_icosahedron": ["report", "icosahedron"],
+    "report_e6": ["report", "e6"],
+    "report_e7": ["report", "e7"],
     "report_ngon6": ["report", "ngon", "--n", "6"],
     "report_knn3": ["report", "knn", "--n", "3"],
     "report_cube4": ["report", "cube4"],
@@ -114,6 +116,27 @@ def test_corrupted_point_value_fails(tmp_path):
     code, doc = run_json(["verify", "icosahedron", "--points", str(bad)], tmp_path)
     assert code == EXIT_CHECK
     assert any(c["status"] == "fail" for c in doc["claims"])
+
+
+def test_moved_point_names_the_same_witnesses(tmp_path):
+    # point 5, (-phi, 0, 1), moved to (0, -phi, 1): still on the sphere, so
+    # only sliced cubics miss it; the witnesses are those of the exact loop
+    pts = tmp_path / "ico.pts"
+    run(["build", "icosahedron", "--points-out", str(pts), "--out", str(tmp_path / "b.json")])
+    lines = pts.read_text().splitlines()
+    x = lines[6].split()
+    lines[6] = " ".join([x[1], x[0], x[2]])
+    bad = tmp_path / "moved.pts"
+    bad.write_text("\n".join(lines) + "\n")
+    code, doc = run_json(["verify", "icosahedron", "--points", str(bad)], tmp_path)
+    assert code == EXIT_CHECK
+    assert doc["claims"][0]["witness"] == [
+        "('SLICED pair0 c0', 5, '-7/2-3/2*sqrt(5)')",
+        "('SLICED pair0 c1', 5, '2+sqrt(5)')",
+        "('SLICED pair1 c1', 5, '-5-2*sqrt(5)')",
+        "('SLICED pair2 c0', 5, '2+sqrt(5)')",
+        "('SLICED pair2 c1', 5, '-3/2-1/2*sqrt(5)')",
+    ]
 
 
 def test_unreadable_point_file_fails(tmp_path):

@@ -123,6 +123,43 @@ def test_pair_distribution_derives_values_without_a_declared_list():
         assert seen == {w: c for w, c in exact.histogram(k).items() if c}
 
 
+def test_pair_distribution_matches_omegas_exactly():
+    # 1/2 times den^2 = 1 is no integer: the value matches nothing, where
+    # truncating it to 0 would count the two orthogonal points there
+    pts = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    X = SphericalConfiguration("square", 2, 1, [1, Fraction(1, 2), 0, -1], points=pts)
+    pd = pair_distribution(X)
+    assert pd.closure_ok
+    assert pd.counts.tolist() == [[1, 0, 2, 1]] * 4
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "e6", "e7", "knn"])
+def test_pair_distribution_agrees_with_the_exact_oracle(name):
+    builders = {"icosahedron": build_icosahedron, "e6": build_e6, "e7": build_e7,
+                "knn": lambda: build_knn(3)}
+    X = builders[name]()
+    pts = list(X.points)
+    pts[3] = tuple(pts[3][::-1])  # a moved point: closure fails in both
+    # the declared values on the moved set; values read off the products on X
+    for omegas, points in ((X.omegas, pts), (None, X.points)):
+        Z = SphericalConfiguration(name, X.m, X.r2, omegas, points=points)
+        pd = pair_distribution(Z)
+        exact = _pair_exact(Z, pd.base_indices, "full")
+        assert pd.omegas == exact.omegas
+        assert pd.counts.tolist() == exact.counts.tolist()
+        assert (pd.closure_ok, pd.witness) == (exact.closure_ok, exact.witness)
+        assert pd.closure_ok == (omegas is None)
+
+
+def test_full_pair_distribution_reports_progress(e8):
+    seen = []
+    pd = pair_distribution(e8, mode="full", progress=seen.append)
+    assert pd.closure_ok
+    assert seen == ["pair pass 128/240 base points", "pair pass 240/240 base points"]
+    assert pair_distribution(e8, mode="sampled", progress=seen.append).closure_ok
+    assert len(seen) == 2
+
+
 def test_icosahedron_pair_distribution():
     ico = build_icosahedron()
     pd = pair_distribution(ico, mode="full")

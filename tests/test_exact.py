@@ -14,6 +14,7 @@ from idealforge.exact import (
     Matrix,
     NotPositiveDefiniteError,
     Quad,
+    QuadArray,
     det,
     dot,
     hnf,
@@ -22,6 +23,10 @@ from idealforge.exact import (
     ldlt,
     nullspace_basis,
     parse_scalar,
+    quad_array,
+    quad_key,
+    quad_product,
+    quad_scalar,
     rank,
     rank_mod_p,
     scalar_to_text,
@@ -375,3 +380,71 @@ def test_rank_mod_p_bounds_the_exact_rank():
             assert rank_mod_p(ints) == got
 
     check()
+
+
+def test_quad_product_matches_dot():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        draw = data.draw
+        d = draw(st.sampled_from([None, *SUPPORTED_D]))
+        m = draw(st.integers(1, 4))
+
+        def entry():
+            a = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3, 4])))
+            if d is None or draw(st.booleans()):
+                return a
+            return Quad(a, Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3]))), d)
+
+        X = [[entry() for _ in range(m)] for _ in range(draw(st.integers(1, 4)))]
+        Y = [[entry() for _ in range(m)] for _ in range(draw(st.integers(1, 4)))]
+        QX, QY = quad_array(X), quad_array(Y)
+        R, I = quad_product(QX, QY)
+        assert (I is None) == (QX.d is None and QY.d is None)
+        den = QX.den * QY.den
+        for i, x in enumerate(X):
+            for j, y in enumerate(Y):
+                parts = (int(R[i, j]), 0 if I is None else int(I[i, j]))
+                assert quad_scalar(*parts, den, d) == dot(x, y)
+                assert quad_key(dot(x, y), den, d) == parts
+
+    check()
+
+
+def test_quad_product_zero_needs_both_parts():
+    # sqrt(2) * sqrt(2) - 2 = 0 has R = I = 0; 0 + sqrt(2) has R = 0 but is no zero
+    X = quad_array([[Quad(0, 1, 2), -2], [Quad(0, 1, 2), 0]])
+    R, I = quad_product(X, quad_array([[Quad(0, 1, 2), 1]]))
+    assert R.tolist() == [[0], [2]] and I.tolist() == [[0], [0]]
+    R, I = quad_product(X, quad_array([[1, 1]]))
+    assert R[1, 0] == 0 and I[1, 0] != 0
+
+
+def test_quad_key_refuses_values_off_the_grid():
+    assert quad_key(Fraction(1, 2), 4, None) == (2, 0)
+    assert quad_key(Fraction(1, 8), 4, None) is None
+    assert quad_key(Quad(1, Fraction(1, 2), 5), 2, 5) == (2, 1)
+    assert quad_key(Quad(1, Fraction(1, 2), 5), 2, 2) is None
+    assert quad_key(Quad(1, Fraction(1, 2), 5), 2, None) is None
+    assert quad_key(Quad(3, 0, 5), 1, None) == (3, 0)
+
+
+def test_quad_array_ranges_and_fields():
+    Q = quad_array([[1, Fraction(1, 2)], [Quad(0, Fraction(1, 3), 3), 2]])
+    assert (Q.A.tolist(), Q.B.tolist(), Q.den, Q.d) == ([[6, 3], [0, 12]], [[0, 0], [2, 0]], 6, 3)
+    assert quad_array([[Quad(2, 0, 5), 1]]).B is None
+    assert len(Q.take([1])) == 1 and Q.take([1]).B.tolist() == [[2, 0]]
+    with pytest.raises(ArithmeticError):
+        quad_array([[2**63]])
+    with pytest.raises(ArithmeticError):
+        quad_array([[Fraction(2**62, 3), Fraction(1, 5)]])
+    with pytest.raises(FieldMismatchError):
+        quad_array([[Quad(0, 1, 2), Quad(0, 1, 5)]])
+    with pytest.raises(FieldMismatchError):
+        quad_product(quad_array([[Quad(0, 1, 2)]]), quad_array([[Quad(0, 1, 5)]]))
+    big = QuadArray(np.array([[1]]), np.array([[2**62]]), 1, 3)
+    with pytest.raises(ArithmeticError):
+        quad_product(big, big)

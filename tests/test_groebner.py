@@ -126,6 +126,20 @@ def test_e7_section_certificate():
     assert cert.quotient_dimension == 126
 
 
+def test_e7_certificate_checks_vanishing_without_factored_eval(monkeypatch):
+    from idealforge.configs import build_e7
+    from idealforge.generators import e7_section, restrict_to_section
+
+    gens = restrict_to_section(build_generator_set("e7"), e7_section())
+
+    def refuse(self, point):
+        raise AssertionError("per-point factored evaluation ran")
+
+    monkeypatch.setattr(FactoredPoly, "eval", refuse)
+    cert = certify_full(build_e7(), gens)
+    assert cert.vanishing_ok and cert.level == LEVEL_FULL_GROEBNER
+
+
 def test_cube4_certification_fails():
     cube, _cell24 = build_4cube()
     cert = certify_full(cube, build_generator_set("cube4"))

@@ -20,7 +20,7 @@ from idealforge.configs import (
     build_ngon,
     e7_defining_vectors,
 )
-from idealforge.exact import dot, independent_rows, stride_order
+from idealforge.exact import Echelon, Quad, dot, independent_rows, quad_array, stride_order
 from idealforge.generators import (
     LABEL_NM,
     FactoredPoly,
@@ -39,6 +39,9 @@ from idealforge.verify import (
     ClaimRecord,
     MissingCheckError,
     _closed_form_failure,
+    _eval_vanishing,
+    _exact_jacobian_rank,
+    _generic_vanishing,
     _structured_sliced_pass,
     assemble_certificate,
     check_gallery_vanishing,
@@ -246,6 +249,69 @@ def test_vanishing_corrupted_array_fails():
     rec = check_vanishing(G)
     assert rec.status == FAIL
     assert rec.witnesses
+
+
+def test_vanishing_needs_both_parts_of_a_quadratic_value():
+    # x - sqrt(2) at (0, 0) is -sqrt(2): rational part 0, no zero
+    root2 = Quad(0, 1, 2)
+    gens = [("F", FactoredPoly(2, [((1, 0), root2)])), ("G", FactoredPoly(2, [((0, 1), 0)]))]
+    pts = [(root2, 0), (0, 0), (0, root2)]
+    expected = [("F", 1, "-sqrt(2)"), ("F", 2, "-sqrt(2)"), ("G", 2, "sqrt(2)")]
+    assert _generic_vanishing(gens, pts) == expected
+    assert _generic_vanishing(gens, pts) == _eval_vanishing(gens, pts)
+
+
+def test_vanishing_beyond_int64_takes_the_exact_loop():
+    G = build_generator_set("icosahedron")
+    pts = list(G.config.points)
+    pts[4] = (2**70, 0, 0)
+    with pytest.raises(ArithmeticError):
+        quad_array(pts)
+    expected = _eval_vanishing(G, pts)
+    assert expected and all(w[1] == 4 for w in expected)
+    assert _generic_vanishing(G, pts) == expected
+    assert check_vanishing(G, points=pts).witnesses == expected
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "e6", "e7", "ngon", "knn", "cube4"])
+def test_vanishing_product_agrees_with_the_exact_loop(name):
+    G = build_generator_set(name)
+    pts = list(verify._eval_points(G))
+    assert _generic_vanishing(G, pts) == [] == _eval_vanishing(G, pts)
+    pts[1] = tuple(2 * x for x in pts[1])
+    pts[2] = (pts[2][0] + 1,) + tuple(pts[2][1:])
+    moved = _eval_vanishing(G, pts)
+    assert moved and _generic_vanishing(G, pts) == moved
+    assert _generic_vanishing(G, pts, max_witnesses=2) == moved[:2]
+
+
+@pytest.mark.parametrize("name", ["icosahedron", "e6", "e7", "e7-section"])
+def test_jacobian_proves_rank_mod_p_without_elimination(name, monkeypatch):
+    if name == "e7-section":
+        G = restrict_to_section(build_generator_set("e7"), e7_section())
+    else:
+        G = build_generator_set(name)
+
+    def refuse(self, row):
+        raise AssertionError("exact elimination ran")
+
+    monkeypatch.setattr(Echelon, "add_row", refuse)
+    rec = jacobian_full_pass(G)
+    assert rec.passed and rec.witnesses == []
+
+
+def test_jacobian_falls_back_to_the_exact_rank(monkeypatch):
+    full = build_generator_set("icosahedron")
+    # Nm and three sliced cubics: rank 2 at points 4 and 7, as the plain
+    # exact elimination over every point finds
+    G = GeneratorSet("few", 3, full.r2, full.items[:4], field_d=5, config=full.config)
+    expected = [(4, 2), (7, 2)]
+    ranks = [_exact_jacobian_rank(G, x) for x in full.config.points]
+    assert [(i, r) for i, r in enumerate(ranks) if r != 3] == expected
+    assert jacobian_full_pass(G).witnesses == expected
+    monkeypatch.setattr(verify, "rank_mod_p", lambda M: M.shape[1] - 1)
+    assert jacobian_full_pass(G).witnesses == expected
+    assert jacobian_full_pass(full).passed
 
 
 def test_jacobian_icosahedron():
