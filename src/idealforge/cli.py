@@ -36,6 +36,7 @@ from .configs import (
     build_leech,
     build_ngon,
     cell24_points,
+    field_label,
     read_points,
     write_points,
 )
@@ -190,10 +191,16 @@ def _certificate(args, report: Dict[str, object], G: GeneratorSet) -> Certificat
 def _file_points(path: str, G: GeneratorSet) -> List[Tuple[Scalar, ...]]:
     """The points of a point file, in the variables of the generators.
 
-    Points in the section coordinates of a configuration whose generators live
-    in the ambient space (``build e7 --points-out``) are lifted to it.
+    The file's field must be Q or the configuration's own.  Points in the
+    section coordinates of a configuration whose generators live in the
+    ambient space (``build e7 --points-out``) are lifted to it.
     """
     pf = read_points(path)
+    if pf.field_d not in (None, G.config.field_d):
+        raise ValueError(
+            f"points are over {field_label(pf.field_d)}, "
+            f"the {G.name} configuration over {field_label(G.config.field_d)}"
+        )
     section = G.config.section
     if pf.m == G.nvars:
         return pf.points
@@ -396,7 +403,7 @@ def _cmd_enumerate(args) -> int:
         basis = basis_from_generators(cfg)
         uni = unimodularity_check(basis)
     with _timed(report, "enumeration"):
-        result = enumerate_short_vectors(basis, cfg.r2, threads=args.threads)
+        result = enumerate_short_vectors(basis, cfg.r2)
     arr, _den = cfg.integer_array()
     found = np.array(result.vectors, dtype=np.int64)
     set_equal = found.shape == arr.shape and bool(
@@ -405,6 +412,7 @@ def _cmd_enumerate(args) -> int:
     report["counts"] = {
         "enumerated": result.count,
         "expected": cfg.npoints,
+        "search_nodes": result.search_nodes,
         "set_equal": set_equal,
         "det_gram": uni.det_gram,
         "det_expected": uni.expected,
@@ -428,7 +436,13 @@ def _add_common(sub: argparse.ArgumentParser, with_mode: bool = True) -> None:
         default=DEFAULT_SEED,
         help="sampling seed (default 0xC0DE)",
     )
-    sub.add_argument("--threads", type=int, default=1, help="worker processes")
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes of the pair pass in the verify/report design stage; "
+        "enumerate runs in one process",
+    )
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="reduction budget")
     sub.add_argument("--out", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "text"), default="json")

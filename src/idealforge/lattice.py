@@ -1,15 +1,18 @@
 """Integer lattice bases: extraction from generating sets, unimodularity, enumeration.
 
-All arithmetic is exact.  Enumeration is Fincke-Pohst over an exact LDL^T
-factorization, with interval endpoints computed by integer square root; a
-deterministic exact lattice-reduction pass keeps the search tree small.
+All arithmetic is exact.  A basis is found as a Hermite form of the
+generating set, and its Gram determinant by Bareiss elimination.  Short
+vectors are enumerated on one integral Gram-Schmidt: integral LLL keeps the
+leading Gram minors d_i and the integers lam_ij = d_{j+1} mu_ij, and
+Fincke-Pohst reads its centres, residuals and intervals off the same integers,
+with ``math.isqrt`` for the interval ends.  It runs in one process.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .exact import (
     det,
     independent_rows,
     int_product,
-    ldlt,
 )
 
 
@@ -145,64 +147,80 @@ def _triangular_adjugate(P: List[List[int]], dval: int) -> List[List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# exact lattice reduction (internal preprocething for enumeration)
+# one integral Gram-Schmidt: LLL, then Fincke-Pohst on the same integers
 # ---------------------------------------------------------------------------
 
-_DELTA = Fraction(99, 100)
 
+def _lll(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], List[List[int]]]:
+    """LLL reduction at delta = 99/100 in integers: (reduced rows, d, lam).
 
-def _gso(B: List[List[int]]):
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7).  d[i] is the Gram determinant of the first i rows (d[0] = 1)
+    and lam[i][j] = d[j+1] mu_ij for j < i, so |b*_i|^2 = d[i+1] / d[i].
+    Both stay integers: size reduction subtracts integer multiples, and a
+    swap updates d and one column pair of lam in O(n) with divisions that
+    are exact; ``_exact_div`` raises ArithmeticError if one is not.
+    Dependent rows raise RankDeficientError.
+    """
+    B = [[int(x) for x in r] for r in rows]
     n = len(B)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    star: List[List[Fraction]] = []
-    norms: List[Fraction] = []
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        v = [Fraction(x) for x in B[i]]
-        for j in range(i):
-            if norms[j] == 0:
-                continue
-            proj = sum(Fraction(B[i][k]) * star[j][k] for k in range(n)) / norms[j]
-            mu[i][j] = proj
-            v = [a - proj * b for a, b in zip(v, star[j])]
-        star.append(v)
-        norms.append(sum(x * x for x in v))
-    return mu, norms
-
-
-def _lll(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    B = [list(map(int, r)) for r in rows]
-    n = len(B)
-    mu, norms = _gso(B)
+        for j in range(i + 1):
+            u = sum(a * b for a, b in zip(B[i], B[j]))
+            for k in range(j):
+                u = _exact_div(d[k + 1] * u - lam[i][k] * lam[j][k], d[k])
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise RankDeficientError(f"basis row {i} depends on the rows before it")
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = math.floor(mu[k][j] + Fraction(1, 2))
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # round(mu_kj), halves up
             if q:
                 B[k] = [a - q * b for a, b in zip(B[k], B[j])]
+                lam[k][j] -= q * d[j + 1]
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if norms[k] >= (_DELTA - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+                    lam[k][i] -= q * lam[j][i]
+        # Lovasz: |b*_k|^2 >= (delta - mu^2) |b*_{k-1}|^2, times d[k] d[k-1]
+        lk = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + lk * lk) >= 99 * d[k] * d[k]:
             k += 1
-        else:
-            B[k], B[k - 1] = B[k - 1], B[k]
-            mu, norms = _gso(B)
-            k = max(k - 1, 1)
-    return B
-
-
-# ---------------------------------------------------------------------------
-# Fincke-Pohst enumeration
-# ---------------------------------------------------------------------------
+            continue
+        B[k - 1], B[k] = B[k], B[k - 1]
+        lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+        dk = _exact_div(d[k - 1] * d[k + 1] + lk * lk, d[k])
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = _exact_div(d[k + 1] * lam[i][k - 1] - lk * t, d[k])
+            lam[i][k - 1] = _exact_div(dk * t + lk * lam[i][k], d[k + 1])
+        d[k] = dk
+        k = max(k - 1, 1)
+    return B, d, lam
 
 
 class EnumerationResult:
-    """Nonzero lattice vectors with squared norm <= bound (configuration units)."""
+    """Nonzero lattice vectors with squared norm <= bound (configuration units).
 
-    def __init__(self, count: int, vectors: Optional[List[Tuple[int, ...]]], coord_den: int):
+    search_nodes counts the coefficient values the search tried, a
+    deterministic measure of its work.
+    """
+
+    def __init__(
+        self,
+        count: int,
+        vectors: Optional[List[Tuple[int, ...]]],
+        coord_den: int,
+        search_nodes: int,
+    ):
         self.count = count
         self.vectors = vectors  # integer coordinates (coord_den times config units)
         self.coord_den = coord_den
+        self.search_nodes = search_nodes
 
     def config_points(self) -> List[Tuple]:
         if self.vectors is None:
@@ -213,142 +231,57 @@ class EnumerationResult:
         return [tuple(Fraction(c, d) for c in v) for v in self.vectors]
 
 
-_ENV: Dict[str, object] = {}
-
-
-def _enum_init(lcols, dvals, m):
-    _ENV["lcols"] = lcols
-    _ENV["dvals"] = dvals
-    _ENV["m"] = m
-
-
-def _search_range(c: Fraction, t: Fraction) -> Tuple[int, int]:
-    """All integers x with (x + c)^2 <= t; empty range when t < 0."""
-    if t < 0:
-        return 1, 0
-    p, q = c.numerator, c.denominator
-    u, w = t.numerator, t.denominator
-    ymax = math.isqrt((u * q * q) // w)
-    lo = -((ymax + p) // q)
-    hi = (ymax - p) // q
-    return lo, hi
-
-
-def _search(level, rem, sums, zero_prefix, xs, out):
-    lcols = _ENV["lcols"]
-    dvals = _ENV["dvals"]
-    c = sums[level]
-    lo, hi = _search_range(c, rem / dvals[level])
-    if zero_prefix and lo < 0:
-        lo = 0
-    col = lcols[level]
-    for x in range(lo, hi + 1):
-        val = x + c
-        rem2 = rem - dvals[level] * val * val
-        if rem2 < 0:
-            continue
-        xs[level] = x
-        if level == 0:
-            if not (zero_prefix and x == 0):
-                out.append(tuple(xs))
-        else:
-            if x:
-                for k, coef in col:
-                    sums[k] += coef * x
-            _search(level - 1, rem2, sums, zero_prefix and x == 0, xs, out)
-            if x:
-                for k, coef in col:
-                    sums[k] -= coef * x
-
-
-def _enum_task(args):
-    level, rem, sums, zero_prefix, xs = args
-    out: List[Tuple[int, ...]] = []
-    _search(level, rem, list(sums), zero_prefix, list(xs), out)
-    return out
-
-
-def enumerate_short_vectors(
-    B: LatticeBasis,
-    bound,
-    threads: int = 1,
-    collect: bool = True,
-) -> EnumerationResult:
+def enumerate_short_vectors(B: LatticeBasis, bound, collect: bool = True) -> EnumerationResult:
     """Count (and optionally list) nonzero vectors of squared norm <= bound.
 
     bound is in configuration units; integer coordinates scale it by
-    coord_den squared.  Enumeration covers a half-space and mirrors, so the
-    result is exact and antipodally closed.
+    coord_den squared.  Fincke-Pohst (Fincke & Pohst, 1985) over the integers
+    of the LLL-reduced basis: with s_i = sum_{j>i} lam[j][i] x_j and
+    y_i = d[i+1] x_i + s_i, the squared norm of sum_i x_i b_i is
+    sum_i y_i^2 / (d[i] d[i+1]).  Scaling by M = lcm_i d[i] d[i+1] and by the
+    bound's denominator makes every weight w_i and the budget R integers, so
+    level i admits exactly the x_i with w_i y_i^2 <= R, |y_i| <= isqrt(R // w_i).
+    The search covers the half-space whose last nonzero coefficient is
+    positive and mirrors it, so the result is exact and antipodally closed.
     """
     m = B.m
     nbound = Fraction(bound) * B.coord_den**2
     if nbound < 0:
-        return EnumerationResult(0, [] if collect else None, B.coord_den)
+        return EnumerationResult(0, [] if collect else None, B.coord_den, 0)
 
-    reduced = _lll(B.rows)
-    gram = Matrix(
-        [[sum(reduced[i][k] * reduced[j][k] for k in range(m)) for j in range(m)] for i in range(m)]
-    )
-    L, D = ldlt(gram)
-    dvals = [d if isinstance(d, Fraction) else Fraction(d) for d in D]
-    # sums[k] accumulates L[j][k] * x_j over assigned j > k, so the update
-    # list for level j holds the pairs (k, L[j][k]) below its diagonal
-    lcols: List[List[Tuple[int, Fraction]]] = [[] for _ in range(m)]
-    for j in range(m):
-        for k in range(j):
-            coef = L[j, k]
-            if coef != 0:
-                lcols[j].append((k, coef if isinstance(coef, Fraction) else Fraction(coef)))
-
-    _enum_init(lcols, dvals, m)
-    rem0 = Fraction(nbound)
-    sums0 = [Fraction(0)] * m
-    xs0 = [0] * m
-
-    tasks = []
-    top = m - 1
-    if m >= 3:
-        # expand the top two levels serially so workers get balanced subtrees
-        lo, hi = _search_range(Fraction(0), rem0 / dvals[top])
-        lo = max(lo, 0)
-        for x1 in range(lo, hi + 1):
-            rem1 = rem0 - dvals[top] * x1 * x1
-            if rem1 < 0:
-                continue
-            sums1 = list(sums0)
-            if x1:
-                for k, coef in lcols[top]:
-                    sums1[k] += coef * x1
-            z1 = x1 == 0
-            c2 = sums1[top - 1]
-            lo2, hi2 = _search_range(c2, rem1 / dvals[top - 1])
-            if z1 and lo2 < 0:
-                lo2 = 0
-            for x2 in range(lo2, hi2 + 1):
-                val = x2 + c2
-                rem2 = rem1 - dvals[top - 1] * val * val
-                if rem2 < 0:
-                    continue
-                sums2 = list(sums1)
-                if x2:
-                    for k, coef in lcols[top - 1]:
-                        sums2[k] += coef * x2
-                xs = [0] * m
-                xs[top], xs[top - 1] = x1, x2
-                tasks.append((top - 2, rem2, sums2, z1 and x2 == 0, xs))
-    else:
-        tasks.append((top, rem0, sums0, True, xs0))
-
+    reduced, d, lam = _lll(B.rows)
+    scale = math.lcm(*(d[i] * d[i + 1] for i in range(m)))
+    weights = [nbound.denominator * scale // (d[i] * d[i + 1]) for i in range(m)]
+    # choosing x_j adds lam[j][i] x_j to s_i for every i < j
+    cols = [[(i, c) for i, c in enumerate(lam[j][:j]) if c] for j in range(m)]
+    s = [0] * m
+    xs = [0] * m
     half: List[Tuple[int, ...]] = []
-    if threads > 1 and len(tasks) > 1:
-        import multiprocessing as mp
+    nodes = 0
 
-        with mp.Pool(threads, initializer=_enum_init, initargs=(lcols, dvals, m)) as pool:
-            for chunk in pool.imap(_enum_task, tasks, chunksize=1):
-                half.extend(chunk)
-    else:
-        for t in tasks:
-            half.extend(_enum_task(t))
+    def search(level: int, budget: int, zero_above: bool) -> None:
+        nonlocal nodes
+        w, dl, sl = weights[level], d[level + 1], s[level]
+        ymax = math.isqrt(budget // w)
+        lo = 0 if zero_above else -((ymax + sl) // dl)
+        values = range(lo, (ymax - sl) // dl + 1)
+        nodes += len(values)
+        for x in values:
+            xs[level] = x
+            if level == 0:
+                if x or not zero_above:
+                    half.append(tuple(xs))
+                continue
+            y = dl * x + sl
+            if x:
+                for i, c in cols[level]:
+                    s[i] += c * x
+            search(level - 1, budget - w * y * y, zero_above and not x)
+            if x:
+                for i, c in cols[level]:
+                    s[i] -= c * x
+
+    search(m - 1, scale * nbound.numerator, True)
 
     count = 2 * len(half)
     vectors = None
@@ -363,8 +296,8 @@ def enumerate_short_vectors(
                 vectors.append(v)
                 vectors.append(tuple(-c for c in v))
         else:
-            for xs in half:
-                v = tuple(sum(xs[j] * reduced[j][k] for j in range(m)) for k in range(m))
+            for x in half:
+                v = tuple(sum(x[j] * reduced[j][k] for j in range(m)) for k in range(m))
                 vectors.append(v)
                 vectors.append(tuple(-c for c in v))
-    return EnumerationResult(count, vectors, B.coord_den)
+    return EnumerationResult(count, vectors, B.coord_den, nodes)

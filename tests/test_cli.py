@@ -73,6 +73,7 @@ def test_usage_errors_exit_64():
         ["verify", "dodecahedron"],
         ["gamma", "e8", "--n", "5"],
         ["verify", "e8", "--threads", "0"],
+        ["enumerate", "e8", "--threads", "0"],
         ["verify", "e8", "--full", "--sampled"],
         ["groebner", "leech"],
         ["enumerate", "ngon"],
@@ -199,6 +200,15 @@ def test_point_file_field_is_enforced(name, field, built_points, tmp_path):
     assert [(c["id"], c["status"]) for c in doc["claims"]] == [(f"{name}.points_file", "fail")]
 
 
+def test_point_file_over_another_field_fails(tmp_path):
+    # sqrt(2) coordinates are valid Q(sqrt 2) input, but not icosahedron (Q(sqrt 5)) points
+    pts = tmp_path / "q2.pts"
+    pts.write_text("dim 3 norm 2 field Q(sqrt 2)\nsqrt(2) 0 0\n")
+    code, doc = run_json(["verify", "icosahedron", "--points", str(pts)], tmp_path)
+    assert code == EXIT_CHECK
+    assert [(c["id"], c["status"]) for c in doc["claims"]] == [("icosahedron.points_file", "fail")]
+
+
 def test_report_builds_and_certifies_once(tmp_path, monkeypatch):
     built, certified = [], []
     init, certify = SphericalConfiguration.__init__, cli.certify_full
@@ -291,6 +301,16 @@ def test_enumerate_e8_matches_construction(tmp_path):
     assert counts["enumerated"] == 240
     assert counts["set_equal"] is True
     assert counts["unimodular"] is True
+
+
+def test_enumerate_runs_in_one_process_whatever_threads(tmp_path):
+    # --threads only feeds the full pair pass; two runs repeat the search-node count
+    code1, one = run_json(["enumerate", "e8", "--threads", "1"], tmp_path, "one.json")
+    code2, two = run_json(["enumerate", "e8", "--threads", "2"], tmp_path, "two.json")
+    assert code1 == code2 == EXIT_OK
+    assert one.pop("timings") and two.pop("timings")
+    assert one == two
+    assert one["counts"]["search_nodes"] == 368
 
 
 def test_gamma_leech_interval(tmp_path):
