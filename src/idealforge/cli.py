@@ -268,7 +268,6 @@ def _checks(
             DESIGN_STRENGTH[name],
             mode=mode,
             seed=args.seed,
-            threads=args.threads,
             progress=progress,
         )
     cert = _certificate(args, report, G) if name in CERTIFIABLE else None
@@ -390,6 +389,16 @@ def _cmd_groebner(args) -> int:
     return _finish(report, args, cert.certified)
 
 
+def _sorted_rows(arr: np.ndarray) -> np.ndarray:
+    """The rows of an int64 array as sorted byte keys, one void item per row.
+
+    Two arrays with equal sorted keys hold the same rows with the same
+    multiplicities, so comparing them is a multiset test.
+    """
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
+    return np.sort(arr.view(np.dtype((np.void, arr.dtype.itemsize * arr.shape[1]))).ravel())
+
+
 def _cmd_enumerate(args) -> int:
     name = args.config
     if name not in LATTICE_CONFIGS:
@@ -404,11 +413,12 @@ def _cmd_enumerate(args) -> int:
         uni = unimodularity_check(basis)
     with _timed(report, "enumeration"):
         result = enumerate_short_vectors(basis, cfg.r2)
-    arr, _den = cfg.integer_array()
-    found = np.array(result.vectors, dtype=np.int64)
-    set_equal = found.shape == arr.shape and bool(
-        np.array_equal(np.unique(found, axis=0), np.unique(arr, axis=0))
-    )
+    with _timed(report, "compare"):
+        arr, _den = cfg.integer_array()
+        found = np.array(result.vectors, dtype=np.int64)
+        set_equal = found.shape == arr.shape and bool(
+            np.array_equal(_sorted_rows(found), _sorted_rows(arr))
+        )
     report["counts"] = {
         "enumerated": result.count,
         "expected": cfg.npoints,
@@ -440,8 +450,7 @@ def _add_common(sub: argparse.ArgumentParser, with_mode: bool = True) -> None:
         "--threads",
         type=int,
         default=1,
-        help="worker processes of the pair pass in the verify/report design stage; "
-        "enumerate runs in one process",
+        help="accepted for compatibility and has no effect: every stage runs in one process",
     )
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="reduction budget")
     sub.add_argument("--out", help="write the report here instead of stdout")

@@ -8,7 +8,6 @@ range before it multiplies.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -664,15 +663,6 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
     return counts, bad[min(bad)] if bad else None
 
 
-# what forked pool workers read
-_PAIR_POINTS: Optional[QuadArray] = None
-_PAIR_KEYS: Optional[list] = None
-
-
-def _pair_block(rows: List[int]):
-    return _pair_counts(_PAIR_POINTS.take(rows), _PAIR_POINTS, _PAIR_KEYS)
-
-
 def _observed_omegas(r2: Scalar, pts: QuadArray, base: List[int]) -> List[Scalar]:
     """r2, then every other inner product of a base row with a point, descending.
 
@@ -697,7 +687,6 @@ def pair_distribution(
     mode: str = "full",
     seed: int = DEFAULT_SEED,
     count: int = DEFAULT_SAMPLE,
-    threads: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> PairDistribution:
     """Inner-product histogram per base point, with closure and invariance checks.
@@ -708,7 +697,6 @@ def pair_distribution(
     Coordinates or products beyond the exact int64 range raise
     ArithmeticError.  Full mode reports each finished block to ``progress``.
     """
-    global _PAIR_POINTS, _PAIR_KEYS
     if mode not in ("full", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = X.npoints
@@ -717,24 +705,16 @@ def pair_distribution(
     pts = X.quad_array()
     omegas = X.omegas if X.omegas is not None else _observed_omegas(X.r2, pts, base)
     keys = [quad_key(w, pts.den * pts.den, pts.d) for w in omegas]
-    blocks = [base[lo : lo + 128] for lo in range(0, len(base), 128)]
     counts = np.zeros((len(base), len(omegas)), dtype=np.int64)
     witness = None
-    with contextlib.ExitStack() as stack:
-        results = (_pair_counts(pts.take(rows), pts, keys) for rows in blocks)
-        if threads > 1 and len(blocks) > 1:
-            import multiprocessing as mp
-
-            _PAIR_POINTS, _PAIR_KEYS = pts, keys
-            pool = stack.enter_context(mp.Pool(threads))
-            results = pool.imap(_pair_block, blocks, chunksize=8)
-        for b, (c, w) in enumerate(results):
-            counts[128 * b : 128 * b + c.shape[0]] = c
-            if w is not None and witness is None:
-                r, i = w[2]
-                witness = (blocks[b][w[0]], w[1], quad_scalar(r, i, pts.den * pts.den, pts.d))
-            if progress is not None and mode == "full":
-                progress(f"pair pass {128 * b + c.shape[0]}/{len(base)} base points")
+    for lo in range(0, len(base), 128):
+        rows = base[lo : lo + 128]
+        counts[lo : lo + len(rows)], w = _pair_counts(pts.take(rows), pts, keys)
+        if w is not None and witness is None:
+            r, i = w[2]
+            witness = (rows[w[0]], w[1], quad_scalar(r, i, pts.den * pts.den, pts.d))
+        if progress is not None and mode == "full":
+            progress(f"pair pass {lo + len(rows)}/{len(base)} base points")
     return PairDistribution(X.name, mode, omegas, base, counts, witness is None, witness)
 
 

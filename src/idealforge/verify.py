@@ -227,61 +227,48 @@ def _structured_sliced_pass(
     pts: np.ndarray,
     interior: Sequence[int],
     extreme: int,
-    expect_full: bool,
     progress: Progress = None,
     block: int = 512,
 ) -> List[Tuple]:
     """Exact bulk check that every sliced zonal vanishes at every point.
 
     For base pair a and point x the generator value is (b.x) prod(a.x - w)
-    over the interior roots w.  The product vanishes whenever a.x is interior;
-    a.x = +-extreme forces x = +-a (checked), where every complement vector b
-    has b.x = 0 by construction.  Any other inner product is a counterexample.
-    The interior root set must be symmetric (both families are antipodal), so
-    membership is tested on absolute values.  The products of ``block``
-    representatives with each point block come from ``int_product``, which
-    proves them exact before it multiplies.
+    over the interior roots w, so it vanishes whenever a.x is interior.  It
+    also vanishes at a.x = +-extreme: every representative has a.a = extreme
+    (the last check here) and every checked point has x.x = extreme
+    (``_norm_witnesses``, part of the same claim), so |a.x| = |a| |x| is
+    equality in Cauchy-Schwarz and forces x = +-a, where every complement
+    vector b has b.x = 0 by construction.  So the pass accepts the interior
+    roots and +-extreme; any other inner product is a counterexample, and so
+    is a representative off the shell.  That the points are distinct and that
+    a lies among them are facts of the build, not of vanishing.  The interior
+    root set must be symmetric (both families are antipodal), so membership
+    is tested on absolute values.  The products, norms included, come from
+    ``int_product``, which proves them exact before it multiplies.
     """
     witnesses: List[Tuple] = []
     n = reps.shape[0]
-    abs_interior = sorted({abs(w) for w in interior})
+    accepted = sorted({abs(w) for w in interior} | {extreme})
     for start in range(0, n, block):
         chunk = reps[start : start + block]
-        w = chunk.shape[0]
-        hits = {1: 0, -1: 0}
-        mismatched = {1: False, -1: False}
         for lo in range(0, pts.shape[0], POINT_BLOCK):
-            P = pts[lo : lo + POINT_BLOCK]
-            V = int_product(P, chunk.T)
+            V = int_product(pts[lo : lo + POINT_BLOCK], chunk.T)
             A = np.abs(V)
-            ok = A == extreme
-            extremes = np.flatnonzero(ok)
-            for val in abs_interior:
+            ok = np.zeros(V.shape, dtype=bool)
+            for val in accepted:
                 ok |= A == val
-            if not ok.all():
-                for r, c in np.argwhere(~ok)[: 5 - len(witnesses)]:
-                    witnesses.append((f"pair{start + c}", lo + int(r), int(V[r, c])))
-                if len(witnesses) >= 5:
-                    break
-            if witnesses:
+            if ok.all():
                 continue
-            rows, cols = np.divmod(extremes, w)
-            signs = np.sign(V.ravel()[extremes])
-            for sign in (1, -1):
-                at = signs == sign
-                hits[sign] += int(at.sum())
-                if not np.array_equal(P[rows[at]], sign * chunk[cols[at]]):
-                    mismatched[sign] = True
+            for r, c in np.argwhere(~ok)[: 5 - len(witnesses)]:
+                witnesses.append((f"pair{start + c}", lo + int(r), int(V[r, c])))
+            if len(witnesses) >= 5:
+                return witnesses
         if witnesses:
             return witnesses
-        for sign in (1, -1):
-            if expect_full and hits[sign] != w:
-                return [("extreme-count", hits[sign], int(w))]
-            if mismatched[sign]:
-                return [("extreme-identity", start, sign)]
         if progress is not None:
             progress(f"vanishing pass {min(start + block, n)}/{n} base pairs")
-    return witnesses
+    norms = int_product(reps[:, None, :], reps[:, :, None]).ravel()
+    return [(f"pair{i}", "norm", int(norms[i])) for i in np.flatnonzero(norms != extreme)[:5]]
 
 
 def _norm_witnesses(cfg: SphericalConfiguration, rows: Optional[np.ndarray] = None):
@@ -356,7 +343,6 @@ def check_vanishing(
         pts_arr,
         interior,
         extreme,
-        expect_full=(mode == FULL),
         progress=progress,
         block=block,
     )
@@ -778,39 +764,37 @@ def design_strength_gegenbauer(
     mode: str = FULL,
     seed: int = DEFAULT_SEED,
     sample: int = DEFAULT_SAMPLE,
-    threads: int = 1,
     progress: Progress = None,
 ) -> DesignStrengthResult:
     """Pair-sum test: sums of C_k(x.y / r2) must vanish for k = 1..t.
 
     Checked per base point (each row of the pair histogram) and globally,
     with exact rational Gegenbauer values at the finitely many inner products.
-    A full pass reports its progress through ``pair_distribution``.
+    Equal histogram rows have equal sums, so each distinct row is summed once
+    and weighted by how many base points share it.  A full pass reports its
+    progress through ``pair_distribution``.
     """
     if t < 1:
         raise ValueError("strength t must be at least 1")
-    dist = pair_distribution(
-        cfg, mode=mode, seed=seed, count=sample, threads=threads, progress=progress
-    )
+    dist = pair_distribution(cfg, mode=mode, seed=seed, count=sample, progress=progress)
     ck_table = [gegenbauer_values(cfg.m, t, _fdiv(w, cfg.r2)) for w in dist.omegas]
+    rows, mult = np.unique(dist.counts, axis=0, return_counts=True)
 
     k_sums: Dict[int, Scalar] = {}
     per_point_ok = True
-    nbase = len(dist.base_indices)
     for k in range(1, t + 1):
         total = 0
-        for row in range(nbase):
+        for row, times in zip(rows.tolist(), mult.tolist()):
             row_sum = 0
-            for col in range(len(dist.omegas)):
-                cnt = int(dist.counts[row, col])
+            for cnt, ck in zip(row, ck_table):
                 if cnt:
-                    row_sum = row_sum + cnt * ck_table[col][k]
+                    row_sum = row_sum + cnt * ck[k]
             if row_sum != 0:
                 per_point_ok = False
-            total = total + row_sum
+            total = total + times * row_sum
         k_sums[k] = total
     return DesignStrengthResult(
-        cfg.name, t, dist.mode, k_sums, per_point_ok, dist.closure_ok, nbase
+        cfg.name, t, dist.mode, k_sums, per_point_ok, dist.closure_ok, len(dist.base_indices)
     )
 
 

@@ -304,13 +304,36 @@ def test_enumerate_e8_matches_construction(tmp_path):
 
 
 def test_enumerate_runs_in_one_process_whatever_threads(tmp_path):
-    # --threads only feeds the full pair pass; two runs repeat the search-node count
+    # --threads has no effect; two runs repeat the search-node count
     code1, one = run_json(["enumerate", "e8", "--threads", "1"], tmp_path, "one.json")
     code2, two = run_json(["enumerate", "e8", "--threads", "2"], tmp_path, "two.json")
     assert code1 == code2 == EXIT_OK
     assert one.pop("timings") and two.pop("timings")
     assert one == two
     assert one["counts"]["search_nodes"] == 368
+    code1, one = run_json(["verify", "e8", "--threads", "1"], tmp_path, "v1.json")
+    code2, two = run_json(["verify", "e8", "--threads", "2"], tmp_path, "v2.json")
+    assert code1 == code2 == EXIT_OK
+    assert one.pop("timings") and two.pop("timings")
+    assert one == two
+
+
+@pytest.mark.parametrize("corrupt", ["changed", "duplicated"])
+def test_enumerate_compare_is_a_multiset_test(tmp_path, monkeypatch, corrupt):
+    enumerate_short_vectors = cli.enumerate_short_vectors
+
+    def corrupted(basis, bound):
+        result = enumerate_short_vectors(basis, bound)
+        v = result.vectors
+        result.vectors = [v[1] if corrupt == "duplicated" else (v[0][0] + 1,) + v[0][1:]] + v[1:]
+        return result
+
+    monkeypatch.setattr(cli, "enumerate_short_vectors", corrupted)
+    code, doc = run_json(["enumerate", "e8"], tmp_path)
+    assert code == EXIT_CHECK
+    assert doc["counts"]["set_equal"] is False
+    assert doc["counts"]["enumerated"] == 240
+    assert "compare" in doc["timings"]
 
 
 def test_gamma_leech_interval(tmp_path):

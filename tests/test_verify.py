@@ -11,6 +11,7 @@ import pytest
 
 from idealforge import verify
 from idealforge.configs import (
+    SphericalConfiguration,
     build_4cube,
     build_e6,
     build_e7,
@@ -19,6 +20,7 @@ from idealforge.configs import (
     build_leech,
     build_ngon,
     e7_defining_vectors,
+    pair_distribution,
 )
 from idealforge.exact import Echelon, Quad, dot, independent_rows, quad_array, stride_order
 from idealforge.generators import (
@@ -124,6 +126,26 @@ def test_e8_design_strength_and_failure():
     assert not res8.per_point_ok
 
 
+def test_design_sums_match_a_row_by_row_loop():
+    # point 0 moved onto point 1: the histogram rows no longer all agree, and
+    # summing each distinct row once must give the sums of every row
+    e8 = build_e8()
+    pts = list(e8.points)
+    pts[0] = pts[1]
+    X = SphericalConfiguration("e8", 8, e8.r2, e8.omegas, points=pts)
+    counts = pair_distribution(X).counts
+    assert 1 < len(np.unique(counts, axis=0)) < len(counts)
+    table = [gegenbauer_values(8, 7, Fraction(w) / X.r2) for w in X.omegas]
+    sums = {
+        k: [sum(int(c) * ck[k] for c, ck in zip(row, table)) for row in counts]
+        for k in range(1, 8)
+    }
+    res = design_strength_gegenbauer(X, 7)
+    assert res.k_sums == {k: sum(row_sums) for k, row_sums in sums.items()}
+    assert res.per_point_ok == all(v == 0 for row_sums in sums.values() for v in row_sums)
+    assert not res.per_point_ok
+
+
 def test_e7_design_strength():
     res = design_strength_gegenbauer(build_e7(), 5)
     assert res.passed
@@ -209,11 +231,22 @@ def test_structured_pass_refuses_cancelling_large_terms():
     reps = np.array([[2**32, 2**32]], dtype=np.int64)
     pts = np.array([[2**31, -(2**31)]], dtype=np.int64)
     with pytest.raises(ArithmeticError):
-        _structured_sliced_pass(reps, pts, [0], 8, expect_full=False)
+        _structured_sliced_pass(reps, pts, [0], 8)
     # 2^53 + 1 has no float64 value: a float product reads 0, int64 reads 1
     reps = np.array([[2**53 + 1, 2**53]], dtype=np.int64)
     pts = np.array([[1, -1]], dtype=np.int64)
-    assert _structured_sliced_pass(reps, pts, [0], 8, expect_full=False) == [("pair0", 0, 1)]
+    assert _structured_sliced_pass(reps, pts, [0], 8) == [("pair0", 0, 1)]
+
+
+def test_vanishing_names_a_representative_off_the_shell():
+    # 2*e1 has norm 4, not r2 = 2, yet its inner products with the roots are
+    # 0, +-1 and +-2 = +-r2, all accepted values: only the norm of the
+    # representative shows that a.x = r2 no longer forces x = a
+    G = build_generator_set("e8")
+    G.pair_reps[5] = [4, 0, 0, 0, 0, 0, 0, 0]
+    rec = check_vanishing(G)
+    assert rec.status == FAIL
+    assert rec.witnesses == [("pair5", "norm", 16)]
 
 
 def test_point_blocks_leave_passes_and_witnesses_unchanged(monkeypatch):
