@@ -184,7 +184,7 @@ def _certificate(args, report: Dict[str, object], G: GeneratorSet) -> Certificat
     are restricted to its section first, where the engine can finish.
     """
     with _timed(report, "groebner"):
-        gens = G if G.nvars == G.config.m else restrict_to_section(G, G.section)
+        gens = G if G.nvars == G.config.m else restrict_to_section(G, G.config.section)
         return certify_full(G.config, gens, budget=args.budget)
 
 

@@ -106,7 +106,9 @@ class SectionMap:
     """Isometric coordinates for a configuration sitting inside a larger ambient one.
 
     rows[i][j] expresses ambient coordinate i as a linear function of the
-    section coordinates, so ambient_point = rows @ section_point.
+    section coordinates, so ambient_point = rows @ section_point.  The columns
+    of rows must be orthonormal (rows^T rows = I exactly, else
+    ConstructionError): the forward map is then the transpose.
     """
 
     def __init__(
@@ -120,9 +122,13 @@ class SectionMap:
         self.dim = dim
         self.rows = tuple(tuple(r) for r in rows)
         self.field_d = field_d
+        if len(self.rows) != ambient_dim or any(len(r) != dim for r in self.rows):
+            raise ConstructionError(f"section rows must be {ambient_dim} x {dim}")
+        for j, k in itertools.combinations_with_replacement(range(dim), 2):
+            if sum(r[j] * r[k] for r in self.rows) != int(j == k):
+                raise ConstructionError(f"section columns {j} and {k} are not orthonormal")
 
     def to_section(self, ambient_point: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-        # columns of `rows` are orthonormal, so the forward map is the transpose
         return tuple(
             sum(self.rows[i][j] * ambient_point[i] for i in range(self.ambient_dim))
             for j in range(self.dim)
@@ -322,66 +328,44 @@ def build_e8() -> SphericalConfiguration:
     return cfg
 
 
-def build_e7() -> SphericalConfiguration:
-    """E8 vectors with equal last two coordinates, in 7-dim section coordinates."""
-    e8 = build_e8()
-    ambient = [a for a in e8.points if a[6] == a[7]]
-    inv_sqrt2 = Quad(0, Fraction(1, 2), 2)  # 1/sqrt(2) = sqrt(2)/2
-    rows: List[List[Scalar]] = []
-    for i in range(6):
-        r = [0] * 7
-        r[i] = 1
-        rows.append(r)
-    rows.append([0] * 6 + [inv_sqrt2])
-    rows.append([0] * 6 + [inv_sqrt2])
-    section = SectionMap(8, 7, rows, field_d=2)
-    pts = [section.to_section(a) for a in ambient]
+def _e8_slice(name: str, free: int, expected: int) -> SphericalConfiguration:
+    """E8 vectors whose coordinates after the first ``free`` agree, in free + 1 coordinates.
+
+    The section keeps the free coordinates and adds one along the diagonal
+    of the t = 8 - free tied ones: each tied coordinate is that one times
+    1/sqrt(t), so the map is isometric over Q(sqrt t).
+    """
+    tied = 8 - free
+    inv_sqrt = Quad(0, Fraction(1, tied), tied)  # 1/sqrt(t) = sqrt(t)/t
+    rows: List[List[Scalar]] = [[int(i == j) for j in range(free + 1)] for i in range(free)]
+    rows += [[0] * free + [inv_sqrt] for _ in range(tied)]
+    section = SectionMap(8, free + 1, rows, field_d=tied)
+    ambient = [a for a in build_e8().points if len(set(a[free:])) == 1]
     cfg = SphericalConfiguration(
-        "e7",
-        7,
+        name,
+        free + 1,
         2,
         [2, 1, 0, -1, -2],
-        points=pts,
-        field_d=2,
+        points=[section.to_section(a) for a in ambient],
+        field_d=tied,
         antipodal=True,
         section=section,
         ambient_points=ambient,
     )
     cfg.validate_norms()
-    if cfg.npoints != 126:
-        raise ConstructionError(f"expected 126 points, got {cfg.npoints}")
+    if cfg.npoints != expected:
+        raise ConstructionError(f"expected {expected} points, got {cfg.npoints}")
     return cfg
+
+
+def build_e7() -> SphericalConfiguration:
+    """E8 vectors with equal last two coordinates, in 7-dim section coordinates."""
+    return _e8_slice("e7", 6, 126)
 
 
 def build_e6() -> SphericalConfiguration:
     """E8 vectors with equal last three coordinates, in 6-dim section coordinates."""
-    e8 = build_e8()
-    ambient = [a for a in e8.points if a[5] == a[6] == a[7]]
-    inv_sqrt3 = Quad(0, Fraction(1, 3), 3)  # 1/sqrt(3) = sqrt(3)/3
-    rows: List[List[Scalar]] = []
-    for i in range(5):
-        r = [0] * 6
-        r[i] = 1
-        rows.append(r)
-    for _ in range(3):
-        rows.append([0] * 5 + [inv_sqrt3])
-    section = SectionMap(8, 6, rows, field_d=3)
-    pts = [section.to_section(a) for a in ambient]
-    cfg = SphericalConfiguration(
-        "e6",
-        6,
-        2,
-        [2, 1, 0, -1, -2],
-        points=pts,
-        field_d=3,
-        antipodal=True,
-        section=section,
-        ambient_points=ambient,
-    )
-    cfg.validate_norms()
-    if cfg.npoints != 72:
-        raise ConstructionError(f"expected 72 points, got {cfg.npoints}")
-    return cfg
+    return _e8_slice("e6", 5, 72)
 
 
 def e7_defining_vectors() -> List[Tuple[Scalar, ...]]:

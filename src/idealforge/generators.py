@@ -3,7 +3,7 @@
 Each configuration gets a named set of polynomials that vanish on all of its
 points: the squared-norm relation Nm plus zonal or sliced zonal products, with
 a handful of special shapes (cubics for e7, chord products for polygons,
-bipartite quadratics, restricted sets on derived sections).
+bipartite quadratics, the e7 set restricted to the e6 section).
 
 Products of affine-linear factors are kept factored (FactoredPoly); the big
 streamed families only ever need evaluations and gradients, and expansion
@@ -20,6 +20,7 @@ import numpy as np
 from .configs import (
     PHI,
     ConstructionError,
+    SectionMap,
     SphericalConfiguration,
     build_4cube,
     build_e6,
@@ -31,7 +32,7 @@ from .configs import (
     build_ngon,
     e7_defining_vectors,
 )
-from .exact import Matrix, Quad, Scalar, det, dot
+from .exact import Scalar, dot
 from .poly import SparsePoly, nm_poly
 
 # label kinds used in exports and reports
@@ -121,9 +122,8 @@ class FactoredPoly:
         rows: Sequence[Sequence[Scalar]],
         new_nvars: int,
         field_d: Optional[int] = None,
-        offset: Optional[Sequence[Scalar]] = None,
     ) -> "FactoredPoly":
-        """Compose with Y_i = sum_j rows[i][j] Z_j (+ offset_i), factor by factor."""
+        """Compose with Y_i = sum_j rows[i][j] Z_j, factor by factor."""
         if len(rows) != self.nvars:
             raise ValueError("need one substitution row per variable")
         new_factors = []
@@ -136,10 +136,7 @@ class FactoredPoly:
                 for j in range(new_nvars):
                     if row[j] != 0:
                         nv[j] = nv[j] + vi * row[j]
-            nc = c
-            if offset is not None:
-                nc = nc - dot(vec, offset)
-            new_factors.append((tuple(nv), nc))
+            new_factors.append((tuple(nv), c))
         return FactoredPoly(new_nvars, new_factors, field_d)
 
     def __repr__(self):
@@ -203,102 +200,6 @@ def orthogonal_complement_basis(a: Sequence[Scalar]) -> List[Tuple[Scalar, ...]]
     return out
 
 
-class DerivedSection:
-    """Invertible change of coordinates Y = C Y' + d cutting out a k-dim section.
-
-    The first k columns of C parameterize the section (its equation in the new
-    coordinates is Y'_{k+1} = ... = Y'_m = 0); the remaining columns only
-    certify invertibility.
-    """
-
-    def __init__(
-        self,
-        columns: Sequence[Sequence[Scalar]],
-        k: int,
-        offset: Optional[Sequence[Scalar]] = None,
-        field_d: Optional[int] = None,
-    ):
-        self.m = len(columns[0])
-        self.k = k
-        if len(columns) != self.m:
-            raise ValueError("need m columns for an invertible map")
-        self.columns = tuple(tuple(c) for c in columns)
-        self.field_d = field_d
-        # rows of C: row i lists the coefficients of Y' in Y_i
-        self.rows = tuple(
-            tuple(self.columns[j][i] for j in range(self.m)) for i in range(self.m)
-        )
-        if det(Matrix([list(r) for r in self.rows])) == 0:
-            raise ValueError("section map must be invertible")
-        self.offset = tuple(offset) if offset is not None else tuple([0] * self.m)
-
-    def restriction_rows(self) -> List[List[Scalar]]:
-        """m x k coefficient rows for the substitution onto the section."""
-        return [[self.rows[i][j] for j in range(self.k)] for i in range(self.m)]
-
-    def restrict_poly(self, p):
-        rows = self.restriction_rows()
-        field = self.field_d if self.field_d is not None else p.field_d
-        if isinstance(p, FactoredPoly):
-            off = self.offset if any(x != 0 for x in self.offset) else None
-            return p.restrict(rows, self.k, field, offset=off)
-        if any(x != 0 for x in self.offset):
-            raise ValueError("affine offsets are only supported for factored polynomials")
-        return p.compose_linear(rows, self.k, field)
-
-
-def identity_section(m: int) -> DerivedSection:
-    cols = []
-    for j in range(m):
-        e = [0] * m
-        e[j] = 1
-        cols.append(e)
-    return DerivedSection(cols, m)
-
-
-def e7_section() -> DerivedSection:
-    """Coordinates adapted to the hyperplane Y7 = Y8, isometric over Q(sqrt 2)."""
-    inv = Quad(0, Fraction(1, 2), 2)  # 1/sqrt(2)
-    cols: List[List[Scalar]] = []
-    for j in range(6):
-        e = [0] * 8
-        e[j] = 1
-        cols.append(e)
-    plus = [0] * 8
-    plus[6] = inv
-    plus[7] = inv
-    cols.append(plus)
-    minus = [0] * 8
-    minus[6] = inv
-    minus[7] = -inv
-    cols.append(minus)
-    return DerivedSection(cols, 7, field_d=2)
-
-
-def e6_section() -> DerivedSection:
-    """Coordinates adapted to Y6 = Y7 = Y8, isometric over Q(sqrt 3)."""
-    inv = Quad(0, Fraction(1, 3), 3)  # 1/sqrt(3)
-    cols: List[List[Scalar]] = []
-    for j in range(5):
-        e = [0] * 8
-        e[j] = 1
-        cols.append(e)
-    diag = [0] * 8
-    diag[5] = inv
-    diag[6] = inv
-    diag[7] = inv
-    cols.append(diag)
-    c1 = [0] * 8
-    c1[5] = 1
-    c1[6] = -1
-    cols.append(c1)
-    c2 = [0] * 8
-    c2[6] = 1
-    c2[7] = -1
-    cols.append(c2)
-    return DerivedSection(cols, 6, field_d=3)
-
-
 class GeneratorSet:
     """Labeled generators for one configuration's ideal.
 
@@ -316,7 +217,6 @@ class GeneratorSet:
         stream_count: int = 0,
         stream_factory: Optional[Callable[[int], Tuple[str, FactoredPoly]]] = None,
         config: Optional[SphericalConfiguration] = None,
-        section: Optional[DerivedSection] = None,
         pair_reps: Optional[np.ndarray] = None,
         interior_roots: Optional[Tuple[int, ...]] = None,
     ):
@@ -328,7 +228,6 @@ class GeneratorSet:
         self.stream_count = stream_count
         self.stream_factory = stream_factory
         self.config = config
-        self.section = section
         self.pair_reps = pair_reps
         self.interior_roots = interior_roots
 
@@ -415,7 +314,6 @@ def _e8_set() -> GeneratorSet:
         cfg.r2,
         items,
         config=cfg,
-        section=identity_section(8),
         pair_reps=reps_arr,
         interior_roots=interior,
     )
@@ -433,14 +331,14 @@ def _e7_items(r2: Scalar) -> List[Tuple[str, object]]:
 
 def _e7_set() -> GeneratorSet:
     cfg = build_e7()
-    return GeneratorSet("e7", 8, cfg.r2, _e7_items(cfg.r2), config=cfg, section=e7_section())
+    return GeneratorSet("e7", 8, cfg.r2, _e7_items(cfg.r2), config=cfg)
 
 
 def _e6_set() -> GeneratorSet:
     """The e7 generators restricted to the e6 section."""
     cfg = build_e6()
     ambient = GeneratorSet("e6", 8, cfg.r2, _e7_items(cfg.r2), config=cfg)
-    return restrict_to_section(ambient, e6_section())
+    return restrict_to_section(ambient, cfg.section)
 
 
 def _leech_set() -> GeneratorSet:
@@ -601,30 +499,35 @@ def build_generator_set(name: str, n: Optional[int] = None, parameters=None) -> 
     raise ValueError(f"unknown configuration name: {name}")
 
 
-def restrict_to_section(G: GeneratorSet, S: DerivedSection) -> GeneratorSet:
-    """Substitute the section coordinates into every generator."""
-    if S.m != G.nvars:
+def restrict_to_section(G: GeneratorSet, S: SectionMap) -> GeneratorSet:
+    """Substitute Y = S.rows Z into every generator: S.dim variables, over S's field."""
+    if S.ambient_dim != G.nvars:
         raise ValueError("section ambient dimension does not match the generators")
-    items = [(label, S.restrict_poly(p)) for label, p in G.items]
+
+    def restrict(p):
+        field = S.field_d if S.field_d is not None else p.field_d
+        if isinstance(p, FactoredPoly):
+            return p.restrict(S.rows, S.dim, field)
+        return p.compose_linear(S.rows, S.dim, field)
+
+    items = [(label, restrict(p)) for label, p in G.items]
     factory = None
     if G.stream_factory is not None:
         base = G.stream_factory
 
         def factory(k: int):
             label, p = base(k)
-            return label, S.restrict_poly(p)
+            return label, restrict(p)
 
-    field = S.field_d if S.field_d is not None else G.field_d
     return GeneratorSet(
         G.name,
-        S.k,
+        S.dim,
         G.r2,
         items,
-        field_d=field,
+        field_d=S.field_d if S.field_d is not None else G.field_d,
         stream_count=G.stream_count,
         stream_factory=factory,
         config=G.config,
-        section=S,
     )
 
 

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .configs import SphericalConfiguration
 from .exact import Scalar, _fdiv, _primitive
 from .gamma import ENTRY_GUARD, evaluation_nullity
-from .generators import GeneratorSet
+from .generators import GeneratorSet, as_sparse
 from .poly import (
     GREVLEX,
     MonomialOrdering,
@@ -128,7 +128,7 @@ def _as_given(gens) -> List:
 
 def _collect(gens) -> List[SparsePoly]:
     """Generator inputs as expanded polynomials, in deterministic order."""
-    return [p.expand() if hasattr(p, "expand") else p for p in _as_given(gens)]
+    return [as_sparse(p) for p in _as_given(gens)]
 
 
 # ---------------------------------------------------------------------------

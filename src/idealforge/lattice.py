@@ -213,7 +213,7 @@ class EnumerationResult:
     def __init__(
         self,
         count: int,
-        vectors: Optional[List[Tuple[int, ...]]],
+        vectors: List[Tuple[int, ...]],
         coord_den: int,
         search_nodes: int,
     ):
@@ -223,16 +223,14 @@ class EnumerationResult:
         self.search_nodes = search_nodes
 
     def config_points(self) -> List[Tuple]:
-        if self.vectors is None:
-            raise ValueError("vectors were not collected")
         if self.coord_den == 1:
             return list(self.vectors)
         d = self.coord_den
         return [tuple(Fraction(c, d) for c in v) for v in self.vectors]
 
 
-def enumerate_short_vectors(B: LatticeBasis, bound, collect: bool = True) -> EnumerationResult:
-    """Count (and optionally list) nonzero vectors of squared norm <= bound.
+def enumerate_short_vectors(B: LatticeBasis, bound) -> EnumerationResult:
+    """List the nonzero vectors of squared norm <= bound.
 
     bound is in configuration units; integer coordinates scale it by
     coord_den squared.  Fincke-Pohst (Fincke & Pohst, 1985) over the integers
@@ -247,7 +245,7 @@ def enumerate_short_vectors(B: LatticeBasis, bound, collect: bool = True) -> Enu
     m = B.m
     nbound = Fraction(bound) * B.coord_den**2
     if nbound < 0:
-        return EnumerationResult(0, [] if collect else None, B.coord_den, 0)
+        return EnumerationResult(0, [], B.coord_den, 0)
 
     reduced, d, lam = _lll(B.rows)
     scale = math.lcm(*(d[i] * d[i + 1] for i in range(m)))
@@ -283,21 +281,16 @@ def enumerate_short_vectors(B: LatticeBasis, bound, collect: bool = True) -> Enu
 
     search(m - 1, scale * nbound.numerator, True)
 
-    count = 2 * len(half)
-    vectors = None
-    if collect:
-        vectors = []
-        if len(half) > 10000:
-            coeffs = np.array(half, dtype=np.int64)
-            basis_arr = np.array(reduced, dtype=np.int64)
-            V = int_product(coeffs, basis_arr)
-            for row in V.tolist():
-                v = tuple(row)
-                vectors.append(v)
-                vectors.append(tuple(-c for c in v))
-        else:
-            for x in half:
-                v = tuple(sum(x[j] * reduced[j][k] for j in range(m)) for k in range(m))
-                vectors.append(v)
-                vectors.append(tuple(-c for c in v))
-    return EnumerationResult(count, vectors, B.coord_den, nodes)
+    vectors: List[Tuple[int, ...]] = []
+    if len(half) > 10000:
+        coeffs = np.array(half, dtype=np.int64)
+        basis_arr = np.array(reduced, dtype=np.int64)
+        half_vectors = map(tuple, int_product(coeffs, basis_arr).tolist())
+    else:
+        half_vectors = (
+            tuple(sum(x[j] * reduced[j][k] for j in range(m)) for k in range(m)) for x in half
+        )
+    for v in half_vectors:
+        vectors.append(v)
+        vectors.append(tuple(-c for c in v))
+    return EnumerationResult(2 * len(half), vectors, B.coord_den, nodes)

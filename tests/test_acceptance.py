@@ -30,7 +30,6 @@ from idealforge.gamma import first_k_exceeding, gamma1_bounds, gamma1_exact
 from idealforge.generators import (
     build_e7_identity_witness,
     build_generator_set,
-    e7_section,
     restrict_to_section,
 )
 from idealforge.groebner import (
@@ -156,7 +155,7 @@ def test_criterion_04_vanishing(leech_cfg):
 def test_criterion_05_simple_zeros(leech_cfg, e8_cfg):
     desk = [
         ("e6", 6, build_generator_set("e6")),
-        ("e7", 7, restrict_to_section(build_generator_set("e7"), e7_section())),
+        ("e7", 7, restrict_to_section(build_generator_set("e7"), build_e7().section)),
         ("e8", 8, build_generator_set("e8")),
         ("icosahedron", 3, build_generator_set("icosahedron")),
     ]
@@ -245,7 +244,7 @@ def test_criterion_09_groebner_certificates():
     assert cert_cube.vanishing_ok
     assert cert_cube.quotient_dimension == 225 > 16
 
-    gens7 = restrict_to_section(build_generator_set("e7"), e7_section())
+    gens7 = restrict_to_section(build_generator_set("e7"), build_e7().section)
     cert_e7 = certify_full(build_e7(), gens7)
     assert cert_e7.certified and cert_e7.quotient_dimension == 126
     _line(9, "FULL_GROEBNER: ico 12, K_nn (1,2n-2,1), n-gon 4/6; cube-4 fails at 225; E7 126")

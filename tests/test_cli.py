@@ -13,7 +13,8 @@ from idealforge.configs import SphericalConfiguration, read_points
 
 TOP_KEYS = ["config", "mode", "claims", "gamma", "design", "counts", "timings"]
 
-# reports with `timings` removed; a change to how the command line runs its
+# reports with `timings` removed, and the files the runs write (named by a
+# relative `--*-out` argument); a change to how the command line runs its
 # stages must reproduce them byte for byte
 GOLDEN = Path(__file__).parent / "data"
 GOLDEN_RUNS = {
@@ -25,6 +26,8 @@ GOLDEN_RUNS = {
     "report_cube4": ["report", "cube4"],
     "verify_e8_sampled7": ["verify", "e8", "--sampled", "--seed", "7"],
     "report_leech_sampled2": ["report", "leech", "--sampled", "--seed", "2"],
+    "build_e6": ["build", "e6", "--generators-out", "build_e6.generators.txt"],
+    "groebner_e7": ["groebner", "e7", "--basis-out", "groebner_e7.basis.txt"],
 }
 
 
@@ -231,12 +234,17 @@ def test_report_builds_and_certifies_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_golden_reports(name, tmp_path):
-    code, doc = run_json(GOLDEN_RUNS[name], tmp_path)
+def test_golden_reports(name, tmp_path, monkeypatch):
+    argv = GOLDEN_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_json(argv, tmp_path)
     assert code == EXIT_OK
     timings = doc.pop("timings")
     assert timings and all(v >= 0 for v in timings.values())
     assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / f"{name}.json").read_text()
+    for flag, path in zip(argv, argv[1:]):
+        if flag.endswith("-out"):
+            assert (tmp_path / path).read_text() == (GOLDEN / path).read_text()
 
 
 def test_gamma_times_its_work(tmp_path):

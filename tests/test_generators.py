@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from idealforge.configs import SphericalConfiguration, build_4cube, build_e7, build_ngon
+from idealforge.configs import (
+    ConstructionError,
+    SectionMap,
+    SphericalConfiguration,
+    build_4cube,
+    build_e6,
+    build_e7,
+    build_ngon,
+)
 from idealforge.exact import Quad, dot
 from idealforge.generators import (
     FactoredPoly,
@@ -13,9 +21,6 @@ from idealforge.generators import (
     as_sparse,
     build_e7_identity_witness,
     build_generator_set,
-    e6_section,
-    e7_section,
-    identity_section,
     orthogonal_complement_basis,
     restrict_to_section,
     sliced_zonal,
@@ -224,14 +229,15 @@ def test_leech_stream_is_deterministic():
 
 def test_restriction_identity_section_is_noop():
     G = build_generator_set("icosahedron")
-    R = restrict_to_section(G, identity_section(3))
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    R = restrict_to_section(G, SectionMap(3, 3, identity, 5))
     for (l1, p), (l2, q) in zip(G.items, R.items):
         assert l1 == l2
         assert as_sparse(p) == as_sparse(q)
 
 
 def test_e8_set_restricted_to_e7_section_vanishes():
-    G = restrict_to_section(build_generator_set("e8"), e7_section())
+    G = restrict_to_section(build_generator_set("e8"), build_e7().section)
     assert G.nvars == 7
     assert G.field_d == 2
     e7 = build_e7()
@@ -242,12 +248,13 @@ def test_e8_set_restricted_to_e7_section_vanishes():
             assert p.eval(pt) == 0
 
 
-def test_singular_section_rejected():
-    cols = [[1, 0], [2, 0]]  # not invertible
-    with pytest.raises(ValueError):
-        from idealforge.generators import DerivedSection
-
-        DerivedSection(cols, 1)
+def test_section_map_must_be_isometric():
+    # to_section is the transpose of to_ambient, right only for orthonormal columns
+    with pytest.raises(ConstructionError):
+        SectionMap(2, 1, [[1], [2]], None)
+    for build in (build_e7, build_e6):
+        S = build().section
+        assert SectionMap(S.ambient_dim, S.dim, S.rows, S.field_d).rows == S.rows
 
 
 def test_e7_identity_witness():

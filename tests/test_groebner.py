@@ -118,9 +118,9 @@ def test_ngon_certificates():
 
 def test_e7_section_certificate():
     from idealforge.configs import build_e7
-    from idealforge.generators import e7_section, restrict_to_section
+    from idealforge.generators import restrict_to_section
 
-    gens = restrict_to_section(build_generator_set("e7"), e7_section())
+    gens = restrict_to_section(build_generator_set("e7"), build_e7().section)
     cert = certify_full(build_e7(), gens)
     assert cert.level == LEVEL_FULL_GROEBNER
     assert cert.quotient_dimension == 126
@@ -128,9 +128,9 @@ def test_e7_section_certificate():
 
 def test_e7_certificate_checks_vanishing_without_factored_eval(monkeypatch):
     from idealforge.configs import build_e7
-    from idealforge.generators import e7_section, restrict_to_section
+    from idealforge.generators import restrict_to_section
 
-    gens = restrict_to_section(build_generator_set("e7"), e7_section())
+    gens = restrict_to_section(build_generator_set("e7"), build_e7().section)
 
     def refuse(self, point):
         raise AssertionError("per-point factored evaluation ran")

@@ -29,7 +29,6 @@ from idealforge.generators import (
     GeneratorSet,
     as_sparse,
     build_generator_set,
-    e7_section,
     restrict_to_section,
 )
 from idealforge.poly import SparsePoly, is_trivial, nm_poly
@@ -321,7 +320,7 @@ def test_vanishing_product_agrees_with_the_exact_loop(name):
 @pytest.mark.parametrize("name", ["icosahedron", "e6", "e7", "e7-section"])
 def test_jacobian_proves_rank_mod_p_without_elimination(name, monkeypatch):
     if name == "e7-section":
-        G = restrict_to_section(build_generator_set("e7"), e7_section())
+        G = restrict_to_section(build_generator_set("e7"), build_e7().section)
     else:
         G = build_generator_set(name)
 
@@ -411,7 +410,7 @@ def test_independent_rows_leech_stride_reaches_full_rank_at_once():
 
 
 def test_jacobian_e7_section():
-    G = restrict_to_section(build_generator_set("e7"), e7_section())
+    G = restrict_to_section(build_generator_set("e7"), build_e7().section)
     rec = jacobian_full_pass(G)
     assert rec.passed, rec.witnesses
     assert "126 points" in rec.detail
@@ -483,7 +482,7 @@ def test_nontrivial_rejects_a_cubic_trivial_on_the_e7_section():
     b = e7_defining_vectors()[0]
     cubic = FactoredPoly(8, [((0,) * 6 + (1, -1), 0), (b, 0), (b, 0)])
     items = [(LABEL_NM, nm_poly(8, cfg.r2)), ("CUBIC 0", cubic)]
-    G = GeneratorSet("e7", 8, cfg.r2, items, config=cfg, section=e7_section())
+    G = GeneratorSet("e7", 8, cfg.r2, items, config=cfg)
     assert nontrivial_generator_check(G, 3).status == FAIL
 
 
