@@ -26,15 +26,7 @@ from .configs import (
     DEFAULT_SEED,
     ConstructionError,
     SphericalConfiguration,
-    build_4cube,
-    build_e6,
-    build_e7,
-    build_e8,
     build_golay,
-    build_icosahedron,
-    build_knn,
-    build_leech,
-    build_ngon,
     cell24_points,
     field_label,
     read_points,
@@ -42,12 +34,16 @@ from .configs import (
 )
 from .exact import Scalar
 from .gamma import EntryGuardError, gamma2_status, gamma_profile
-from .generators import GeneratorSet, build_generator_set, restrict_to_section, write_generators
+from .generators import (
+    FAMILIES,
+    GeneratorSet,
+    build_generator_set,
+    restrict_to_section,
+    write_generators,
+)
 from .groebner import BudgetExceededError, DEFAULT_BUDGET, Certification, certify_full
 from .lattice import basis_from_generators, enumerate_short_vectors, unimodularity_check
 from .verify import (
-    CRITICAL_DEGREE,
-    DESIGN_STRENGTH,
     FAIL,
     FULL,
     PASS,
@@ -68,8 +64,7 @@ EXIT_CHECK = 2
 EXIT_RESOURCE = 3
 EXIT_USAGE = 64
 
-CONFIG_NAMES = ("icosahedron", "e6", "e7", "e8", "leech", "cube4", "ngon", "knn")
-THEOREM_CONFIGS = ("icosahedron", "e6", "e7", "e8", "leech")
+CONFIG_NAMES = tuple(FAMILIES)
 LATTICE_CONFIGS = ("e8", "leech")
 # configurations whose candidate generators submit to desk-scale certification
 CERTIFIABLE = ("icosahedron", "e6", "e7", "cube4", "ngon", "knn")
@@ -81,36 +76,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _default_n(name: str, n: Optional[int]) -> Optional[int]:
-    if name == "ngon":
-        return 6 if n is None else n
-    if name == "knn":
-        return 3 if n is None else n
-    return None
-
-
-def _config_key(name: str, n: Optional[int]) -> str:
-    n = _default_n(name, n)
-    return f"{name}{n}" if n is not None else name
-
-
-def _build_config(name: str, n: Optional[int]) -> SphericalConfiguration:
-    n = _default_n(name, n)
-    if name == "ngon":
-        return build_ngon(n)
-    if name == "knn":
-        return build_knn(n)
-    if name == "cube4":
-        return build_4cube()[0]
-    return {
-        "icosahedron": build_icosahedron,
-        "e6": build_e6,
-        "e7": build_e7,
-        "e8": build_e8,
-        "leech": build_leech,
-    }[name]()
 
 
 @contextlib.contextmanager
@@ -161,9 +126,10 @@ def _start(
     A generator set carries the configuration it was built on, so a run that
     needs both builds the configuration once.
     """
-    name, n = args.config, args.n
+    name, family = args.config, FAMILIES[args.config]
+    n = family.default_n if args.n is None else args.n
     report: Dict[str, object] = {
-        "config": _config_key(name, n),
+        "config": name if n is None else f"{name}{n}",
         "mode": mode,
         "claims": [],
         "gamma": {},
@@ -172,8 +138,8 @@ def _start(
         "timings": {},
     }
     with _timed(report, "build"):
-        G = build_generator_set(name, _default_n(name, n)) if generators else None
-        cfg = G.config if G is not None else _build_config(name, n)
+        G = build_generator_set(name, n) if generators else None
+        cfg = G.config if G is not None else family.config(n)
     return report, cfg, G
 
 
@@ -241,9 +207,9 @@ def _checks(
         report["claims"] = [vanish.to_dict()]
         return vanish.passed, None
     components = {"vanishing": vanish}
-    if name != "knn":
-        # knn points live inside two hyperplanes, so full-rank spanning
-        # is the wrong question there
+    if not cfg.embedded:
+        # embedded points (knn) live inside hyperplanes, so full-rank
+        # spanning is the wrong question there
         with _timed(report, "spanning"):
             components["support.spanning"] = spanning_check(cfg)
     if cfg.section is not None:
@@ -255,56 +221,57 @@ def _checks(
         with _timed(report, "jacobian"):
             components["jacobian"] = jacobian_full_pass(G, progress=progress)
     report["counts"] = {"points": cfg.npoints, "generators": len(G)}
-    if name not in THEOREM_CONFIGS:
+    if cfg.design_strength is None:
         claims = list(components.values())
         report["claims"] = [rec.to_dict() for rec in claims]
         return all(rec.passed or rec.status == SKIPPED for rec in claims), None
 
+    # the theorem claims: the generators' top degree must meet the lower
+    # bound the declared design strength forces
+    degree = G.max_degree()
     with _timed(report, "nontrivial"):
-        components["nontrivial"] = nontrivial_generator_check(G, CRITICAL_DEGREE[name])
+        components["nontrivial"] = nontrivial_generator_check(G, degree)
     with _timed(report, "design"):
         design = design_strength_gegenbauer(
             cfg,
-            DESIGN_STRENGTH[name],
+            cfg.design_strength,
             mode=mode,
             seed=args.seed,
             progress=progress,
         )
     cert = _certificate(args, report, G) if name in CERTIFIABLE else None
-    assembled = assemble_certificate(
-        name, components, design=design, groebner_certified=cert is not None and cert.certified
-    )
+    certified = cert is not None and cert.certified
+    assembled = assemble_certificate(cfg, degree, components, design, certified)
     report["claims"] = [rec.to_dict() for rec in assembled.records]
     report["design"] = design.to_dict()
     return assembled.passed, cert
 
 
 def _gamma_stage(
-    args,
-    report: Dict[str, object],
-    cfg: SphericalConfiguration,
-    G: Optional[GeneratorSet],
-    cert: Optional[Certification],
+    args, report: Dict[str, object], G: GeneratorSet, cert: Optional[Certification]
 ) -> None:
     """The threshold profile into the report.
 
     Certifiable configurations read the run's certificate: ``cert`` when an
-    earlier stage made it, else it is made here.
+    earlier stage made it, else it is made here.  On a configuration with a
+    declared design strength the generators' top degree is an exhibited
+    nontrivial degree, which bounds both thresholds.
     """
-    name, key = args.config, report["config"]
+    cfg, key, degree = G.config, report["config"], G.max_degree()
+    theorem = cfg.design_strength is not None
     g2 = None
-    if name in CERTIFIABLE:
+    if args.config in CERTIFIABLE:
         if cert is None:
             cert = _certificate(args, report, G)
         if cert.certified:
             # the inputs provably generate the ideal, so their top degree
             # bounds the generation threshold; the reduced staircase may climb
-            g2 = gamma2_status(cfg, G.max_degree(), certified=True)
-    elif name in THEOREM_CONFIGS:
-        g2 = gamma2_status(cfg, CRITICAL_DEGREE[name], certified=False)
+            g2 = gamma2_status(cfg, degree, certified=True)
+    elif theorem:
+        g2 = gamma2_status(cfg, degree, certified=False)
     with _timed(report, "gamma"):
         profile = gamma_profile(
-            cfg, exhibited_degree=CRITICAL_DEGREE.get(name), gamma2=g2, name=key
+            cfg, exhibited_degree=degree if theorem else None, gamma2=g2, name=key
         )
     report["gamma"] = {key: profile.to_dict()}
 
@@ -342,7 +309,7 @@ def _cmd_verify(args) -> int:
     report, cfg, G = _start(args, mode, generators=True)
     ok, cert = _checks(args, report, mode, G)
     if args.command == "report":
-        _gamma_stage(args, report, cfg, G, cert)
+        _gamma_stage(args, report, G, cert)
         if name in LATTICE_CONFIGS:
             with _timed(report, "lattice"):
                 uni = unimodularity_check(basis_from_generators(cfg))
@@ -354,8 +321,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    report, cfg, G = _start(args, FULL, generators=args.config in CERTIFIABLE)
-    _gamma_stage(args, report, cfg, G, None)
+    report, _, G = _start(args, FULL, generators=True)
+    _gamma_stage(args, report, G, None)
     return _finish(report, args, True)
 
 
@@ -514,7 +481,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     if args.threads < 1:
         print("idealforge: error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "n", None) is not None and args.config not in ("ngon", "knn"):
+    if args.n is not None and FAMILIES[args.config].default_n is None:
         print("idealforge: error: --n only selects ngon/knn members", file=sys.stderr)
         return EXIT_USAGE
     try:

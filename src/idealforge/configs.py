@@ -147,6 +147,10 @@ class SphericalConfiguration:
     omegas is sorted descending and starts with r2 itself; the rest are the
     values allowed for distinct pairs.  Big integer sets may be backed by a
     numpy array, with exact tuples materialized lazily.
+
+    The paper's configurations declare its facts about them: the design
+    strength t, and ``theorem``, the label ("E8", "Leech") their theorem
+    claims carry.  A point set read from a file declares neither.
     """
 
     def __init__(
@@ -164,6 +168,8 @@ class SphericalConfiguration:
         section: Optional[SectionMap] = None,
         ambient_points: Optional[List[Tuple[Scalar, ...]]] = None,
         lattice_scale: int = 1,
+        design_strength: Optional[int] = None,
+        theorem: Optional[str] = None,
     ):
         if points is None and array is None:
             raise ValueError("need points or an array")
@@ -183,6 +189,8 @@ class SphericalConfiguration:
         self.section = section
         self.ambient_points = ambient_points
         self.lattice_scale = lattice_scale
+        self.design_strength = design_strength
+        self.theorem = theorem
 
     @property
     def npoints(self) -> int:
@@ -270,7 +278,8 @@ def build_icosahedron() -> SphericalConfiguration:
     r2 = 2 + PHI
     omegas = [r2, PHI, -PHI, -r2]
     cfg = SphericalConfiguration(
-        "icosahedron", 3, r2, omegas, points=pts, field_d=5, antipodal=True
+        "icosahedron", 3, r2, omegas, points=pts, field_d=5, antipodal=True,
+        design_strength=5,
     )
     cfg.validate_norms()
     return cfg
@@ -320,7 +329,8 @@ def build_e8() -> SphericalConfiguration:
         if signs.count(-1) % 2 == 0:
             pts.append(tuple(half * s for s in signs))
     cfg = SphericalConfiguration(
-        "e8", 8, 2, [2, 1, 0, -1, -2], points=pts, antipodal=True
+        "e8", 8, 2, [2, 1, 0, -1, -2], points=pts, antipodal=True,
+        design_strength=7, theorem="E8",
     )
     cfg.validate_norms()
     if cfg.npoints != 240:
@@ -351,6 +361,8 @@ def _e8_slice(name: str, free: int, expected: int) -> SphericalConfiguration:
         antipodal=True,
         section=section,
         ambient_points=ambient,
+        design_strength=5,  # both slices are 5-designs
+        theorem=name.upper(),
     )
     cfg.validate_norms()
     if cfg.npoints != expected:
@@ -444,6 +456,8 @@ def build_leech(code: Optional[BinaryCode] = None) -> SphericalConfiguration:
         array=arr,
         antipodal=True,
         lattice_scale=8,  # coordinates carry the sqrt-8 scale
+        design_strength=11,
+        theorem="Leech",
     )
     cfg.type_counts = (type1.shape[0], type2.shape[0], type3.shape[0])
 

@@ -33,7 +33,7 @@ from .exact import (
     to_mod_p,
 )
 from .poly import SparsePoly, nm_poly
-from .verify import DESIGN_STRENGTH, LEVEL_FULL_GROEBNER, LEVEL_PAPER
+from .verify import LEVEL_FULL_GROEBNER, LEVEL_PAPER
 
 ENTRY_GUARD = 10**7
 
@@ -215,7 +215,6 @@ class EvalRank:
 def evaluation_nullity(
     cfg: SphericalConfiguration,
     k: int,
-    guard: int = ENTRY_GUARD,
     stop_rank: Optional[int] = None,
 ) -> EvalRank:
     """Exact nullity of the monomial evaluation matrix of degree <= k.
@@ -235,9 +234,9 @@ def evaluation_nullity(
         raise ValueError("degree must be nonnegative")
     monos = monomials_upto(cfg.m, k)
     ncols = len(monos)
-    if cfg.npoints * ncols > guard:
+    if cfg.npoints * ncols > ENTRY_GUARD:
         raise EntryGuardError(
-            f"{cfg.npoints} x {ncols} exact entries exceed the guard ({guard})"
+            f"{cfg.npoints} x {ncols} exact entries exceed the guard ({ENTRY_GUARD})"
         )
 
     def result(rank: int) -> EvalRank:
@@ -344,22 +343,20 @@ class GammaBounds:
 
 
 def gamma1_bounds(
-    cfg: SphericalConfiguration,
-    strength: Optional[int] = None,
-    exhibited_degree: Optional[int] = None,
+    cfg: SphericalConfiguration, exhibited_degree: Optional[int] = None
 ) -> GammaBounds:
     """Bounds from design strength, the product count, and the point count.
 
     A configuration averaging every degree <= t polynomial admits no
-    nontrivial vanishing form of degree <= t/2.  Upward, the number s of
+    nontrivial vanishing form of degree <= t/2; t is the strength the
+    configuration declares (``cfg.design_strength``).  Upward, the number s of
     distinct inner products bounds the threshold by s (antipodal) or s+1,
     and so does the first k where the function-space dimension beats the
     point count.  An exhibited nontrivial generator pins its own degree.
     """
-    if strength is None:
-        strength = DESIGN_STRENGTH.get(cfg.name)
-    if strength is not None:
-        lower = BoundEntry(strength // 2 + 1, f"design strength t={strength}")
+    t = cfg.design_strength
+    if t is not None:
+        lower = BoundEntry(t // 2 + 1, f"design strength t={t}")
     else:
         lower = BoundEntry(1, "no design strength recorded")
 
@@ -398,11 +395,7 @@ def gamma1_bounds(
     return bounds
 
 
-def gamma1_exact(
-    cfg: SphericalConfiguration,
-    kmax: Optional[int] = None,
-    guard: int = ENTRY_GUARD,
-):
+def gamma1_exact(cfg: SphericalConfiguration, kmax: Optional[int] = None):
     """Least degree with a nontrivial vanishing form, by evaluation nullity.
 
     Scans k = 1, 2, ... comparing the evaluation-matrix nullity against the
@@ -428,9 +421,7 @@ def gamma1_exact(
             # 120 - (29 + 63) = 28 > 8)
             return k
         try:
-            ev = evaluation_nullity(
-                cfg, k, guard=guard, stop_rank=ev_stop(cfg, k, trivial)
-            )
+            ev = evaluation_nullity(cfg, k, stop_rank=ev_stop(cfg, k, trivial))
         except EntryGuardError:
             return bounds.interval
         if ev.nullity > trivial:
@@ -540,16 +531,14 @@ class GammaResult:
 
 def gamma_profile(
     cfg: SphericalConfiguration,
-    guard: int = ENTRY_GUARD,
-    strength: Optional[int] = None,
     exhibited_degree: Optional[int] = None,
     gamma2: Optional[Gamma2Status] = None,
     name: Optional[str] = None,
 ) -> GammaResult:
     """Full threshold report: exact scan inside proven bounds, plus the table."""
-    bounds = gamma1_bounds(cfg, strength=strength, exhibited_degree=exhibited_degree)
+    bounds = gamma1_bounds(cfg, exhibited_degree=exhibited_degree)
     lo, hi = bounds.interval
-    value = gamma1_exact(cfg, guard=guard)
+    value = gamma1_exact(cfg)
     if isinstance(value, tuple):
         interval = value
         exact: Optional[int] = lo if lo == value[1] else None

@@ -13,7 +13,7 @@ stays available for the small sets that feed the Groebner machinery.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -252,17 +252,6 @@ class GeneratorSet:
             best = max(best, self.stream_factory(0)[1].degree())
         return best
 
-    def nontrivial_max_degree(self) -> int:
-        """Max degree ignoring Nm and declared trivial linear forms."""
-        best = 0
-        for label, p in self.items:
-            if label.startswith(LABEL_NM) or label.startswith(LABEL_LINEAR):
-                continue
-            best = max(best, p.degree())
-        if self.stream_count:
-            best = max(best, self.stream_factory(0)[1].degree())
-        return best
-
 
 def _antipodal_reps(points: Sequence[Tuple[Scalar, ...]]) -> List[Tuple[Scalar, ...]]:
     """One point per antipodal pair: keep those whose first nonzero entry is positive."""
@@ -439,8 +428,8 @@ def _second_covering(ordered, banned_dirs):
     return rec(list(range(n)), [])
 
 
-def _ngon_set(n: int, parameters=None) -> GeneratorSet:
-    cfg = build_ngon(n, parameters)
+def _ngon_set(n: int) -> GeneratorSet:
+    cfg = build_ngon(n)
     ordered = _angular_sort(cfg.points)
     half = n // 2
     first_pairs = [(ordered[2 * t], ordered[2 * t + 1]) for t in range(half)]
@@ -478,25 +467,40 @@ def _knn_set(n: int) -> GeneratorSet:
     return GeneratorSet("knn", 2 * n, cfg.r2, items, config=cfg)
 
 
-def build_generator_set(name: str, n: Optional[int] = None, parameters=None) -> GeneratorSet:
+class Family(NamedTuple):
+    """How one named configuration and its generator set are built.
+
+    Both builders take the family member n, which is None outside the
+    parameterized families; ``default_n`` is the member a run gets when it
+    names none.
+    """
+
+    config: Callable[[Optional[int]], SphericalConfiguration]
+    generators: Callable[[Optional[int]], GeneratorSet]
+    default_n: Optional[int] = None
+
+
+# Every configuration the package builds by name, in command-line order.  The
+# builders are called through their module names, so a wrapper bound over one
+# (a profiler's span, a test's counter) sees every build.
+FAMILIES: Dict[str, Family] = {
+    "icosahedron": Family(lambda n: build_icosahedron(), lambda n: _icosahedron_set()),
+    "e6": Family(lambda n: build_e6(), lambda n: _e6_set()),
+    "e7": Family(lambda n: build_e7(), lambda n: _e7_set()),
+    "e8": Family(lambda n: build_e8(), lambda n: _e8_set()),
+    "leech": Family(lambda n: build_leech(), lambda n: _leech_set()),
+    "cube4": Family(lambda n: build_4cube()[0], lambda n: _cube4_set()),
+    "ngon": Family(lambda n: build_ngon(n), lambda n: _ngon_set(n), default_n=6),
+    "knn": Family(lambda n: build_knn(n), lambda n: _knn_set(n), default_n=3),
+}
+
+
+def build_generator_set(name: str, n: Optional[int] = None) -> GeneratorSet:
     """Named generator set; n selects the member for the parameterized families."""
-    if name == "icosahedron":
-        return _icosahedron_set()
-    if name == "e8":
-        return _e8_set()
-    if name == "e7":
-        return _e7_set()
-    if name == "e6":
-        return _e6_set()
-    if name == "leech":
-        return _leech_set()
-    if name == "cube4":
-        return _cube4_set()
-    if name == "ngon":
-        return _ngon_set(6 if n is None else n, parameters)
-    if name == "knn":
-        return _knn_set(3 if n is None else n)
-    raise ValueError(f"unknown configuration name: {name}")
+    if name not in FAMILIES:
+        raise ValueError(f"unknown configuration name: {name}")
+    row = FAMILIES[name]
+    return row.generators(row.default_n if n is None else n)
 
 
 def restrict_to_section(G: GeneratorSet, S: SectionMap) -> GeneratorSet:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .configs import SphericalConfiguration
 from .exact import Scalar, _fdiv, _primitive
-from .gamma import ENTRY_GUARD, evaluation_nullity
+from .gamma import evaluation_nullity
 from .generators import GeneratorSet, as_sparse
 from .poly import (
     GREVLEX,
@@ -325,9 +325,7 @@ def quotient_data(basis: GroebnerBasis, cap: int = STAIRCASE_CAP) -> QuotientDat
     return QuotientData(standard, len(standard), hilbert)
 
 
-def affine_hilbert_by_evaluation(
-    cfg: SphericalConfiguration, kmax: int, guard: int = ENTRY_GUARD
-) -> List[int]:
+def affine_hilbert_by_evaluation(cfg: SphericalConfiguration, kmax: int) -> List[int]:
     """Rank of the degree <= k evaluation matrix for k = 0..kmax.
 
     Counts polynomial functions on the points degree by degree, straight
@@ -335,7 +333,7 @@ def affine_hilbert_by_evaluation(
     numbers cumulatively whenever the basis generates the full vanishing
     ideal.
     """
-    return [evaluation_nullity(cfg, k, guard=guard).rank for k in range(kmax + 1)]
+    return [evaluation_nullity(cfg, k).rank for k in range(kmax + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ polynomial carries an explicit field tag and no implicit promotion happens.
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,6 +57,12 @@ class MonomialOrdering:
         if self.kind == "grevlex":
             return (sum(m), tuple(-e for e in reversed(m)))
         return m
+
+    def heap_key(self, m: Monomial):
+        """A key that orders monomials in reverse: the least key is the largest monomial."""
+        if self.kind == "grevlex":
+            return (-sum(m), tuple(reversed(m)))
+        return tuple(-e for e in m)
 
     def __repr__(self):
         return f"MonomialOrdering({self.kind!r})"
@@ -148,23 +155,6 @@ class SparsePoly:
             raise FieldMismatchError(
                 f"field tags differ: {self.field_d} vs {other.field_d}"
             )
-
-    def cast_field(self, field_d: Optional[int]) -> "SparsePoly":
-        """Explicit promotion Q -> Q(sqrt d) (or retag); never implicit."""
-        if field_d == self.field_d:
-            return self
-        if self.field_d is not None and field_d is not None:
-            raise FieldMismatchError("cannot cast between two quadratic fields")
-        if field_d is None:
-            for c in self.terms.values():
-                if isinstance(c, Quad) and c.b != 0:
-                    raise FieldMismatchError("irrational coefficient present")
-            return SparsePoly(
-                self.nvars,
-                {m: (c.a if isinstance(c, Quad) else c) for m, c in self.terms.items()},
-                None,
-            )
-        return SparsePoly(self.nvars, dict(self.terms), field_d)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -402,24 +392,40 @@ def divide(
         if d.nvars != f.nvars or d.field_d != f.field_d:
             raise ValueError("divisor arity/field mismatch")
     lead = [(d.leading_monomial(ordering), d.leading_coefficient(ordering)) for d in divisors]
-    quots = [SparsePoly.zero(f.nvars, f.field_d) for _ in divisors]
-    rem = SparsePoly.zero(f.nvars, f.field_d)
-    p = f.copy()
-    while not p.is_zero():
-        lm = p.leading_monomial(ordering)
-        lc = p.terms[lm]
+    quots: List[Dict[Monomial, Scalar]] = [{} for _ in divisors]
+    rem: Dict[Monomial, Scalar] = {}
+    p = dict(f.terms)
+    # the leading term of p pops from a heap of its monomials: a monomial is
+    # pushed when it enters p, and an entry whose term has since cancelled
+    # pops as a miss.  Every term a step adds lies below the leading one, so
+    # the steps are those of taking the maximum of p each time.
+    heap = [(ordering.heap_key(m), m) for m in p]
+    heapq.heapify(heap)
+    while heap:
+        lm = heapq.heappop(heap)[1]
+        lc = p.pop(lm, None)
+        if lc is None:
+            continue
         for i, (dm, dc) in enumerate(lead):
             if mono_divides(dm, lm):
                 qc = _fdiv(lc, dc)
                 qm = mono_div(lm, dm)
-                qpoly = SparsePoly(f.nvars, {qm: qc}, f.field_d)
-                quots[i] = quots[i] + qpoly
-                p = p - qpoly * divisors[i]
+                quots[i][qm] = qc  # lm falls every step, so qm is new
+                for dt, c in divisors[i].terms.items():
+                    if dt == dm:
+                        continue  # qc * dc cancels lc
+                    m = mono_mul(qm, dt)
+                    v = p.get(m, 0) - qc * c
+                    if v == 0:
+                        p.pop(m, None)
+                    else:
+                        if m not in p:
+                            heapq.heappush(heap, (ordering.heap_key(m), m))
+                        p[m] = v
                 break
         else:
-            rem = rem + SparsePoly(f.nvars, {lm: lc}, f.field_d)
-            del p.terms[lm]
-    return quots, rem
+            rem[lm] = lc
+    return [SparsePoly(f.nvars, q, f.field_d) for q in quots], SparsePoly(f.nvars, rem, f.field_d)
 
 
 def nm_poly(nvars: int, r2: Scalar, field_d: Optional[int] = None) -> SparsePoly:

@@ -997,44 +997,26 @@ def nontrivial_generator_check(G: GeneratorSet, degree: int) -> ClaimRecord:
     )
 
 
-THEOREM_IDS = {
-    "e8": "thmE8",
-    "e7": "thmE7",
-    "e6": "thmE6",
-    "leech": "thmLeech",
-}
-
-DESIGN_STRENGTH = {
-    "icosahedron": 5,
-    "e6": 5,
-    "e7": 5,
-    "e8": 7,
-    "leech": 11,
-}
-
-CRITICAL_DEGREE = {
-    "icosahedron": 3,
-    "e6": 3,
-    "e7": 3,
-    "e8": 4,
-    "leech": 6,
-}
-
-
 def assemble_certificate(
-    name: str,
+    cfg: SphericalConfiguration,
+    degree: int,
     components: Dict[str, ClaimRecord],
     design: Optional[DesignStrengthResult] = None,
     groebner_certified: bool = False,
 ) -> VerificationReport:
     """Combine component checks into the per-theorem claim records.
 
+    ``degree`` is the top degree of the generators the components checked.
     components must hold the vanishing, jacobian, and nontrivial records
-    (support.* records fold into part i); the design result drives part iii.
-    Raises MissingCheckError when a prerequisite is absent.  A sampled
-    vanishing pass keeps part i and iv in sampled mode; it is never promoted.
+    (support.* records fold into part i); the design result drives part iii,
+    which holds when ``degree`` meets the lower bound the strength forces.
+    Claims are named by the configuration's ``theorem`` label, or by its
+    name when it declares none.  Raises MissingCheckError when a
+    prerequisite is absent.  A sampled vanishing pass keeps part i and iv in
+    sampled mode; it is never promoted.
     """
-    theorem = THEOREM_IDS.get(name, name)
+    name, label = cfg.name, cfg.theorem or cfg.name
+    theorem = f"thm{cfg.theorem}" if cfg.theorem else name
     report = VerificationReport(name)
 
     def need(key: str) -> ClaimRecord:
@@ -1068,8 +1050,7 @@ def assemble_certificate(
         raise MissingCheckError(f"certificate for {name} needs the design result")
     nontriv = need("nontrivial")
     lower = design.t // 2 + 1
-    deg = CRITICAL_DEGREE.get(name, lower)
-    iii_ok = design.passed and nontriv.passed and deg == lower
+    iii_ok = design.passed and nontriv.passed and degree == lower
     report.add(
         ClaimRecord(
             f"{theorem}.iii",
@@ -1078,7 +1059,7 @@ def assemble_certificate(
             [],
             detail=(
                 f"strength {design.t} forces degree >= {lower}; "
-                f"non-trivial generator of degree {deg} meets it"
+                f"non-trivial generator of degree {degree} meets it"
             ),
             seconds=nontriv.seconds,
         )
@@ -1093,7 +1074,7 @@ def assemble_certificate(
             vanish.mode,
             [],
             detail=(
-                f"ideal generated in degree <= {deg} at level {level}; "
+                f"ideal generated in degree <= {degree} at level {level}; "
                 "radicality from the simple-zero pass"
             ),
             seconds=0.0,
@@ -1102,7 +1083,7 @@ def assemble_certificate(
     report.certificate_level = level
     report.add(
         ClaimRecord(
-            f"design.{_design_key(name)}.t{design.t}",
+            f"design.{label}.t{design.t}",
             PASS if design.passed else FAIL,
             design.mode,
             [],
@@ -1115,6 +1096,3 @@ def assemble_certificate(
     )
     return report
 
-
-def _design_key(name: str) -> str:
-    return {"e8": "E8", "e7": "E7", "e6": "E6", "leech": "Leech"}.get(name, name)

@@ -10,6 +10,7 @@ import pytest
 from idealforge import cli
 from idealforge.cli import EXIT_CHECK, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
 from idealforge.configs import SphericalConfiguration, read_points
+from idealforge.generators import FactoredPoly
 
 TOP_KEYS = ["config", "mode", "claims", "gamma", "design", "counts", "timings"]
 
@@ -28,6 +29,10 @@ GOLDEN_RUNS = {
     "report_leech_sampled2": ["report", "leech", "--sampled", "--seed", "2"],
     "build_e6": ["build", "e6", "--generators-out", "build_e6.generators.txt"],
     "groebner_e7": ["groebner", "e7", "--basis-out", "groebner_e7.basis.txt"],
+    "gamma_e8": ["gamma", "e8"],
+    "gamma_leech": ["gamma", "leech"],
+    "report_e8": ["report", "e8"],
+    "enumerate_e8": ["enumerate", "e8"],
 }
 
 
@@ -245,6 +250,27 @@ def test_golden_reports(name, tmp_path, monkeypatch):
     for flag, path in zip(argv, argv[1:]):
         if flag.endswith("-out"):
             assert (tmp_path / path).read_text() == (GOLDEN / path).read_text()
+
+
+def test_claim_iii_reads_the_generators_degree(tmp_path, monkeypatch):
+    # a zonal quintic vanishes on E8 (every inner product with a root lies in
+    # -2..2) and is nontrivial, but degree 5 misses the bound 7//2 + 1 = 4
+    # that the strength forces: part iii fails and part iv states degree 5
+    build = cli.build_generator_set
+
+    def with_quintic(name, n=None):
+        G = build(name, n)
+        a = G.config.points[0]
+        G.items.append(("ZONAL quintic", FactoredPoly(8, [(a, r) for r in (2, 1, 0, -1, -2)])))
+        return G
+
+    monkeypatch.setattr(cli, "build_generator_set", with_quintic)
+    code, doc = run_json(["verify", "e8"], tmp_path)
+    assert code == EXIT_CHECK
+    claims = {c["id"]: c for c in doc["claims"]}
+    assert [claims[k]["status"] for k in ("thmE8.i", "thmE8.ii", "design.E8.t7")] == ["pass"] * 3
+    assert claims["thmE8.iii"]["status"] == "fail"
+    assert "degree <= 5" in claims["thmE8.iv"]["detail"]
 
 
 def test_gamma_times_its_work(tmp_path):

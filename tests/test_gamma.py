@@ -160,6 +160,16 @@ def test_leech_interval_from_bounds():
     assert any("573300" in r for r in reasons)
 
 
+def test_point_set_named_like_a_lattice_declares_no_strength():
+    # the 16 cube4 points under the name "e8": the strength belongs to the
+    # built E8 configuration, not to its name
+    cube = build_4cube()[0]
+    X = SphericalConfiguration("e8", 4, cube.r2, cube.omegas, points=cube.points, antipodal=True)
+    bounds = gamma1_bounds(X)
+    assert bounds.lower.value == 1
+    assert bounds.lower.reason == "no design strength recorded"
+
+
 def test_leech_entry_guard_trips():
     leech = build_leech()
     with pytest.raises(EntryGuardError):

@@ -118,7 +118,6 @@ def test_e8_set_shape_and_sampled_vanishing():
     G = build_generator_set("e8")
     assert len(G) == 1 + 120 * 7
     assert G.max_degree() == 4
-    assert G.nontrivial_max_degree() == 4
     pts = G.config.points
     rng = random.Random(77)
     for k in [0] + rng.sample(range(1, len(G.items)), 40):
@@ -189,7 +188,7 @@ def test_ngon_chord_coverings(n):
 def test_knn_quadratics(n):
     G = build_generator_set("knn", n=n)
     assert len(G) == 1 + n * n + 2
-    assert G.nontrivial_max_degree() == 2
+    assert G.max_degree() == 2
     for label, p in G:
         for pt in G.config.points:
             assert p.eval(pt) == 0

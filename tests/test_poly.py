@@ -213,12 +213,8 @@ def test_field_tags_are_strict():
     g = SparsePoly(2, {(0, 1): 1}, field_d=5)
     with pytest.raises(FieldMismatchError):
         f + g
-    lifted = f.cast_field(5)
-    assert lifted + g == poly_from_text("Y1 + Y2", 2, 5)
     with pytest.raises(FieldMismatchError):
         SparsePoly(2, {(0, 0): Quad(0, 1, 2)}, field_d=5)
-    back = lifted.cast_field(None)
-    assert back == f
 
 
 def test_eval_power_cache_correct_on_high_exponents():

@@ -504,7 +504,7 @@ def test_certificate_assembly_e8():
         "support.spanning": spanning_check(G.config),
     }
     design = design_strength_gegenbauer(G.config, 7)
-    report = assemble_certificate("e8", components, design)
+    report = assemble_certificate(G.config, 4, components, design)
     ids = [r.claim_id for r in report.records]
     assert ids == ["thmE8.i", "thmE8.ii", "thmE8.iii", "thmE8.iv", "design.E8.t7"]
     assert report.passed
@@ -512,7 +512,7 @@ def test_certificate_assembly_e8():
     payload = json.dumps(report.to_dict())
     assert "thmE8.iv" in payload
 
-    upgraded = assemble_certificate("e8", components, design, groebner_certified=True)
+    upgraded = assemble_certificate(G.config, 4, components, design, groebner_certified=True)
     assert upgraded.certificate_level == "FULL_GROEBNER"
 
 
@@ -520,7 +520,8 @@ def test_certificate_missing_component():
     G = build_generator_set("icosahedron")
     with pytest.raises(MissingCheckError):
         assemble_certificate(
-            "icosahedron",
+            G.config,
+            3,
             {"vanishing": check_vanishing(G)},
             design_strength_gegenbauer(G.config, 5),
         )
@@ -533,8 +534,9 @@ def test_certificate_sampled_mode_sticks():
         "jacobian": ClaimRecord("leech.jacobian", PASS),
         "nontrivial": ClaimRecord("leech.nontrivial-degree-6", PASS),
     }
-    design = design_strength_gegenbauer(build_leech(), 11, mode="sampled")
-    report = assemble_certificate("leech", components, design)
+    leech = build_leech()
+    design = design_strength_gegenbauer(leech, 11, mode="sampled")
+    report = assemble_certificate(leech, 6, components, design)
     assert report.find("thmLeech.i").mode == "sampled"
     assert report.find("thmLeech.iv").mode == "sampled"
     assert report.find("design.Leech.t11").mode == "sampled"
