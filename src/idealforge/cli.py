@@ -347,6 +347,7 @@ def _cmd_groebner(args) -> int:
         counts["hilbert"] = cert.quotient.hilbert_coefficients()
     if cert.basis is not None:
         counts["basis_size"] = len(cert.basis)
+        counts["reductions"] = cert.basis.reductions
     if args.basis_out and cert.basis is not None:
         with open(args.basis_out, "w") as fh:
             for line in cert.basis.to_text():

@@ -36,8 +36,9 @@ class Quad:
     def __init__(self, a, b=0, d: int = 5):
         if d not in SUPPORTED_D:
             raise ValueError(f"unsupported quadratic field Q(sqrt {d})")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # a Fraction is immutable, so one passed in is stored as it is
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):

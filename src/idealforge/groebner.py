@@ -23,6 +23,7 @@ from .poly import (
     GREVLEX,
     MonomialOrdering,
     SparsePoly,
+    _heap_reduce,
     mono_degree,
     mono_div,
     mono_divides,
@@ -76,8 +77,8 @@ def _normalized(p: SparsePoly) -> SparsePoly:
     return out
 
 
-def _monic(p: SparsePoly, ordering: MonomialOrdering) -> SparsePoly:
-    lc = p.leading_coefficient(ordering)
+def _monic(p: SparsePoly, lc: Scalar) -> SparsePoly:
+    """p divided by its leading coefficient lc."""
     if lc == 1:
         return p
     return p * _fdiv(1, lc)
@@ -89,22 +90,27 @@ def _reduce(
     lead: Sequence[Tuple[Monomial, Scalar]],
     ordering: MonomialOrdering,
     work: _WorkMeter,
+    first: Optional[Dict[Monomial, Tuple[Optional[int], int]]] = None,
 ) -> SparsePoly:
-    """Full normal form of f against the basis, counting every step."""
-    rem = SparsePoly.zero(f.nvars, f.field_d)
-    p = f.copy()
-    while not p.is_zero():
-        lm = p.leading_monomial(ordering)
-        lc = p.terms[lm]
-        for g, (gm, gc) in zip(basis, lead):
-            if mono_divides(gm, lm):
-                work.bump()
-                p = p - g * SparsePoly(f.nvars, {mono_div(lm, gm): _fdiv(lc, gc)}, f.field_d)
-                break
-        else:
-            rem.terms[lm] = lc
-            del p.terms[lm]
-    return rem
+    """Full normal form of f against the basis, counting every step.
+
+    The heap loop of ``poly.divide`` (``_heap_reduce``), so the steps are
+    those of peeling the maximum term each time with the first dividing
+    lead in list order.  ``first`` is its first-divisor memo; buchberger
+    keeps one for a whole run, during which ``lead`` only grows by
+    appending.
+    """
+    rem = _heap_reduce(
+        dict(f.terms),
+        basis,
+        lead,
+        ordering,
+        {} if first is None else first,
+        lambda _i, _qm, _qc: work.bump(),
+    )
+    out = SparsePoly.zero(f.nvars, f.field_d)
+    out.terms = rem
+    return out
 
 
 def s_polynomial(
@@ -193,6 +199,9 @@ def buchberger(
     for i, j in itertools.combinations(range(len(G)), 2):
         heapq.heappush(heap, (*pair_key(i, j), i, j))
     done = set()
+    # lead only grows by appending below, so one first-divisor memo serves
+    # every reduction of the run (see poly._heap_reduce)
+    first: Dict[Monomial, Tuple[Optional[int], int]] = {}
 
     while heap:
         entry = heapq.heappop(heap)
@@ -204,14 +213,14 @@ def buchberger(
             continue  # coprime leading terms cancel nothing new
         covered = any(
             k not in (i, j)
-            and mono_divides(lead[k][0], l)
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
+            and mono_divides(lead[k][0], l)
             for k in range(len(G))
         )
         if covered:
             continue
-        r = _reduce(s_polynomial(G[i], G[j], ordering), G, lead, ordering, work)
+        r = _reduce(s_polynomial(G[i], G[j], ordering), G, lead, ordering, work, first)
         if r.is_zero():
             continue
         r = _normalized(r)
@@ -222,15 +231,22 @@ def buchberger(
             heapq.heappush(heap, (*pair_key(i2, t), i2, t))
 
     return GroebnerBasis(
-        _interreduce(G, ordering, work), ordering, reduced=True, reductions=work.steps
+        _interreduce(G, lead, ordering, work), ordering, reduced=True, reductions=work.steps
     )
 
 
 def _interreduce(
-    G: List[SparsePoly], ordering: MonomialOrdering, work: _WorkMeter
+    G: List[SparsePoly],
+    lead: List[Tuple[Monomial, Scalar]],
+    ordering: MonomialOrdering,
+    work: _WorkMeter,
 ) -> List[SparsePoly]:
-    """Minimal monic basis with every element fully reduced by the others."""
-    lts = [p.leading_monomial(ordering) for p in G]
+    """Minimal monic basis with every element fully reduced by the others.
+
+    ``lead`` holds the leading monomial and coefficient of each element of
+    G; an element's entry is recomputed only when the element changes.
+    """
+    lts = [m for m, _c in lead]
     keep: List[int] = []
     for i, lt in enumerate(lts):
         dominated = any(
@@ -242,25 +258,25 @@ def _interreduce(
         if not dominated:
             keep.append(i)
     polys = [G[i] for i in keep]
+    leads = [lead[i] for i in keep]
     for _ in range(len(polys)):
         changed = False
         for i in range(len(polys)):
             others = polys[:i] + polys[i + 1:]
             if not others:
                 continue
-            lead = [(p.leading_monomial(ordering), p.leading_coefficient(ordering)) for p in others]
-            r = _reduce(polys[i], others, lead, ordering, work)
+            r = _reduce(polys[i], others, leads[:i] + leads[i + 1:], ordering, work)
             if r.is_zero():
                 raise ArithmeticError("minimal basis element reduced to zero")
             r = _normalized(r)
             if r != polys[i]:
                 polys[i] = r
+                leads[i] = (r.leading_monomial(ordering), r.leading_coefficient(ordering))
                 changed = True
         if not changed:
             break
-    polys = [_monic(p, ordering) for p in polys]
-    polys.sort(key=lambda p: ordering.key(p.leading_monomial(ordering)))
-    return polys
+    order = sorted(range(len(polys)), key=lambda i: ordering.key(leads[i][0]))
+    return [_monic(polys[i], leads[i][1]) for i in order]
 
 
 # ---------------------------------------------------------------------------

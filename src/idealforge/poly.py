@@ -10,7 +10,8 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
     FieldMismatchError,
@@ -393,39 +394,83 @@ def divide(
             raise ValueError("divisor arity/field mismatch")
     lead = [(d.leading_monomial(ordering), d.leading_coefficient(ordering)) for d in divisors]
     quots: List[Dict[Monomial, Scalar]] = [{} for _ in divisors]
+
+    def record(i: int, qm: Monomial, qc: Scalar) -> None:
+        quots[i][qm] = qc  # lm falls every step, so qm is new
+
+    rem = _heap_reduce(dict(f.terms), divisors, lead, ordering, {}, record)
+    return [SparsePoly(f.nvars, q, f.field_d) for q in quots], SparsePoly(f.nvars, rem, f.field_d)
+
+
+def _heap_reduce(
+    p: Dict[Monomial, Scalar],
+    divisors: Sequence[SparsePoly],
+    lead: Sequence[Tuple[Monomial, Scalar]],
+    ordering: MonomialOrdering,
+    first: Dict[Monomial, Tuple[Optional[int], int]],
+    on_step: Callable[[int, Monomial, Scalar], None],
+) -> Dict[Monomial, Scalar]:
+    """Reduce the term dict p against the divisors in place; return the remainder.
+
+    Each step takes the leading term lc*lm of p and the first divisor i, in
+    list order, whose lead dm (coefficient dc) divides lm, calls
+    ``on_step(i, lm/dm, lc/dc)`` and subtracts lc/dc * lm/dm * (divisor
+    minus its lead) from p; lc itself is cancelled by popping it.  A term no
+    lead divides moves to the remainder, whose terms come out falling.  p is
+    left empty.
+
+    The leading term of p pops from a heap of ``ordering.heap_key``s (Monagan
+    & Pearce, "Sparse polynomial division using a heap", 2011): a monomial is
+    pushed when it enters p, and an entry whose term has since cancelled pops
+    as a miss.  Every term a step adds is lm/dm * t with t below dm, so it
+    lies below lm: the popped monomials fall strictly and each is the
+    maximum of p at that moment.  So the steps, quotients and remainder are
+    those of rescanning p for its maximum each time.
+
+    ``first`` maps a monomial to (index of the first lead dividing it, or
+    None; the number of leads scanned).  A caller may keep it across calls
+    while ``lead`` only grows by appending: the first divisor among the
+    first t leads stays the first one after the list grows, and a monomial
+    none of them divides needs only the leads added since scanned.  So the
+    divisor picked is always the one the linear scan picks.  A caller whose
+    lead list changes in any other way passes a fresh dict.
+    """
+    key = ordering.heap_key
+    n = len(lead)
     rem: Dict[Monomial, Scalar] = {}
-    p = dict(f.terms)
-    # the leading term of p pops from a heap of its monomials: a monomial is
-    # pushed when it enters p, and an entry whose term has since cancelled
-    # pops as a miss.  Every term a step adds lies below the leading one, so
-    # the steps are those of taking the maximum of p each time.
-    heap = [(ordering.heap_key(m), m) for m in p]
+    heap = [(key(m), m) for m in p]
     heapq.heapify(heap)
     while heap:
         lm = heapq.heappop(heap)[1]
         lc = p.pop(lm, None)
         if lc is None:
             continue
-        for i, (dm, dc) in enumerate(lead):
-            if mono_divides(dm, lm):
-                qc = _fdiv(lc, dc)
-                qm = mono_div(lm, dm)
-                quots[i][qm] = qc  # lm falls every step, so qm is new
-                for dt, c in divisors[i].terms.items():
-                    if dt == dm:
-                        continue  # qc * dc cancels lc
-                    m = mono_mul(qm, dt)
-                    v = p.get(m, 0) - qc * c
-                    if v == 0:
-                        p.pop(m, None)
-                    else:
-                        if m not in p:
-                            heapq.heappush(heap, (ordering.heap_key(m), m))
-                        p[m] = v
-                break
-        else:
+        i, scanned = first.get(lm, (None, 0))
+        if i is None and scanned < n:
+            for k in range(scanned, n):
+                if mono_divides(lead[k][0], lm):
+                    i = k
+                    break
+            first[lm] = (i, n)
+        if i is None:
             rem[lm] = lc
-    return [SparsePoly(f.nvars, q, f.field_d) for q in quots], SparsePoly(f.nvars, rem, f.field_d)
+            continue
+        dm, dc = lead[i]
+        qm = mono_div(lm, dm)
+        qc = _fdiv(lc, dc)
+        on_step(i, qm, qc)
+        for t, c in divisors[i].terms.items():
+            if t == dm:
+                continue  # qc * dc cancels lc
+            m = tuple(map(add, qm, t))
+            v = p.get(m, 0) - qc * c
+            if v == 0:
+                p.pop(m, None)
+            else:
+                if m not in p:
+                    heapq.heappush(heap, (key(m), m))
+                p[m] = v
+    return rem
 
 
 def nm_poly(nvars: int, r2: Scalar, field_d: Optional[int] = None) -> SparsePoly:

@@ -1051,16 +1051,19 @@ def assemble_certificate(
     nontriv = need("nontrivial")
     lower = design.t // 2 + 1
     iii_ok = design.passed and nontriv.passed and degree == lower
+    if degree != lower:
+        found = f"the generators' top degree {degree} misses it"
+    elif not nontriv.passed:
+        found = f"no non-trivial generator of degree {degree} found"
+    else:
+        found = f"non-trivial generator of degree {degree} meets it"
     report.add(
         ClaimRecord(
             f"{theorem}.iii",
             PASS if iii_ok else FAIL,
             design.mode,
             [],
-            detail=(
-                f"strength {design.t} forces degree >= {lower}; "
-                f"non-trivial generator of degree {degree} meets it"
-            ),
+            detail=f"strength {design.t} forces degree >= {lower}; {found}",
             seconds=nontriv.seconds,
         )
     )

@@ -270,6 +270,7 @@ def test_claim_iii_reads_the_generators_degree(tmp_path, monkeypatch):
     claims = {c["id"]: c for c in doc["claims"]}
     assert [claims[k]["status"] for k in ("thmE8.i", "thmE8.ii", "design.E8.t7")] == ["pass"] * 3
     assert claims["thmE8.iii"]["status"] == "fail"
+    assert claims["thmE8.iii"]["detail"].endswith("top degree 5 misses it")
     assert "degree <= 5" in claims["thmE8.iv"]["detail"]
 
 

@@ -2,14 +2,19 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from idealforge.configs import build_4cube, build_icosahedron, build_knn, build_ngon
-from idealforge.generators import FactoredPoly, build_generator_set
+from idealforge.exact import _fdiv
+from idealforge.generators import FactoredPoly, as_sparse, build_generator_set
 from idealforge.groebner import (
     BudgetExceededError,
     InfiniteStaircaseError,
+    _normalized,
+    _reduce,
+    _WorkMeter,
     affine_hilbert_by_evaluation,
     buchberger,
     certify_full,
@@ -20,6 +25,8 @@ from idealforge.poly import (
     GREVLEX,
     LEX,
     SparsePoly,
+    divide,
+    mono_div,
     mono_divides,
     poly_from_text,
 )
@@ -209,3 +216,107 @@ def test_factored_generator_missing_a_point_fails_certification():
     assert cert.level == LEVEL_PAPER
     assert not cert.vanishing_ok
     assert cert.detail == "a generator misses the points"
+
+
+def family_id(family):
+    return "".join(map(str, family))
+
+
+def rescanning_normal_form(f, basis, ordering):
+    """The textbook loop: rescan for the leading term, try the leads in list order.
+
+    Returns the remainder and the number of steps.
+    """
+    lead = [(g.leading_monomial(ordering), g.leading_coefficient(ordering)) for g in basis]
+    p = f.copy()
+    rem = SparsePoly.zero(f.nvars, f.field_d)
+    steps = 0
+    while not p.is_zero():
+        lm = p.leading_monomial(ordering)
+        lc = p.terms[lm]
+        for g, (gm, gc) in zip(basis, lead):
+            if mono_divides(gm, lm):
+                steps += 1
+                p = p - g * SparsePoly(f.nvars, {mono_div(lm, gm): _fdiv(lc, gc)}, f.field_d)
+                break
+        else:
+            rem.terms[lm] = lc
+            del p.terms[lm]
+    return rem, steps
+
+
+@pytest.mark.parametrize("ordering", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("family", [("knn", 3), ("ngon", 6), ("knn", 2)], ids=family_id)
+def test_reduction_kernel_against_division_and_rescanning(family, ordering):
+    # one first-divisor memo serves a basis that grows by appending: every
+    # remainder equals divide's and the rescanning loop's, and the steps
+    # counted equal divide's quotient terms and the rescanning loop's steps.
+    # Inputs are the generators and S-polynomials of pairs drawn, with a
+    # fixed seed, from the least-lcm-degree pairs not yet reduced.
+    gens = [as_sparse(p) for _label, p in build_generator_set(*family)]
+    rng = random.Random(f"{family}-{ordering.kind}")
+    basis = [gens[0]]
+    lead = [(gens[0].leading_monomial(ordering), gens[0].leading_coefficient(ordering))]
+    pairs, first = [], {}
+    work = _WorkMeter(10**6)
+
+    def reduce_and_append(f):
+        before = work.steps
+        r = _reduce(f, basis, lead, ordering, work, first)
+        quots, rem = divide(f, basis, ordering)
+        assert r == rem
+        assert list(r.terms) == sorted(r.terms, key=ordering.key, reverse=True)
+        assert work.steps - before == sum(len(q.terms) for q in quots)
+        assert (r, work.steps - before) == rescanning_normal_form(f, basis, ordering)
+        if not r.is_zero():
+            r = _normalized(r)
+            pairs.extend((i, len(basis)) for i in range(len(basis)))
+            basis.append(r)
+            lead.append((r.leading_monomial(ordering), r.leading_coefficient(ordering)))
+
+    for f in gens[1:]:
+        reduce_and_append(f)
+    for _ in range(24):
+        if not pairs:
+            break
+        pairs.sort(key=lambda ij: sum(max(a, b) for a, b in zip(lead[ij[0]][0], lead[ij[1]][0])))
+        i, j = pairs.pop(rng.randrange(min(3, len(pairs))))
+        reduce_and_append(s_polynomial(basis[i], basis[j], ordering))
+    assert len(basis) > len(gens) // 2
+    # entries made against a shorter lead list were carried into later calls
+    assert any(scanned < len(lead) for _i, scanned in first.values())
+
+
+def test_budget_stops_at_the_same_step():
+    # the meter raises on the step past the budget, wherever that falls
+    gens = build_generator_set("knn", 3)
+    steps = buchberger(gens).reductions
+    for budget in (steps - 1, 5):
+        with pytest.raises(BudgetExceededError):
+            buchberger(gens, budget=budget)
+    assert buchberger(gens, budget=steps).reductions == steps
+
+
+def sympy_basis(polys):
+    """The reduced grevlex basis sympy computes, as monic term dicts."""
+    sympy = pytest.importorskip("sympy")
+    Y = sympy.symbols(f"Y1:{polys[0].nvars + 1}")
+    exprs = [
+        sum(sympy.Rational(str(c)) * sympy.Mul(*[y**e for y, e in zip(Y, m)]) for m, c in p.terms.items())
+        for p in polys
+    ]
+    out = set()
+    for q in sympy.groebner(exprs, *Y, order="grevlex").polys:
+        lc = q.LC(order="grevlex")
+        out.add(frozenset((m, Fraction(str(c / lc))) for m, c in q.terms()))
+    return out
+
+
+@pytest.mark.parametrize("family", [("knn", 3), ("ngon", 6), ("cube4",)], ids=family_id)
+def test_reduced_basis_agrees_with_sympy(family):
+    polys = [as_sparse(p) for _label, p in build_generator_set(*family)]
+    theirs = sympy_basis(polys)
+    basis = buchberger(polys, ordering=GREVLEX)
+    mine = {frozenset((m, Fraction(c)) for m, c in p.terms.items()) for p in basis}
+    assert len(mine) == len(basis) == len(theirs)
+    assert mine == theirs

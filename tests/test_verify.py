@@ -516,6 +516,28 @@ def test_certificate_assembly_e8():
     assert upgraded.certificate_level == "FULL_GROEBNER"
 
 
+def test_certificate_detail_says_when_the_degree_misses_the_bound():
+    # strength 7 forces degree >= 4 on e8; a top degree of 5 fails part iii,
+    # and its detail must not claim that the degree meets the bound
+    e8 = build_e8()
+    components = {
+        "vanishing": ClaimRecord("e8.vanishing", PASS),
+        "jacobian": ClaimRecord("e8.jacobian", PASS),
+        "nontrivial": ClaimRecord("e8.nontrivial-degree-5", PASS),
+    }
+    design = design_strength_gegenbauer(e8, 7)
+    iii = assemble_certificate(e8, 5, components, design).find("thmE8.iii")
+    assert iii.status == FAIL
+    assert iii.detail == "strength 7 forces degree >= 4; the generators' top degree 5 misses it"
+    met = assemble_certificate(e8, 4, components, design).find("thmE8.iii")
+    assert met.status == PASS
+    assert met.detail == "strength 7 forces degree >= 4; non-trivial generator of degree 4 meets it"
+    components["nontrivial"] = ClaimRecord("e8.nontrivial-degree-4", FAIL)
+    unmet = assemble_certificate(e8, 4, components, design).find("thmE8.iii")
+    assert unmet.status == FAIL
+    assert "meets" not in unmet.detail
+
+
 def test_certificate_missing_component():
     G = build_generator_set("icosahedron")
     with pytest.raises(MissingCheckError):
