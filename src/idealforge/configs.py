@@ -9,7 +9,6 @@ range before it multiplies.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -181,7 +180,7 @@ class SphericalConfiguration:
             raise ValueError("omega list must start with the squared norm")
         self._points = [tuple(p) for p in points] if points is not None else None
         self._array = array
-        self._array_den = 1
+        self._quad: Optional[QuadArray] = None
         self.field_d = field_d
         self.antipodal = antipodal
         self.embedded = embedded
@@ -211,49 +210,25 @@ class SphericalConfiguration:
         return tuple(int(c) for c in self._array[k])
 
     def integer_array(self) -> Optional[Tuple[np.ndarray, int]]:
-        """(den * points) as an int64 array, or None when coordinates are irrational."""
-        if self._array is not None:
-            return self._array, self._array_den
-        den = 1
-        for p in self.points:
-            for c in p:
-                if isinstance(c, Quad):
-                    if c.b != 0:
-                        return None
-                    c = c.a
-                if isinstance(c, Fraction):
-                    q = c.denominator
-                    den = den * q // math.gcd(den, q)
-        rows = []
-        for p in self.points:
-            row = []
-            for c in p:
-                if isinstance(c, Quad):
-                    c = c.a
-                row.append(int(c * den))
-            rows.append(row)
-        arr = np.array(rows, dtype=np.int64)
-        self._array = arr
-        self._array_den = den
-        return arr, den
+        """(den * points) as an int64 array with den, or None when a coordinate is irrational."""
+        q = self.quad_array()
+        return None if q.B is not None else (q.A, q.den)
 
     def quad_array(self) -> QuadArray:
-        """The points as exact int64 arrays (A + B*sqrt(d)) / den (``exact.quad_array``).
+        """The points as exact int64 arrays (A + B*sqrt(d)) / den, built once.
 
+        The one place exact coordinates become integer arrays: through
+        ``exact.quad_array``, or by wrapping the array of an array-backed set.
         Raises ArithmeticError when a scaled coordinate leaves int64.
         """
-        arr_den = self.integer_array()
-        if arr_den is None:
-            return quad_array(self.points)
-        return QuadArray(arr_den[0], None, arr_den[1], None)
+        if self._quad is None:
+            if self._array is not None:
+                self._quad = QuadArray(self._array, None, 1, None)
+            else:
+                self._quad = quad_array(self.points)
+        return self._quad
 
     def validate_norms(self):
-        if self._array is not None and self._points is None:
-            n2 = (self._array.astype(np.int64) ** 2).sum(axis=1)
-            if not np.all(n2 == self.r2 * self._array_den**2):
-                bad = int(np.argmax(n2 != self.r2 * self._array_den**2))
-                raise ConstructionError(f"point {bad} has squared norm {n2[bad]}")
-            return
         for i, p in enumerate(self.points):
             if dot(p, p) != self.r2:
                 raise ConstructionError(f"point {i} has wrong squared norm")
@@ -661,7 +636,7 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
     return counts, bad[min(bad)] if bad else None
 
 
-def _observed_omegas(r2: Scalar, pts: QuadArray, base: List[int]) -> List[Scalar]:
+def observed_omegas(r2: Scalar, pts: QuadArray, base: List[int]) -> List[Scalar]:
     """r2, then every other inner product of a base row with a point, descending.
 
     The value list of a configuration declared without one (a point file),
@@ -701,7 +676,7 @@ def pair_distribution(
     base = list(range(n)) if mode == "full" else sample_indices(seed, count, n)
 
     pts = X.quad_array()
-    omegas = X.omegas if X.omegas is not None else _observed_omegas(X.r2, pts, base)
+    omegas = X.omegas if X.omegas is not None else observed_omegas(X.r2, pts, base)
     keys = [quad_key(w, pts.den * pts.den, pts.d) for w in omegas]
     counts = np.zeros((len(base), len(omegas)), dtype=np.int64)
     witness = None

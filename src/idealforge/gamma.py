@@ -22,17 +22,17 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import SphericalConfiguration
+from .configs import SphericalConfiguration, observed_omegas
 from .exact import (
     RANK_PRIME,
+    SQRT_MOD_P,
     Echelon,
     Scalar,
     dot,
+    independent_rows,
     rank_mod_p,
     stride_order,
-    to_mod_p,
 )
-from .poly import SparsePoly, nm_poly
 from .verify import LEVEL_FULL_GROEBNER, LEVEL_PAPER
 
 ENTRY_GUARD = 10**7
@@ -138,22 +138,26 @@ def _monomial_matrix_mod_p(X: np.ndarray, monos: Sequence[Monomial], k: int) -> 
 
 
 def _points_mod_p(cfg: SphericalConfiguration, rows: Optional[Sequence[int]]) -> np.ndarray:
-    """Coordinates mod p of the given points (all of them for None).
+    """Den-scaled coordinates mod p of the given points (all of them for None).
 
-    Integer configurations reduce their den-scaled array, which scales each
-    monomial column by den^degree and so keeps its exact rank; the exact list
-    of an array-backed set is never built.  Other coordinates go through
-    :func:`~idealforge.exact.to_mod_p`, which raises ZeroDivisionError on a
-    denominator divisible by p.
+    The points are (A + B*sqrt(d)) / den (``cfg.quad_array()``); row i
+    becomes (A + SQRT_MOD_P[d] * B) mod p.  That is the image of den * x in
+    F_p under the ring map of Z[sqrt(d)] sending sqrt(d) to SQRT_MOD_P[d]
+    (whose square is d mod p), so no denominator is ever inverted.  Dropping
+    den multiplies each degree-e monomial column by den^e, which is nonzero,
+    so the den-scaled evaluation matrix has the exact rank of the original;
+    its entries lie in Z[sqrt(d)], where the ring map sends each minor to
+    the same minor mod p.  So the rank mod p is still a lower bound on the
+    exact rank.  The exact list of an array-backed set is never built.
     """
-    packed = cfg.integer_array()
-    if packed is not None:
-        arr = packed[0] if rows is None else packed[0][list(rows)]
-        return np.mod(arr, RANK_PRIME).astype(np.int64)
-    pts = cfg.points if rows is None else [cfg.points[i] for i in rows]
-    return np.array(
-        [[to_mod_p(c) for c in pt] for pt in pts], dtype=np.int64
-    ).reshape(len(pts), cfg.m)
+    p = RANK_PRIME
+    q = cfg.quad_array()
+    if rows is not None:
+        q = q.take(list(rows))
+    out = np.mod(q.A, p)
+    if q.B is not None:
+        out = (out + SQRT_MOD_P[q.d] * np.mod(q.B, p)) % p
+    return out
 
 
 def sign_classes(cfg: SphericalConfiguration) -> int:
@@ -190,8 +194,7 @@ def _rank_mod_p(
 
     The first 2 * ncols points in stride order give a row subset, whose rank
     mod p is still a lower bound; all points are reduced only when that head
-    stays below ``ceiling``.  Raises ZeroDivisionError when p divides a
-    denominator.
+    stays below ``ceiling``.
     """
     head = 2 * len(monos)
     if cfg.npoints > head:
@@ -246,10 +249,7 @@ def evaluation_nullity(
     ceiling = rank_upper_bound(cfg, k)
     if stop_rank is not None:
         ceiling = min(ceiling, stop_rank)
-    try:
-        r = _rank_mod_p(cfg, monos, k, ceiling)
-    except ZeroDivisionError:
-        r = -1  # a denominator divisible by p: eliminate exactly
+    r = _rank_mod_p(cfg, monos, k, ceiling)
     if r > ceiling:
         raise ArithmeticError(f"{cfg.name}: rank mod p {r} above the ceiling {ceiling}")
     if r == ceiling:
@@ -271,41 +271,27 @@ def evaluation_nullity(
 def trivial_dimension(cfg: SphericalConfiguration, k: int) -> int:
     """Dimension of the known kernel inside degree <= k forms.
 
-    Plain configurations: multiples of the sphere polynomial by degree
-    <= k-2 polynomials, which are independent, so the count is a binomial.
-    Embedded configurations also contain multiples of the declared linear
-    forms by degree <= k-1 polynomials; the products overlap, so the
-    dimension is the exact rank of their coefficient matrix.
+    That kernel is spanned by the multiples of the sphere polynomial Nm by
+    degree <= k-2 polynomials and of the declared linear forms (none for a
+    plain configuration) by degree <= k-1 ones.  Let r be the rank of the
+    forms and m' = m - r.  Change coordinates so that the forms are
+    y_1..y_r: their multiples are all degree <= k polynomials but those in
+    y_{r+1}..y_m alone, C(m+k, m) - C(m'+k, m') of them.  Modulo the forms,
+    Nm is a quadric in the other m' variables whose quadratic part is
+    positive definite (a nonzero constant when m' = 0), so its degree <= k-2
+    multiples are independent there: C(m'+k-2, m') more.  At r = 0 this is
+    the plain count C(m+k-2, m).
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    m = cfg.m
-    plain = comb(m + k - 2, m) if k >= 2 else 0
-    if not cfg.embedded:
-        return plain
-
     for form in cfg.trivial_linear:
         for p in cfg.points:
             if dot(form, p) != 0:
                 raise ArithmeticError("declared linear form does not vanish on the points")
-    monos = monomials_upto(m, k)
-    index = {mono: j for j, mono in enumerate(monos)}
-    ech = Echelon(len(monos))
-
-    def add_products(base: SparsePoly, max_deg: int) -> None:
-        for beta in monomials_upto(m, max_deg):
-            prod = base * SparsePoly(m, {beta: 1}, cfg.field_d)
-            row: List[Scalar] = [0] * len(monos)
-            for mono, c in prod.terms.items():
-                row[index[mono]] = c
-            ech.add_row(row)
-
-    if k >= 2:
-        add_products(nm_poly(m, cfg.r2, cfg.field_d), k - 2)
-    if k >= 1:
-        for form in cfg.trivial_linear:
-            add_products(SparsePoly.linear_form(form, cfg.field_d), k - 1)
-    return ech.rank
+    m = cfg.m
+    rest = m - len(independent_rows(cfg.trivial_linear, m))
+    sphere = comb(rest + k - 2, rest) if k >= 2 else 0
+    return comb(m + k, m) - comb(rest + k, rest) + sphere
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +360,10 @@ def gamma1_bounds(
         )
         uppers = [count_bound]
     else:
-        s = len(cfg.omegas) - 1
+        omegas = cfg.omegas
+        if omegas is None:  # a point file declares no values: read them off the points
+            omegas = observed_omegas(cfg.r2, cfg.quad_array(), list(range(cfg.npoints)))
+        s = len(omegas) - 1
         if cfg.antipodal:
             prod_bound = BoundEntry(s, f"{s} distinct inner products, antipodal")
         else:

@@ -504,9 +504,14 @@ def build_generator_set(name: str, n: Optional[int] = None) -> GeneratorSet:
 
 
 def restrict_to_section(G: GeneratorSet, S: SectionMap) -> GeneratorSet:
-    """Substitute Y = S.rows Z into every generator: S.dim variables, over S's field."""
+    """Substitute Y = S.rows Z into every generator: S.dim variables, over S's field.
+
+    Only materialized sets are restricted; a streamed set is a ValueError.
+    """
     if S.ambient_dim != G.nvars:
         raise ValueError("section ambient dimension does not match the generators")
+    if G.stream_count:
+        raise ValueError("a streamed generator set cannot be restricted")
 
     def restrict(p):
         field = S.field_d if S.field_d is not None else p.field_d
@@ -514,23 +519,12 @@ def restrict_to_section(G: GeneratorSet, S: SectionMap) -> GeneratorSet:
             return p.restrict(S.rows, S.dim, field)
         return p.compose_linear(S.rows, S.dim, field)
 
-    items = [(label, restrict(p)) for label, p in G.items]
-    factory = None
-    if G.stream_factory is not None:
-        base = G.stream_factory
-
-        def factory(k: int):
-            label, p = base(k)
-            return label, restrict(p)
-
     return GeneratorSet(
         G.name,
         S.dim,
         G.r2,
-        items,
+        [(label, restrict(p)) for label, p in G.items],
         field_d=S.field_d if S.field_d is not None else G.field_d,
-        stream_count=G.stream_count,
-        stream_factory=factory,
         config=G.config,
     )
 

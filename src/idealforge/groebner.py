@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .configs import SphericalConfiguration
 from .exact import Scalar, _fdiv, _primitive
@@ -198,7 +198,7 @@ def buchberger(
     heap: List[Tuple] = []
     for i, j in itertools.combinations(range(len(G)), 2):
         heapq.heappush(heap, (*pair_key(i, j), i, j))
-    done = set()
+    done: List[Set[int]] = [set() for _ in G]  # partners whose pair is done
     # lead only grows by appending below, so one first-divisor memo serves
     # every reduction of the run (see poly._heap_reduce)
     first: Dict[Monomial, Tuple[Optional[int], int]] = {}
@@ -206,20 +206,14 @@ def buchberger(
     while heap:
         entry = heapq.heappop(heap)
         i, j = entry[-2], entry[-1]
-        done.add((i, j))
+        done[i].add(j)
+        done[j].add(i)
         fm, gm = lead[i][0], lead[j][0]
         l = mono_lcm(fm, gm)
         if mono_degree(l) == mono_degree(fm) + mono_degree(gm):
             continue  # coprime leading terms cancel nothing new
-        covered = any(
-            k not in (i, j)
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            and mono_divides(lead[k][0], l)
-            for k in range(len(G))
-        )
-        if covered:
-            continue
+        if any(mono_divides(lead[k][0], l) for k in done[i] & done[j]):
+            continue  # chain criterion: covered by (i, k) and (j, k), both done
         r = _reduce(s_polynomial(G[i], G[j], ordering), G, lead, ordering, work, first)
         if r.is_zero():
             continue
@@ -227,6 +221,7 @@ def buchberger(
         t = len(G)
         G.append(r)
         lead.append((r.leading_monomial(ordering), r.leading_coefficient(ordering)))
+        done.append(set())
         for i2 in range(t):
             heapq.heappush(heap, (*pair_key(i2, t), i2, t))
 

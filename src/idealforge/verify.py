@@ -271,23 +271,11 @@ def _structured_sliced_pass(
     return [(f"pair{i}", "norm", int(norms[i])) for i in np.flatnonzero(norms != extreme)[:5]]
 
 
-def _norm_witnesses(cfg: SphericalConfiguration, rows: Optional[np.ndarray] = None):
-    """Indices where the squared norm misses r2 (the norm generator's zeros)."""
-    arr_den = cfg.integer_array()
-    if arr_den is not None:
-        arr, den = arr_den
-        if rows is not None:
-            arr = arr[rows]
-        n2 = (arr * arr).sum(axis=1)
-        bad = np.nonzero(n2 != int(cfg.r2 * den * den))[0]
-        return [("NM", int(i), int(n2[i])) for i in bad[:5]]
-    out = []
-    for i, p in enumerate(cfg.points):
-        if dot(p, p) != cfg.r2:
-            out.append(("NM", i, scalar_to_text(dot(p, p))))
-            if len(out) >= 5:
-                break
-    return out
+def _norm_witnesses(arr: np.ndarray, r2: int):
+    """Rows of the den-scaled points whose squared norm misses the scaled r2."""
+    n2 = (arr * arr).sum(axis=1)
+    bad = np.flatnonzero(n2 != r2)
+    return [("NM", int(i), int(n2[i])) for i in bad[:5]]
 
 
 def check_vanishing(
@@ -347,7 +335,7 @@ def check_vanishing(
         block=block,
     )
     if not witnesses:
-        witnesses = _norm_witnesses(cfg, keep)
+        witnesses = _norm_witnesses(pts_arr, extreme)
 
     return ClaimRecord(
         claim,

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from idealforge import gamma
@@ -17,8 +18,10 @@ from idealforge.configs import (
     build_knn,
     build_leech,
     build_ngon,
+    read_points,
+    write_points,
 )
-from idealforge.exact import RANK_PRIME, Echelon, Matrix, dot, rank
+from idealforge.exact import RANK_PRIME, Echelon, Matrix, dot, rank, rank_mod_p, to_mod_p
 from idealforge.gamma import (
     EntryGuardError,
     evaluation_nullity,
@@ -33,6 +36,8 @@ from idealforge.gamma import (
     sign_classes,
     trivial_dimension,
 )
+from idealforge.generators import FAMILIES
+from idealforge.poly import SparsePoly, nm_poly
 from idealforge.verify import LEVEL_FULL_GROEBNER, LEVEL_PAPER
 
 # dimension of degree <= k functions on the sphere: two binomial blocks,
@@ -315,20 +320,85 @@ def test_leech_gamma1_never_lists_the_points(monkeypatch):
     assert shapes == [(50, 25)]
 
 
-def test_denominator_divisible_by_p_falls_back_to_exact_elimination(monkeypatch):
-    # the icosahedron shrunk by 1/p: its coordinates have no image mod p,
-    # so every rank comes from the exact Echelon, and ranks are unchanged
+def test_denominator_divisible_by_p_needs_no_exact_elimination(monkeypatch):
+    # the icosahedron shrunk by 1/p: its coordinates have no image mod p, but
+    # the den-scaled rows do, so no denominator is inverted, every rank is
+    # proven mod p, and ranks are unchanged
     ico = build_icosahedron()
     pts = [tuple(c * Fraction(1, RANK_PRIME) for c in x) for x in ico.points]
     r2 = ico.r2 / RANK_PRIME**2
     cfg = SphericalConfiguration("ico_over_p", 3, r2, None, points=pts, field_d=5)
-    rows = []
-    add_row = Echelon.add_row
 
-    def counting(self, row):
-        rows.append(row)
-        return add_row(self, row)
+    def refuse(self, row):
+        raise AssertionError("exact elimination ran")
 
-    monkeypatch.setattr(Echelon, "add_row", counting)
+    monkeypatch.setattr(Echelon, "add_row", refuse)
     assert [evaluation_nullity(cfg, k).rank for k in range(4)] == [1, 4, 9, 12]
-    assert len(rows) == 4 * 12
+
+
+def test_den_free_rows_have_the_rank_of_to_mod_p_rows():
+    # reference rows: every coordinate through exact.to_mod_p, denominators
+    # inverted mod p; the den-scaled rows are den times them mod p, and must
+    # give the same rank mod p
+    for name, row in FAMILIES.items():
+        if name == "leech":
+            continue
+        cfg = row.config(row.default_n)
+        reference = np.array([[to_mod_p(c) for c in x] for x in cfg.points], dtype=np.int64)
+        den_free = gamma._points_mod_p(cfg, None)
+        assert np.array_equal(den_free, reference * (cfg.quad_array().den % RANK_PRIME) % RANK_PRIME)
+        for k in range(1, 6):
+            monos = monomials_upto(cfg.m, k)
+            if cfg.npoints * len(monos) > gamma.ENTRY_GUARD:
+                break
+            got = rank_mod_p(gamma._monomial_matrix_mod_p(den_free, monos, k))
+            want = rank_mod_p(gamma._monomial_matrix_mod_p(reference, monos, k))
+            assert got == want, (cfg.name, k)
+
+
+def _trivial_dimension_by_elimination(cfg, k):
+    # the exact rank of the Nm and linear-form multiples' coefficient rows
+    m = cfg.m
+    monos = monomials_upto(m, k)
+    index = {mono: j for j, mono in enumerate(monos)}
+    ech = Echelon(len(monos))
+
+    def add_products(base, max_deg):
+        for beta in monomials_upto(m, max_deg):
+            row = [0] * len(monos)
+            for mono, c in (base * SparsePoly(m, {beta: 1}, cfg.field_d)).terms.items():
+                row[index[mono]] = c
+            ech.add_row(row)
+
+    if k >= 2:
+        add_products(nm_poly(m, cfg.r2, cfg.field_d), k - 2)
+    if k >= 1:
+        for form in cfg.trivial_linear:
+            add_products(SparsePoly.linear_form(form, cfg.field_d), k - 1)
+    return ech.rank
+
+
+@pytest.mark.parametrize(
+    "name, n, kmax",
+    [
+        ("knn", 2, 5),
+        ("knn", 3, 4),
+        ("knn", 4, 3),
+        ("knn", 5, 3),
+        ("icosahedron", None, 5),
+        ("e8", None, 5),
+    ],
+)
+def test_trivial_dimension_closed_form_matches_elimination(name, n, kmax):
+    cfg = FAMILIES[name].config(n)
+    for k in range(kmax + 1):
+        assert trivial_dimension(cfg, k) == _trivial_dimension_by_elimination(cfg, k), k
+
+
+def test_gamma_of_a_point_file_reads_its_values_off_the_points(tmp_path):
+    path = tmp_path / "ico.pts"
+    write_points(build_icosahedron(), str(path))
+    cfg = read_points(str(path))
+    assert cfg.omegas is None
+    assert gamma1_exact(cfg) == 3
+    assert gamma_profile(cfg).to_dict()["interval"] == [3, 3]

@@ -17,6 +17,7 @@ from idealforge.configs import (
 from idealforge.exact import Quad, dot
 from idealforge.generators import (
     FactoredPoly,
+    GeneratorSet,
     OrthogonalityError,
     as_sparse,
     build_e7_identity_witness,
@@ -233,6 +234,15 @@ def test_restriction_identity_section_is_noop():
     for (l1, p), (l2, q) in zip(G.items, R.items):
         assert l1 == l2
         assert as_sparse(p) == as_sparse(q)
+
+
+def test_streamed_set_is_not_restricted():
+    G = GeneratorSet(
+        "streamed", 3, 1, [], stream_count=1, stream_factory=lambda k: ("z0", zonal((1, 0, 0), [0]))
+    )
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError):
+        restrict_to_section(G, SectionMap(3, 3, identity, None))
 
 
 def test_e8_set_restricted_to_e7_section_vanishes():

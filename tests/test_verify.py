@@ -248,6 +248,17 @@ def test_vanishing_names_a_representative_off_the_shell():
     assert rec.witnesses == [("pair5", "norm", 16)]
 
 
+def test_vanishing_names_a_point_off_the_sphere():
+    # the origin meets every representative at 0, an interior root, so only
+    # its squared norm shows that it is no zero of the sphere polynomial
+    G = build_generator_set("e8")
+    arr, _ = G.config.integer_array()
+    arr[3] = 0
+    rec = check_vanishing(G)
+    assert rec.status == FAIL
+    assert rec.witnesses == [("NM", 3, 0)]
+
+
 def test_point_blocks_leave_passes_and_witnesses_unchanged(monkeypatch):
     G = build_generator_set("e8")
     whole = [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses]
