@@ -2,6 +2,8 @@
 
 Normal pair selection with the coprime and chain criteria, content
 normalization after every reduction, and a hard budget on reduction work.
+The pass runs fraction-free on integer coefficients (see ``_reduce``); field
+coefficients come back only in the final monic basis.
 The certification route is deliberately blunt: when a reduced basis gives a
 quotient dimension equal to the point count and every input generator
 vanishes on the points, the candidate ideal can cut out nothing beyond the
@@ -13,16 +15,20 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from fractions import Fraction
+from math import gcd, lcm
+from operator import add, floordiv, itemgetter, mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .configs import SphericalConfiguration
-from .exact import Scalar, _fdiv, _primitive
+from .exact import FieldMismatchError, Quad, Scalar, _fdiv
 from .gamma import evaluation_nullity
-from .generators import GeneratorSet, as_sparse
+from .generators import FactoredPoly, GeneratorSet
 from .poly import (
     GREVLEX,
     MonomialOrdering,
     SparsePoly,
+    _first_divisor,
     _heap_reduce,
     mono_degree,
     mono_div,
@@ -39,84 +45,340 @@ STAIRCASE_CAP = 10**6
 
 
 class BudgetExceededError(RuntimeError):
-    """The run needed more reduction steps than the budget allows."""
+    """The run needed more reduction steps than the budget allows.
+
+    Carries what the budget bought: the steps taken, the basis size reached
+    and the pairs still queued.
+    """
+
+    def __init__(self, steps: int, basis_size: int, pairs_left: int):
+        self.steps = steps
+        self.basis_size = basis_size
+        self.pairs_left = pairs_left
+        super().__init__(
+            f"reduction budget of {steps} steps exhausted with "
+            f"{basis_size} basis elements and {pairs_left} pairs left"
+        )
 
 
 class InfiniteStaircaseError(ValueError):
     """No pure power of some variable leads the ideal: the quotient is infinite."""
 
 
-# ---------------------------------------------------------------------------
-# reduction with a work meter
-# ---------------------------------------------------------------------------
-
-
 class _WorkMeter:
-    __slots__ = ("steps", "budget")
+    """Counts reduction steps; past the budget it raises with the run's state.
 
-    def __init__(self, budget: int):
+    ``basis`` and ``pairs`` are the live basis and pair queue of the run, read
+    only for their sizes when the budget runs out.
+    """
+
+    __slots__ = ("steps", "budget", "basis", "pairs")
+
+    def __init__(self, budget: int, basis: Sequence = (), pairs: Sequence = ()):
         self.steps = 0
         self.budget = budget
+        self.basis = basis
+        self.pairs = pairs
 
     def bump(self) -> None:
         self.steps += 1
         if self.steps > self.budget:
-            raise BudgetExceededError(
-                f"reduction budget of {self.budget} steps exhausted"
-            )
+            raise BudgetExceededError(self.budget, len(self.basis), len(self.pairs))
 
 
-def _normalized(p: SparsePoly) -> SparsePoly:
-    """Strip the rational content so coefficients stay near-integral."""
-    if p.is_zero():
-        return p
-    monos = list(p.terms)
-    vals = _primitive([p.terms[m] for m in monos])
-    out = SparsePoly.zero(p.nvars, p.field_d)
-    out.terms = dict(zip(monos, vals))
+# ---------------------------------------------------------------------------
+# integer coefficients
+# ---------------------------------------------------------------------------
+#
+# Inside buchberger a polynomial is a dict monomial -> integer coefficient:
+# an int over Q, a pair (x, y) of ints meaning x + y*sqrt(d) over Q(sqrt d).
+# Each one stands for a positive rational multiple of the field polynomial
+# that the same pass in field arithmetic would hold at that point.  The two
+# rings below give the arithmetic; they differ only in the coefficients.
+
+
+class _Integers:
+    """Coefficients of a polynomial over Q, as ints."""
+
+    d = None
+    one = 1
+    pack = staticmethod(itemgetter(0))
+    mul = scaled = staticmethod(mul)
+    divided = staticmethod(floordiv)
+
+    @staticmethod
+    def parts(x: Scalar) -> Tuple:
+        if isinstance(x, Quad):
+            if x.b:
+                raise FieldMismatchError(f"coefficient in Q(sqrt {x.d}) inside a field-None polynomial")
+            return (x.a,)
+        return (x,)
+
+    @staticmethod
+    def content(coeffs) -> int:
+        return gcd(*coeffs)
+
+    @staticmethod
+    def positive_factor(c: int) -> int:
+        """w with w*c a positive integer."""
+        return 1 if c > 0 else -1
+
+    @staticmethod
+    def cancel(lc: int, dc: int) -> Tuple[int, int]:
+        """a > 0 and b with a*lc == b*dc, both divided by gcd(lc, dc)."""
+        h = gcd(lc, dc)
+        return (dc // h, lc // h) if dc > 0 else (-dc // h, -lc // h)
+
+    @staticmethod
+    def submul(p: Dict, qm: Monomial, b: int, g: Dict, dm, push) -> None:
+        """p -= b * qm * (g without its term at dm), calling push(m) for each new monomial m."""
+        for t, c in g.items():
+            if t == dm:
+                continue
+            m = tuple(map(add, qm, t))
+            old = p.get(m)
+            if old is None:
+                p[m] = -b * c
+                push(m)
+            else:
+                v = old - b * c
+                if v:
+                    p[m] = v
+                else:
+                    del p[m]
+
+    @staticmethod
+    def to_field(c: int, lc: int) -> Scalar:
+        """c / lc as an exact scalar."""
+        return c if lc == 1 else Fraction(c, lc)
+
+
+class _QuadIntegers:
+    """Coefficients of a polynomial over Q(sqrt d), as pairs (x, y) for x + y*sqrt(d)."""
+
+    one = (1, 0)
+
+    def __init__(self, d: int):
+        self.d = d
+        self.values: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def parts(self, x: Scalar) -> Tuple:
+        if isinstance(x, Quad):
+            if x.b and x.d != self.d:
+                raise FieldMismatchError(f"coefficient in Q(sqrt {x.d}) inside a field-{self.d} polynomial")
+            return (x.a, x.b)
+        return (x, 0)
+
+    pack = staticmethod(tuple)
+
+    @staticmethod
+    def content(coeffs) -> int:
+        return gcd(*itertools.chain.from_iterable(coeffs))
+
+    def divided(self, c: Tuple[int, int], h: int) -> Tuple[int, int]:
+        """c / h, one shared tuple per value: basis coefficients repeat a few values."""
+        c = (c[0] // h, c[1] // h)
+        return self.values.setdefault(c, c)
+
+    @staticmethod
+    def scaled(c: Tuple[int, int], a: int) -> Tuple[int, int]:
+        return (c[0] * a, c[1] * a)
+
+    def mul(self, c: Tuple[int, int], e: Tuple[int, int]) -> Tuple[int, int]:
+        return (c[0] * e[0] + self.d * c[1] * e[1], c[0] * e[1] + c[1] * e[0])
+
+    def norm(self, c: Tuple[int, int]) -> int:
+        """c * conj(c), a nonzero integer for c != 0 since d is not a square."""
+        return c[0] * c[0] - self.d * c[1] * c[1]
+
+    def positive_factor(self, c: Tuple[int, int]) -> Tuple[int, int]:
+        """w with w*c a positive integer: +-conj(c), with the sign of the norm."""
+        return (c[0], -c[1]) if self.norm(c) > 0 else (-c[0], c[1])
+
+    def cancel(self, lc, dc) -> Tuple[int, Tuple[int, int]]:
+        """a > 0 and b with a*lc == b*dc: a = |N(dc)|/h, b = sign(N)*lc*conj(dc)/h."""
+        n = self.norm(dc)
+        x, y = self.mul(lc, (dc[0], -dc[1]))
+        if n < 0:
+            n, x, y = -n, -x, -y
+        h = gcd(n, x, y)
+        return n // h, (x // h, y // h)
+
+    def submul(self, p: Dict, qm: Monomial, b, g: Dict, dm, push) -> None:
+        """p -= b * qm * (g without its term at dm), calling push(m) for each new monomial m."""
+        d = self.d
+        bx, by = b
+        for t, (u, v) in g.items():
+            if t == dm:
+                continue
+            m = tuple(map(add, qm, t))
+            cx = bx * u + d * by * v
+            cy = bx * v + by * u
+            old = p.get(m)
+            if old is None:
+                p[m] = (-cx, -cy)
+                push(m)
+            else:
+                x = old[0] - cx
+                y = old[1] - cy
+                if x or y:
+                    p[m] = (x, y)
+                else:
+                    del p[m]
+
+    def to_field(self, c, lc) -> Quad:
+        """c / lc = c * conj(lc) / N(lc) as a Quad."""
+        n = self.norm(lc)
+        x, y = self.mul(c, (lc[0], -lc[1]))
+        return Quad(Fraction(x, n), Fraction(y, n), self.d)
+
+
+def _ring(d: Optional[int]):
+    return _Integers() if d is None else _QuadIntegers(d)
+
+
+def _no_push(_m: Monomial) -> None:
+    pass
+
+
+def _normalized(p: Dict, ring) -> Dict:
+    """p divided by its positive content: the primitive form of every positive multiple of p."""
+    h = ring.content(p.values())
+    return {m: ring.divided(c, h) for m, c in p.items()}
+
+
+def _lifted(terms: Dict[Monomial, Scalar], ring) -> Dict:
+    """Exact field terms times the positive lcm of their denominators."""
+    parts = {m: ring.parts(c) for m, c in terms.items() if c != 0}
+    den = lcm(*(q.denominator for ps in parts.values() for q in ps))
+    return {
+        m: ring.pack([q.numerator * (den // q.denominator) for q in ps])
+        for m, ps in parts.items()
+    }
+
+
+def _integer_form(p, ring) -> Dict:
+    """Primitive integer dict of a generator, a positive multiple of its expansion.
+
+    A ``FactoredPoly`` is multiplied out factor by factor, each factor
+    lifted to integers on its own, so no Fraction is formed.
+    """
+    if not isinstance(p, FactoredPoly):
+        return _normalized(_lifted(p.terms, ring), ring)
+    zero = (0,) * p.nvars
+    out = {zero: ring.one}
+    for vec, c in p.factors:
+        lin = {zero: -c}
+        for i, v in enumerate(vec):
+            e = [0] * p.nvars
+            e[i] = 1
+            lin[tuple(e)] = v
+        prod: Dict = {}
+        for t, fc in _lifted(lin, ring).items():
+            ring.submul(prod, t, ring.scaled(fc, -1), out, None, _no_push)
+        out = prod
+    return _normalized(out, ring)
+
+
+def _lead(p: Dict, ordering: MonomialOrdering) -> Tuple[Monomial, object]:
+    m = max(p, key=ordering.key)
+    return m, p[m]
+
+
+def _monic(p: Dict, lead: Tuple[Monomial, object], ring) -> SparsePoly:
+    """The field polynomial p / lc, the one place the pass forms fractions again."""
+    lm, lc = lead
+    out = SparsePoly.zero(len(lm), ring.d)
+    out.terms = {m: ring.to_field(c, lc) for m, c in p.items()}
     return out
-
-
-def _monic(p: SparsePoly, lc: Scalar) -> SparsePoly:
-    """p divided by its leading coefficient lc."""
-    if lc == 1:
-        return p
-    return p * _fdiv(1, lc)
 
 
 def _reduce(
-    f: SparsePoly,
-    basis: Sequence[SparsePoly],
-    lead: Sequence[Tuple[Monomial, Scalar]],
+    f: Dict,
+    basis: Sequence[Dict],
+    lead: Sequence[Tuple[Monomial, object]],
     ordering: MonomialOrdering,
     work: _WorkMeter,
+    ring,
     first: Optional[Dict[Monomial, Tuple[Optional[int], int]]] = None,
-) -> SparsePoly:
-    """Full normal form of f against the basis, counting every step.
+) -> Dict:
+    """Fraction-free full normal form of the integer dict f, counting every step.
 
-    The heap loop of ``poly.divide`` (``_heap_reduce``), so the steps are
-    those of peeling the maximum term each time with the first dividing
-    lead in list order.  ``first`` is its first-divisor memo; buchberger
-    keeps one for a whole run, during which ``lead`` only grows by
-    appending.
+    The heap loop of ``poly._heap_reduce`` with the same first-divisor
+    lookup (``_first_divisor``, whose memo ``first`` buchberger keeps for a
+    whole run while ``lead`` only grows by appending); only the coefficient
+    update differs.  A lead term lc*lm reduced by a divisor with lead dc*dm
+    takes the step P <- a*P - b*(lm/dm)*g with a*lc == b*dc, where a is a
+    positive integer (``ring.cancel``: over Q, a = |dc|/h and
+    b = sign(dc)*lc/h with h = gcd(lc, dc); over Q(sqrt d), a = |N(dc)|/h and
+    b = sign(N)*lc*conj(dc)/h with N(dc) = dc*conj(dc)).
+
+    Why the result is the field one:
+
+    - a*P - b*(lm/dm)*g = a*(P - lc/dc*(lm/dm)*g), so if P is a positive
+      rational multiple of the working polynomial of the field loop, it
+      stays one.  Its support is the same at every step.
+    - So the popped monomials, the first divisors (and the memo), and the
+      step count are those of the field loop.
+    - A remainder term keeps the multiplier M in force when it was emitted;
+      at the end it is scaled once by M_end / M, an integer because M_end is
+      M times the later a's.  The remainder returned is M_end times the field
+      remainder, and ``_normalized`` divides that positive multiple down to
+      the same primitive form as the field remainder's.
     """
-    rem = _heap_reduce(
-        dict(f.terms),
-        basis,
-        lead,
-        ordering,
-        {} if first is None else first,
-        lambda _i, _qm, _qc: work.bump(),
-    )
-    out = SparsePoly.zero(f.nvars, f.field_d)
-    out.terms = rem
-    return out
+    key = ordering.heap_key
+    p = dict(f)
+    heap = [(key(m), m) for m in p]
+    heapq.heapify(heap)
+
+    def push(m: Monomial) -> None:
+        heapq.heappush(heap, (key(m), m))
+
+    if first is None:
+        first = {}
+    rem: Dict[Monomial, Tuple[object, int]] = {}
+    mult = 1
+    while heap:
+        lm = heapq.heappop(heap)[1]
+        lc = p.pop(lm, None)
+        if lc is None:
+            continue
+        i = _first_divisor(lm, lead, first)
+        if i is None:
+            rem[lm] = (lc, mult)
+            continue
+        work.bump()
+        dm, dc = lead[i]
+        a, b = ring.cancel(lc, dc)
+        if a != 1:
+            p = {m: ring.scaled(c, a) for m, c in p.items()}
+            mult *= a
+        ring.submul(p, mono_div(lm, dm), b, basis[i], dm, push)
+    return {m: c if k == mult else ring.scaled(c, mult // k) for m, (c, k) in rem.items()}
+
+
+def _spair(f: Dict, g: Dict, fl, gl, ring) -> Dict:
+    """Integer S-polynomial of f and g, given their leads: a positive multiple of the field one.
+
+    With w*fc = k a positive integer and a*k == b*gc (a > 0), the
+    combination a*w*(l/fm)*f - b*(l/gm)*g cancels the lead at l and equals
+    a*w*fc*((l/fm)*f/fc - (l/gm)*g/gc) = a*k*s_polynomial(f, g).
+    """
+    (fm, fc), (gm, gc) = fl, gl
+    l = mono_lcm(fm, gm)
+    w = ring.positive_factor(fc)
+    a, b = ring.cancel(ring.mul(w, fc), gc)
+    aw = ring.scaled(w, a)
+    uf = mono_div(l, fm)
+    p = {tuple(map(add, uf, t)): ring.mul(aw, c) for t, c in f.items() if t != fm}
+    ring.submul(p, mono_div(l, gm), b, g, gm, _no_push)
+    return p
 
 
 def s_polynomial(
     f: SparsePoly, g: SparsePoly, ordering: MonomialOrdering = GREVLEX
 ) -> SparsePoly:
-    """The classical cancellation combination of two leading terms."""
+    """The classical cancellation combination of two leading terms, in field arithmetic."""
     fm = f.leading_monomial(ordering)
     gm = g.leading_monomial(ordering)
     l = mono_lcm(fm, gm)
@@ -132,9 +394,19 @@ def _as_given(gens) -> List:
     return list(gens)
 
 
-def _collect(gens) -> List[SparsePoly]:
-    """Generator inputs as expanded polynomials, in deterministic order."""
-    return [as_sparse(p) for p in _as_given(gens)]
+def _integer_inputs(gens):
+    """The ring of the generators and their primitive integer forms, in order."""
+    given = _as_given(gens)
+    if not given:
+        raise ValueError("no nonzero generators")
+    nvars, d = given[0].nvars, given[0].field_d
+    for p in given:
+        if p.nvars != nvars:
+            raise ValueError("variable count mismatch")
+        if p.field_d != d:
+            raise FieldMismatchError(f"field tags differ: {d} vs {p.field_d}")
+    ring = _ring(d)
+    return ring, [_integer_form(p, ring) for p in given]
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +433,13 @@ class GroebnerBasis:
         return [p.leading_monomial(self.ordering) for p in self.polys]
 
     def normal_form(self, f: SparsePoly, budget: int = DEFAULT_BUDGET) -> SparsePoly:
+        """Normal form of f in field arithmetic (``poly._heap_reduce``)."""
         lead = [(p.leading_monomial(self.ordering), p.leading_coefficient(self.ordering)) for p in self.polys]
-        return _reduce(f, self.polys, lead, self.ordering, _WorkMeter(budget))
+        work = _WorkMeter(budget, self.polys)
+        rem = _heap_reduce(dict(f.terms), self.polys, lead, self.ordering, {}, lambda _i, _qm, _qc: work.bump())
+        out = SparsePoly.zero(f.nvars, f.field_d)
+        out.terms = rem
+        return out
 
     def to_text(self) -> List[str]:
         return [poly_to_text(p, self.ordering) for p in self.polys]
@@ -179,17 +456,16 @@ def buchberger(
     terms are dropped, as are pairs covered by an already-handled chain
     through a third element.  Every intermediate remainder has its content
     stripped.  Deterministic for a fixed input order and ordering.
+
+    The pass runs on primitive integer forms, each a positive multiple of
+    the field polynomial, so its pairs, steps and basis are those of the
+    field pass (see ``_reduce``); only ``_monic`` forms fractions.
     """
-    work = _WorkMeter(budget)
-    G: List[SparsePoly] = []
-    for p in _collect(gens):
-        if not p.is_zero():
-            G.append(_normalized(p))
+    ring, inputs = _integer_inputs(gens)
+    G: List[Dict] = [p for p in inputs if p]
     if not G:
         raise ValueError("no nonzero generators")
-    lead: List[Tuple[Monomial, Scalar]] = [
-        (p.leading_monomial(ordering), p.leading_coefficient(ordering)) for p in G
-    ]
+    lead = [_lead(p, ordering) for p in G]
 
     def pair_key(i: int, j: int):
         l = mono_lcm(lead[i][0], lead[j][0])
@@ -198,43 +474,56 @@ def buchberger(
     heap: List[Tuple] = []
     for i, j in itertools.combinations(range(len(G)), 2):
         heapq.heappush(heap, (*pair_key(i, j), i, j))
-    done: List[Set[int]] = [set() for _ in G]  # partners whose pair is done
+    work = _WorkMeter(budget, G, heap)
+    done = [0] * len(G)  # bit k of done[i] set: the pair (i, k) is done
     # lead only grows by appending below, so one first-divisor memo serves
-    # every reduction of the run (see poly._heap_reduce)
+    # every reduction of the run (see poly._first_divisor)
     first: Dict[Monomial, Tuple[Optional[int], int]] = {}
 
     while heap:
         entry = heapq.heappop(heap)
         i, j = entry[-2], entry[-1]
-        done[i].add(j)
-        done[j].add(i)
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         fm, gm = lead[i][0], lead[j][0]
         l = mono_lcm(fm, gm)
         if mono_degree(l) == mono_degree(fm) + mono_degree(gm):
             continue  # coprime leading terms cancel nothing new
-        if any(mono_divides(lead[k][0], l) for k in done[i] & done[j]):
+        if _chain_covered(done[i] & done[j], lead, l):
             continue  # chain criterion: covered by (i, k) and (j, k), both done
-        r = _reduce(s_polynomial(G[i], G[j], ordering), G, lead, ordering, work, first)
-        if r.is_zero():
+        s = _spair(G[i], G[j], lead[i], lead[j], ring)
+        r = _reduce(s, G, lead, ordering, work, ring, first)
+        if not r:
             continue
-        r = _normalized(r)
+        r = _normalized(r, ring)
         t = len(G)
         G.append(r)
-        lead.append((r.leading_monomial(ordering), r.leading_coefficient(ordering)))
-        done.append(set())
+        lead.append(_lead(r, ordering))
+        done.append(0)
         for i2 in range(t):
             heapq.heappush(heap, (*pair_key(i2, t), i2, t))
 
     return GroebnerBasis(
-        _interreduce(G, lead, ordering, work), ordering, reduced=True, reductions=work.steps
+        _interreduce(G, lead, ordering, work, ring), ordering, reduced=True, reductions=work.steps
     )
 
 
+def _chain_covered(common: int, lead: Sequence[Tuple[Monomial, object]], l: Monomial) -> bool:
+    """Whether the lead monomial of some k in the bitmask ``common`` divides l."""
+    while common:
+        low = common & -common
+        if mono_divides(lead[low.bit_length() - 1][0], l):
+            return True
+        common ^= low
+    return False
+
+
 def _interreduce(
-    G: List[SparsePoly],
-    lead: List[Tuple[Monomial, Scalar]],
+    G: List[Dict],
+    lead: List[Tuple[Monomial, object]],
     ordering: MonomialOrdering,
     work: _WorkMeter,
+    ring,
 ) -> List[SparsePoly]:
     """Minimal monic basis with every element fully reduced by the others.
 
@@ -260,18 +549,18 @@ def _interreduce(
             others = polys[:i] + polys[i + 1:]
             if not others:
                 continue
-            r = _reduce(polys[i], others, leads[:i] + leads[i + 1:], ordering, work)
-            if r.is_zero():
+            r = _reduce(polys[i], others, leads[:i] + leads[i + 1:], ordering, work, ring)
+            if not r:
                 raise ArithmeticError("minimal basis element reduced to zero")
-            r = _normalized(r)
+            r = _normalized(r, ring)
             if r != polys[i]:
                 polys[i] = r
-                leads[i] = (r.leading_monomial(ordering), r.leading_coefficient(ordering))
+                leads[i] = _lead(r, ordering)
                 changed = True
         if not changed:
             break
     order = sorted(range(len(polys)), key=lambda i: ordering.key(leads[i][0]))
-    return [_monic(polys[i], leads[i][1]) for i in order]
+    return [_monic(polys[i], leads[i], ring) for i in order]
 
 
 # ---------------------------------------------------------------------------

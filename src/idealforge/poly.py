@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, le, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -27,19 +27,19 @@ Monomial = Tuple[int, ...]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -402,6 +402,32 @@ def divide(
     return [SparsePoly(f.nvars, q, f.field_d) for q in quots], SparsePoly(f.nvars, rem, f.field_d)
 
 
+def _first_divisor(
+    lm: Monomial,
+    lead: Sequence[Tuple[Monomial, object]],
+    first: Dict[Monomial, Tuple[Optional[int], int]],
+) -> Optional[int]:
+    """Index of the first lead, in list order, whose monomial divides lm; None if none does.
+
+    ``first`` maps a monomial to (index of the first lead dividing it, or
+    None; the number of leads scanned).  A caller may keep it across calls
+    while ``lead`` only grows by appending: the first divisor among the
+    first t leads stays the first one after the list grows, and a monomial
+    none of them divides needs only the leads added since scanned.  So the
+    divisor picked is always the one the linear scan picks.  A caller whose
+    lead list changes in any other way passes a fresh dict.
+    """
+    i, scanned = first.get(lm, (None, 0))
+    n = len(lead)
+    if i is None and scanned < n:
+        for k in range(scanned, n):
+            if mono_divides(lead[k][0], lm):
+                i = k
+                break
+        first[lm] = (i, n)
+    return i
+
+
 def _heap_reduce(
     p: Dict[Monomial, Scalar],
     divisors: Sequence[SparsePoly],
@@ -427,16 +453,9 @@ def _heap_reduce(
     maximum of p at that moment.  So the steps, quotients and remainder are
     those of rescanning p for its maximum each time.
 
-    ``first`` maps a monomial to (index of the first lead dividing it, or
-    None; the number of leads scanned).  A caller may keep it across calls
-    while ``lead`` only grows by appending: the first divisor among the
-    first t leads stays the first one after the list grows, and a monomial
-    none of them divides needs only the leads added since scanned.  So the
-    divisor picked is always the one the linear scan picks.  A caller whose
-    lead list changes in any other way passes a fresh dict.
+    ``first`` is the first-divisor memo of :func:`_first_divisor`.
     """
     key = ordering.heap_key
-    n = len(lead)
     rem: Dict[Monomial, Scalar] = {}
     heap = [(key(m), m) for m in p]
     heapq.heapify(heap)
@@ -445,13 +464,7 @@ def _heap_reduce(
         lc = p.pop(lm, None)
         if lc is None:
             continue
-        i, scanned = first.get(lm, (None, 0))
-        if i is None and scanned < n:
-            for k in range(scanned, n):
-                if mono_divides(lead[k][0], lm):
-                    i = k
-                    break
-            first[lm] = (i, n)
+        i = _first_divisor(lm, lead, first)
         if i is None:
             rem[lm] = lc
             continue

@@ -318,8 +318,13 @@ def test_groebner_e6_certifies(tmp_path):
     assert sum(doc["counts"]["hilbert"]) == 72
 
 
-def test_groebner_budget_exhaustion_exits_3(tmp_path):
+def test_groebner_budget_exhaustion_exits_3(tmp_path, capsys):
     assert run(["groebner", "knn", "--budget", "5", "--out", str(tmp_path / "x.json")]) == EXIT_RESOURCE
+    # the resource line says what the budget bought
+    assert capsys.readouterr().err.splitlines() == [
+        "idealforge: resource: reduction budget of 5 steps exhausted "
+        "with 12 basis elements and 64 pairs left"
+    ]
 
 
 def test_groebner_basis_file(tmp_path):

@@ -7,13 +7,18 @@ from fractions import Fraction
 import pytest
 
 from idealforge.configs import build_4cube, build_icosahedron, build_knn, build_ngon
-from idealforge.exact import _fdiv
+from idealforge.exact import Quad, _fdiv
 from idealforge.generators import FactoredPoly, as_sparse, build_generator_set
 from idealforge.groebner import (
     BudgetExceededError,
     InfiniteStaircaseError,
+    _integer_form,
+    _lead,
+    _monic,
     _normalized,
     _reduce,
+    _ring,
+    _spair,
     _WorkMeter,
     affine_hilbert_by_evaluation,
     buchberger,
@@ -248,31 +253,35 @@ def rescanning_normal_form(f, basis, ordering):
 @pytest.mark.parametrize("ordering", [GREVLEX, LEX], ids=["grevlex", "lex"])
 @pytest.mark.parametrize("family", [("knn", 3), ("ngon", 6), ("knn", 2)], ids=family_id)
 def test_reduction_kernel_against_division_and_rescanning(family, ordering):
-    # one first-divisor memo serves a basis that grows by appending: every
-    # remainder equals divide's and the rescanning loop's, and the steps
-    # counted equal divide's quotient terms and the rescanning loop's steps.
-    # Inputs are the generators and S-polynomials of pairs drawn, with a
-    # fixed seed, from the least-lcm-degree pairs not yet reduced.
+    # the integer reducer, with one first-divisor memo serving a basis that
+    # grows by appending: every remainder, normalized, equals divide's
+    # normalized remainder, and the steps counted equal divide's quotient
+    # terms, which in turn match the rescanning loop.  Inputs are the
+    # generators and S-polynomials of pairs drawn, with a fixed seed, from
+    # the least-lcm-degree pairs not yet reduced.
     gens = [as_sparse(p) for _label, p in build_generator_set(*family)]
+    ring = _ring(gens[0].field_d)
     rng = random.Random(f"{family}-{ordering.kind}")
-    basis = [gens[0]]
-    lead = [(gens[0].leading_monomial(ordering), gens[0].leading_coefficient(ordering))]
+    ints = [_integer_form(gens[0], ring)]
+    lead = [_lead(ints[0], ordering)]
+    basis = [_monic(ints[0], lead[0], ring)]
     pairs, first = [], {}
     work = _WorkMeter(10**6)
 
     def reduce_and_append(f):
         before = work.steps
-        r = _reduce(f, basis, lead, ordering, work, first)
+        r = _reduce(_integer_form(f, ring), ints, lead, ordering, work, ring, first)
         quots, rem = divide(f, basis, ordering)
-        assert r == rem
-        assert list(r.terms) == sorted(r.terms, key=ordering.key, reverse=True)
-        assert work.steps - before == sum(len(q.terms) for q in quots)
-        assert (r, work.steps - before) == rescanning_normal_form(f, basis, ordering)
-        if not r.is_zero():
-            r = _normalized(r)
-            pairs.extend((i, len(basis)) for i in range(len(basis)))
-            basis.append(r)
-            lead.append((r.leading_monomial(ordering), r.leading_coefficient(ordering)))
+        steps = sum(len(q.terms) for q in quots)
+        assert (rem, steps) == rescanning_normal_form(f, basis, ordering)
+        assert _normalized(r, ring) == _integer_form(rem, ring)
+        assert work.steps - before == steps
+        if r:
+            r = _normalized(r, ring)
+            pairs.extend((i, len(ints)) for i in range(len(ints)))
+            ints.append(r)
+            lead.append(_lead(r, ordering))
+            basis.append(_monic(r, lead[-1], ring))
 
     for f in gens[1:]:
         reduce_and_append(f)
@@ -281,10 +290,95 @@ def test_reduction_kernel_against_division_and_rescanning(family, ordering):
             break
         pairs.sort(key=lambda ij: sum(max(a, b) for a, b in zip(lead[ij[0]][0], lead[ij[1]][0])))
         i, j = pairs.pop(rng.randrange(min(3, len(pairs))))
-        reduce_and_append(s_polynomial(basis[i], basis[j], ordering))
-    assert len(basis) > len(gens) // 2
+        s = s_polynomial(basis[i], basis[j], ordering)
+        # the integer S-polynomial is a positive multiple of the field one
+        assert _normalized(_spair(ints[i], ints[j], lead[i], lead[j], ring), ring) == _integer_form(s, ring)
+        reduce_and_append(s)
+    assert len(ints) > len(gens) // 2
     # entries made against a shorter lead list were carried into later calls
     assert any(scanned < len(lead) for _i, scanned in first.values())
+
+
+def random_scalar(rng, d):
+    """A small nonzero exact scalar over Q (d None) or Q(sqrt d), of either sign."""
+    while True:
+        a = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+        if d is None:
+            c = a
+        else:
+            c = Quad(a, Fraction(rng.randint(-4, 4), rng.choice((1, 2))), d)
+        if c != 0:
+            return c
+
+
+def random_ideal(rng, d, nvars=3, ngens=3):
+    """Seeded generators of degree <= 2 that share a zero; the first one's lead is negative.
+
+    Returns the generators and the common zero.
+    """
+    point = [random_scalar(rng, d) for _ in range(nvars)]
+    polys = []
+    while len(polys) < ngens:
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            e = [0] * nvars
+            for _ in range(rng.randint(0, 2)):
+                e[rng.randrange(nvars)] += 1
+            terms[tuple(e)] = random_scalar(rng, d)
+        p = SparsePoly(nvars, terms, d)
+        if p.degree() >= 1:
+            polys.append(p - p.eval(point))
+    if polys[0].leading_coefficient(GREVLEX) > 0:
+        polys[0] = -polys[0]
+    return polys, point
+
+
+@pytest.mark.parametrize("d", [None, 2, 3, 5], ids=["Q", "sqrt2", "sqrt3", "sqrt5"])
+def test_integer_engine_against_field_arithmetic(d):
+    # the basis the integer engine returns is a reduced Groebner basis by
+    # the field-arithmetic normal form, every input reduces to zero by it,
+    # and every basis element keeps the inputs' common zero.  Each integer
+    # S-polynomial and remainder of two inputs is a positive multiple of
+    # the field one, whatever the signs (and norms) of the leads.
+    rng = random.Random(f"field-oracle-{d}")
+    ring = _ring(d)
+    signs = set()
+    for _ in range(6):
+        polys, point = random_ideal(rng, d)
+        signs.update(p.leading_coefficient(GREVLEX) > 0 for p in polys)
+        ints = [_integer_form(p, ring) for p in polys]
+        for (f, fi), (g, gi) in itertools.combinations(zip(polys, ints), 2):
+            s = s_polynomial(f, g)
+            leads = [_lead(fi, GREVLEX), _lead(gi, GREVLEX)]
+            si = _spair(fi, gi, *leads, ring)
+            assert _normalized(si, ring) == _integer_form(s, ring)
+            r = _reduce(si, [fi, gi], leads, GREVLEX, _WorkMeter(10**6), ring)
+            assert _normalized(r, ring) == _integer_form(divide(s, [f, g])[1], ring)
+        for ordering in (GREVLEX, LEX):
+            basis = buchberger(polys, ordering=ordering)
+            assert_groebner_and_reduced(basis)
+            for p in polys:
+                assert basis.normal_form(p).is_zero()
+            assert all(q.eval(point) == 0 for q in basis)
+    assert signs == {True, False}
+
+
+def test_reduction_counts_are_pinned():
+    from idealforge.configs import build_e7
+    from idealforge.generators import restrict_to_section
+
+    e7 = restrict_to_section(build_generator_set("e7"), build_e7().section)
+    counts = [
+        buchberger(gens).reductions
+        for gens in (
+            e7,
+            build_generator_set("knn", 4),
+            build_generator_set("cube4"),
+            build_generator_set("icosahedron"),
+            build_generator_set("e6"),
+        )
+    ]
+    assert counts == [4124, 2364, 593, 71, 2120]
 
 
 def test_budget_stops_at_the_same_step():
