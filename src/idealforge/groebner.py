@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .configs import SphericalConfiguration
 from .exact import FieldMismatchError, Quad, Scalar, _fdiv
@@ -160,7 +160,6 @@ class _QuadIntegers:
 
     def __init__(self, d: int):
         self.d = d
-        self.values: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def parts(self, x: Scalar) -> Tuple:
         if isinstance(x, Quad):
@@ -175,10 +174,9 @@ class _QuadIntegers:
     def content(coeffs) -> int:
         return gcd(*itertools.chain.from_iterable(coeffs))
 
-    def divided(self, c: Tuple[int, int], h: int) -> Tuple[int, int]:
-        """c / h, one shared tuple per value: basis coefficients repeat a few values."""
-        c = (c[0] // h, c[1] // h)
-        return self.values.setdefault(c, c)
+    @staticmethod
+    def divided(c: Tuple[int, int], h: int) -> Tuple[int, int]:
+        return (c[0] // h, c[1] // h)
 
     @staticmethod
     def scaled(c: Tuple[int, int], a: int) -> Tuple[int, int]:
@@ -475,7 +473,7 @@ def buchberger(
     for i, j in itertools.combinations(range(len(G)), 2):
         heapq.heappush(heap, (*pair_key(i, j), i, j))
     work = _WorkMeter(budget, G, heap)
-    done = [0] * len(G)  # bit k of done[i] set: the pair (i, k) is done
+    done: List[Set[int]] = [set() for _ in G]  # partners whose pair is done
     # lead only grows by appending below, so one first-divisor memo serves
     # every reduction of the run (see poly._first_divisor)
     first: Dict[Monomial, Tuple[Optional[int], int]] = {}
@@ -483,13 +481,13 @@ def buchberger(
     while heap:
         entry = heapq.heappop(heap)
         i, j = entry[-2], entry[-1]
-        done[i] |= 1 << j
-        done[j] |= 1 << i
+        done[i].add(j)
+        done[j].add(i)
         fm, gm = lead[i][0], lead[j][0]
         l = mono_lcm(fm, gm)
         if mono_degree(l) == mono_degree(fm) + mono_degree(gm):
             continue  # coprime leading terms cancel nothing new
-        if _chain_covered(done[i] & done[j], lead, l):
+        if any(mono_divides(lead[k][0], l) for k in done[i] & done[j]):
             continue  # chain criterion: covered by (i, k) and (j, k), both done
         s = _spair(G[i], G[j], lead[i], lead[j], ring)
         r = _reduce(s, G, lead, ordering, work, ring, first)
@@ -499,23 +497,13 @@ def buchberger(
         t = len(G)
         G.append(r)
         lead.append(_lead(r, ordering))
-        done.append(0)
+        done.append(set())
         for i2 in range(t):
             heapq.heappush(heap, (*pair_key(i2, t), i2, t))
 
     return GroebnerBasis(
         _interreduce(G, lead, ordering, work, ring), ordering, reduced=True, reductions=work.steps
     )
-
-
-def _chain_covered(common: int, lead: Sequence[Tuple[Monomial, object]], l: Monomial) -> bool:
-    """Whether the lead monomial of some k in the bitmask ``common`` divides l."""
-    while common:
-        low = common & -common
-        if mono_divides(lead[low.bit_length() - 1][0], l):
-            return True
-        common ^= low
-    return False
 
 
 def _interreduce(

@@ -276,6 +276,10 @@ def test_reduction_kernel_against_division_and_rescanning(family, ordering):
         assert (rem, steps) == rescanning_normal_form(f, basis, ordering)
         assert _normalized(r, ring) == _integer_form(rem, ring)
         assert work.steps - before == steps
+        # both heap loops emit remainder terms in descending order: each pop
+        # takes the maximum of the working polynomial
+        assert list(r) == sorted(r, key=ordering.key, reverse=True)
+        assert list(rem.terms) == sorted(rem.terms, key=ordering.key, reverse=True)
         if r:
             r = _normalized(r, ring)
             pairs.extend((i, len(ints)) for i in range(len(ints)))
