@@ -446,9 +446,11 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     term and partial sum is an integer that float64 holds exactly (if one
     factor is all zero, so is every term), so each multiply, add or fused
     multiply-add returns the exact value, whatever order BLAS sums in: the
-    product runs in float64 BLAS.  Below 2^63 the same argument holds for
-    int64, which numpy multiplies without BLAS.  Beyond that the product is
-    refused with ArithmeticError before anything is multiplied.
+    product runs in float64 BLAS.  Any BLAS thread count gives the same
+    exact result; the package runs one (see ``idealforge/__init__.py``).
+    Below 2^63 the same argument holds for int64, which numpy multiplies
+    without BLAS.  Beyond that the product is refused with ArithmeticError
+    before anything is multiplied.
     """
     if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
         raise TypeError("int_product needs integer arrays")

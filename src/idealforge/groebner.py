@@ -465,13 +465,13 @@ def buchberger(
         raise ValueError("no nonzero generators")
     lead = [_lead(p, ordering) for p in G]
 
-    def pair_key(i: int, j: int):
+    def pair_entry(i: int, j: int):
+        # the unique (i, j) breaks every tie, so the lcm is never compared
         l = mono_lcm(lead[i][0], lead[j][0])
-        return (mono_degree(l), ordering.key(l), i, j)
+        return (mono_degree(l), ordering.key(l), i, j, l)
 
-    heap: List[Tuple] = []
-    for i, j in itertools.combinations(range(len(G)), 2):
-        heapq.heappush(heap, (*pair_key(i, j), i, j))
+    heap = [pair_entry(i, j) for i, j in itertools.combinations(range(len(G)), 2)]
+    heapq.heapify(heap)
     work = _WorkMeter(budget, G, heap)
     done: List[Set[int]] = [set() for _ in G]  # partners whose pair is done
     # lead only grows by appending below, so one first-divisor memo serves
@@ -479,13 +479,10 @@ def buchberger(
     first: Dict[Monomial, Tuple[Optional[int], int]] = {}
 
     while heap:
-        entry = heapq.heappop(heap)
-        i, j = entry[-2], entry[-1]
+        degree, _key, i, j, l = heapq.heappop(heap)
         done[i].add(j)
         done[j].add(i)
-        fm, gm = lead[i][0], lead[j][0]
-        l = mono_lcm(fm, gm)
-        if mono_degree(l) == mono_degree(fm) + mono_degree(gm):
+        if degree == mono_degree(lead[i][0]) + mono_degree(lead[j][0]):
             continue  # coprime leading terms cancel nothing new
         if any(mono_divides(lead[k][0], l) for k in done[i] & done[j]):
             continue  # chain criterion: covered by (i, k) and (j, k), both done
@@ -499,7 +496,7 @@ def buchberger(
         lead.append(_lead(r, ordering))
         done.append(set())
         for i2 in range(t):
-            heapq.heappush(heap, (*pair_key(i2, t), i2, t))
+            heapq.heappush(heap, pair_entry(i2, t))
 
     return GroebnerBasis(
         _interreduce(G, lead, ordering, work, ring), ordering, reduced=True, reductions=work.steps

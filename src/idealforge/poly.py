@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, neg, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
@@ -56,7 +56,7 @@ class MonomialOrdering:
 
     def key(self, m: Monomial):
         if self.kind == "grevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
+            return (sum(m), tuple(map(neg, reversed(m))))
         return m
 
     def heap_key(self, m: Monomial):

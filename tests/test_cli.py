@@ -1,6 +1,7 @@
 """Exit codes, report schema, and determinism of the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -413,3 +414,26 @@ def test_console_entry_point():
     doc = json.loads(proc.stdout)
     assert doc["counts"]["points"] == 12
     assert proc.stderr == ""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="counts the threads of a Linux process on two or more cores",
+)
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_pins_one_blas_thread(preset):
+    """A fresh import leaves one OpenBLAS thread; an explicit count is kept."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = "import os, idealforge.cli; print(len(os.listdir('/proc/self/task')))"
+    probe += "; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    threads, value = proc.stdout.split()
+    if preset is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == preset
