@@ -5,7 +5,7 @@ import os
 # One OpenBLAS thread, set before numpy loads.  The only BLAS call is
 # exact.int_product, exact in any summation order, so this changes cost, not
 # results: its thin products (64x24x16384 per Leech pair block) take 1.9 ms on
-# one thread and 15.8 ms on two (2-core host), and leech_report's cpu_s falls
+# one thread and 12-16 ms on two (2-core host), and leech_report's cpu_s falls
 # from 2.7 to 1.5 s.  An explicit setting wins; numpy imported first ignores it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

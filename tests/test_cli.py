@@ -427,8 +427,10 @@ def test_import_pins_one_blas_thread(preset):
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    probe = "import os, idealforge.cli; print(len(os.listdir('/proc/self/task')))"
-    probe += "; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    probe = (
+        "import os, idealforge.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
