@@ -162,7 +162,6 @@ class SphericalConfiguration:
         array: Optional[np.ndarray] = None,
         field_d: Optional[int] = None,
         antipodal: bool = False,
-        embedded: bool = False,
         trivial_linear: Sequence[Tuple[Scalar, ...]] = (),
         section: Optional[SectionMap] = None,
         ambient_points: Optional[List[Tuple[Scalar, ...]]] = None,
@@ -183,13 +182,17 @@ class SphericalConfiguration:
         self._quad: Optional[QuadArray] = None
         self.field_d = field_d
         self.antipodal = antipodal
-        self.embedded = embedded
         self.trivial_linear = [tuple(f) for f in trivial_linear]
         self.section = section
         self.ambient_points = ambient_points
         self.lattice_scale = lattice_scale
         self.design_strength = design_strength
         self.theorem = theorem
+
+    @property
+    def embedded(self) -> bool:
+        """The points lie in the hyperplanes of declared linear forms (knn)."""
+        return bool(self.trivial_linear)
 
     @property
     def npoints(self) -> int:
@@ -260,11 +263,9 @@ def build_icosahedron() -> SphericalConfiguration:
     return cfg
 
 
-def icosahedron_adjacency(cfg: Optional[SphericalConfiguration] = None) -> List[List[int]]:
+def icosahedron_adjacency() -> List[List[int]]:
     """0/1 adjacency: vertices are adjacent exactly when their inner product is phi."""
-    if cfg is None:
-        cfg = build_icosahedron()
-    pts = cfg.points
+    pts = build_icosahedron().points
     return [
         [1 if i != j and dot(pts[i], pts[j]) == PHI else 0 for j in range(12)]
         for i in range(12)
@@ -376,7 +377,7 @@ def _leech_type2(codewords: Sequence[int], flip: bool) -> np.ndarray:
     return rows
 
 
-def build_leech(code: Optional[BinaryCode] = None) -> SphericalConfiguration:
+def build_leech() -> SphericalConfiguration:
     """196560 integer vectors of squared norm 32 (coordinates carry the sqrt-8 scale).
 
     Three shapes: (±2^8, 0^16) on weight-8 codeword supports with an even
@@ -385,8 +386,7 @@ def build_leech(code: Optional[BinaryCode] = None) -> SphericalConfiguration:
     shape is validated against the first via the mod-8 inner-product rule and
     flipped globally if the check fails.
     """
-    if code is None:
-        code = build_golay()
+    code = build_golay()
     octads = [w for w in code.codewords if w.bit_count() == 8]
     if len(octads) != 759:
         raise ConstructionError(f"expected 759 weight-8 words, got {len(octads)}")
@@ -534,7 +534,6 @@ def build_knn(n: int) -> SphericalConfiguration:
         omegas,
         points=pts,
         antipodal=False,
-        embedded=True,
         trivial_linear=[lin1, lin2],
     )
     cfg.validate_norms()
@@ -659,7 +658,6 @@ def pair_distribution(
     X: SphericalConfiguration,
     mode: str = "full",
     seed: int = DEFAULT_SEED,
-    count: int = DEFAULT_SAMPLE,
     progress: Optional[Callable[[str], None]] = None,
 ) -> PairDistribution:
     """Inner-product histogram per base point, with closure and invariance checks.
@@ -668,12 +666,13 @@ def pair_distribution(
     the points as a ``QuadArray``, blocks of 128 base rows against all of
     them through ``_pair_counts``, values matched as exact integer parts.
     Coordinates or products beyond the exact int64 range raise
-    ArithmeticError.  Full mode reports each finished block to ``progress``.
+    ArithmeticError.  Sampled mode takes DEFAULT_SAMPLE base points; full
+    mode reports each finished block to ``progress``.
     """
     if mode not in ("full", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     n = X.npoints
-    base = list(range(n)) if mode == "full" else sample_indices(seed, count, n)
+    base = list(range(n)) if mode == "full" else sample_indices(seed, DEFAULT_SAMPLE, n)
 
     pts = X.quad_array()
     omegas = X.omegas if X.omegas is not None else observed_omegas(X.r2, pts, base)

@@ -384,7 +384,7 @@ def gamma1_bounds(
     return bounds
 
 
-def gamma1_exact(cfg: SphericalConfiguration, kmax: Optional[int] = None):
+def gamma1_exact(cfg: SphericalConfiguration):
     """Least degree with a nontrivial vanishing form, by evaluation nullity.
 
     Scans k = 1, 2, ... comparing the evaluation-matrix nullity against the
@@ -395,13 +395,11 @@ def gamma1_exact(cfg: SphericalConfiguration, kmax: Optional[int] = None):
     nullity is the trivial one); exact elimination runs only when neither
     holds.  Degrees whose matrix would blow the entry guard fall back to
     the proven interval from ``gamma1_bounds`` (the value for the big
-    lattice is pinned by its bounds anyway).  A ``kmax`` below the proven
-    upper bound may end the scan inconclusively, reported as None.
+    lattice is pinned by its bounds anyway).
     """
     bounds = gamma1_bounds(cfg)
     _, hi = bounds.interval
-    limit = hi if kmax is None else kmax
-    for k in range(1, limit + 1):
+    for k in range(1, hi + 1):
         trivial = trivial_dimension(cfg, k)
         if comb(cfg.m + k, cfg.m) - rank_upper_bound(cfg, k) > trivial:
             # nullity >= ncols - (rank ceiling) > trivial: a nontrivial form
@@ -420,8 +418,6 @@ def gamma1_exact(cfg: SphericalConfiguration, kmax: Optional[int] = None):
                 f"{cfg.name}: nullity {ev.nullity} below the trivial dimension "
                 f"{trivial} at degree {k}"
             )
-    if kmax is not None and kmax < hi:
-        return None
     raise ArithmeticError(
         f"{cfg.name}: no nontrivial form up to the proven upper bound {hi}"
     )
@@ -472,22 +468,17 @@ def gamma2_status(
     cfg: SphericalConfiguration,
     generated_degree: int,
     certified: bool,
-    gamma1: Optional[int] = None,
 ) -> Gamma2Status:
     """Status of the generating-degree bound for a configuration ideal.
 
     ``certified`` means a full Groebner certificate equated the candidate
     generators with the vanishing ideal, making the bound unconditional and,
     when the first threshold meets it, an equality.  Without it the bound
-    stands at certificate level only.
+    stands at certificate level only.  ``gamma_profile`` fills in the
+    first threshold.
     """
     level = LEVEL_FULL_GROEBNER if certified else LEVEL_PAPER
-    return Gamma2Status(
-        upper=generated_degree,
-        level=level,
-        gamma1=gamma1,
-        modulo_linear=cfg.embedded,
-    )
+    return Gamma2Status(upper=generated_degree, level=level, modulo_linear=cfg.embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +531,7 @@ def gamma_profile(
         )
     kc = first_k_exceeding(cfg.m, cfg.npoints)
     table = {k: rk1(cfg.m, k) for k in range(1, kc + 1)}
-    if gamma2 is not None and gamma2.gamma1 is None:
+    if gamma2 is not None:
         gamma2.gamma1 = exact
     return GammaResult(
         name=name or cfg.name,

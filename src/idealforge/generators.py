@@ -265,6 +265,15 @@ def _antipodal_reps(points: Sequence[Tuple[Scalar, ...]]) -> List[Tuple[Scalar, 
     return reps
 
 
+def _antipodal_rows(arr: np.ndarray) -> np.ndarray:
+    """The integer rows ``_antipodal_reps`` keeps, in the same order: first nonzero entry positive."""
+    lead = arr[np.arange(arr.shape[0]), (arr != 0).argmax(axis=1)]
+    reps = np.ascontiguousarray(arr[lead > 0])
+    if 2 * reps.shape[0] != arr.shape[0]:
+        raise ConstructionError("point set is not antipodally paired")
+    return reps
+
+
 def _icosahedron_set() -> GeneratorSet:
     cfg = build_icosahedron()
     items: List[Tuple[str, object]] = [
@@ -292,18 +301,13 @@ def _e8_set() -> GeneratorSet:
             items.append(
                 (f"{LABEL_SLICED} pair{p} c{i}", _sliced_factored(a, b, interior))
             )
-    _, den = cfg.integer_array()
-    assert den == 2
-    reps_arr = np.array(
-        [[int(2 * x) for x in a] for a in reps], dtype=np.int64
-    )
     return GeneratorSet(
         "e8",
         8,
         cfg.r2,
         items,
         config=cfg,
-        pair_reps=reps_arr,
+        pair_reps=_antipodal_rows(cfg.integer_array()[0]),
         interior_roots=interior,
     )
 
@@ -333,13 +337,7 @@ def _e6_set() -> GeneratorSet:
 def _leech_set() -> GeneratorSet:
     cfg = build_leech()
     items: List[Tuple[str, object]] = [(LABEL_NM, nm_poly(24, cfg.r2))]
-    arr, den = cfg.integer_array()
-    assert den == 1
-    idx = (arr != 0).argmax(axis=1)
-    lead = arr[np.arange(arr.shape[0]), idx]
-    reps = np.ascontiguousarray(arr[lead > 0])
-    if reps.shape[0] * 2 != arr.shape[0]:
-        raise ConstructionError("point set is not antipodally paired")
+    reps = _antipodal_rows(cfg.integer_array()[0])
     interior = (16, 8, 0, -8, -16)
 
     def factory(k: int) -> Tuple[str, FactoredPoly]:

@@ -655,7 +655,6 @@ class Certification:
 def certify_full(
     cfg: SphericalConfiguration,
     gens,
-    ordering: MonomialOrdering = GREVLEX,
     budget: int = DEFAULT_BUDGET,
 ) -> Certification:
     """Certify that the generators cut out exactly the configuration.
@@ -672,7 +671,7 @@ def certify_full(
     # factors (verify._generic_vanishing); only Buchberger needs the expansion
     vanishing_ok = not _generic_vanishing([(None, p) for p in given], cfg.points, 1)
 
-    basis = buchberger(given, ordering=ordering, budget=budget)
+    basis = buchberger(given, budget=budget)
     try:
         quotient = quotient_data(basis)
     except InfiniteStaircaseError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,19 +78,18 @@ def unimodularity_check(B: LatticeBasis) -> UnimodularityReport:
     return UnimodularityReport(B.name, B.m, B.scale, B.det_gram())
 
 
-def basis_from_generators(X: SphericalConfiguration, scale: Optional[int] = None) -> LatticeBasis:
+def basis_from_generators(X: SphericalConfiguration) -> LatticeBasis:
     """Hermite-form Z-basis of the lattice generated by the configuration's points.
 
     Points must have integer coordinates after clearing denominators; the
-    cleared denominator becomes coord_den and multiplies into the scale.
+    cleared denominator becomes coord_den, and its square times the
+    configuration's ``lattice_scale`` is the basis scale.
     """
     pair = X.integer_array()
     if pair is None:
         raise ValueError("configuration does not have rational coordinates")
     arr, den = pair
     m = X.m
-    if scale is None:
-        scale = den * den * X.lattice_scale
 
     acc = HnfAccumulator(m)
     for i in independent_rows(arr, m):
@@ -121,7 +120,7 @@ def basis_from_generators(X: SphericalConfiguration, scale: Optional[int] = None
         remaining = remaining[1:]
 
     basis_rows = acc.normalized_rows()
-    return LatticeBasis(basis_rows, scale=scale, coord_den=den, name=X.name)
+    return LatticeBasis(basis_rows, scale=den * den * X.lattice_scale, coord_den=den, name=X.name)
 
 
 def _triangular_adjugate(P: List[List[int]], dval: int) -> List[List[int]]:
@@ -281,16 +280,9 @@ def enumerate_short_vectors(B: LatticeBasis, bound) -> EnumerationResult:
 
     search(m - 1, scale * nbound.numerator, True)
 
+    coeffs = np.array(half, dtype=np.int64).reshape(-1, m)
     vectors: List[Tuple[int, ...]] = []
-    if len(half) > 10000:
-        coeffs = np.array(half, dtype=np.int64)
-        basis_arr = np.array(reduced, dtype=np.int64)
-        half_vectors = map(tuple, int_product(coeffs, basis_arr).tolist())
-    else:
-        half_vectors = (
-            tuple(sum(x[j] * reduced[j][k] for j in range(m)) for k in range(m)) for x in half
-        )
-    for v in half_vectors:
+    for v in map(tuple, int_product(coeffs, np.array(reduced, dtype=np.int64)).tolist()):
         vectors.append(v)
         vectors.append(tuple(-c for c in v))
     return EnumerationResult(2 * len(half), vectors, B.coord_den, nodes)

@@ -536,8 +536,6 @@ def poly_to_text(f: SparsePoly, ordering: MonomialOrdering = GREVLEX) -> str:
     for term in parts[1:]:
         if term.startswith("-"):
             text += " - " + term[1:]
-        elif term.startswith("(-"):
-            text += " + " + term
         else:
             text += " + " + term
     return text

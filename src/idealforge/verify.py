@@ -2,9 +2,9 @@
 
 Five families of checks, each exact:
 
-* vanishing: every generator is zero at every configuration point (full passes
-  for the small sets, a seeded sampled pass for the big one, with a structured
-  bulk pass available for a full run);
+* vanishing: every generator is zero at every point (exact evaluation for
+  most sets; a bulk pair pass for the sliced-zonal families, on their own
+  points or a point file's, over a seeded sample or all of them);
 * simple zeros: the Jacobian of the generating set has full rank at every
   point, from its rank modulo a prime where that reaches full rank, else
   computed symbolically, or from the closed-form row shape of a sliced
@@ -23,18 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import (
-    DEFAULT_SAMPLE,
-    DEFAULT_SEED,
-    SphericalConfiguration,
-    pair_distribution,
-)
+from .configs import DEFAULT_SEED, SphericalConfiguration, pair_distribution
 from .exact import (
     POINT_BLOCK,
     RANK_PRIME,
@@ -69,13 +63,15 @@ LEVEL_PAPER = "PAPER_CERTIFICATE"
 
 Progress = Optional[Callable[[str], None]]
 
+VANISHING_SAMPLE = 256  # points in a sampled vanishing pass
+
 
 class MissingCheckError(ValueError):
     """A certificate was assembled without one of its component checks."""
 
 
 class ClaimRecord:
-    """One checked claim: id, pass/fail, mode, witnesses, wall time."""
+    """One checked claim: id, pass/fail, mode, witnesses, detail."""
 
     def __init__(
         self,
@@ -84,14 +80,12 @@ class ClaimRecord:
         mode: str = FULL,
         witnesses: Optional[List] = None,
         detail: str = "",
-        seconds: float = 0.0,
     ):
         self.claim_id = claim_id
         self.status = status
         self.mode = mode
         self.witnesses = witnesses or []
         self.detail = detail
-        self.seconds = seconds
 
     @property
     def passed(self) -> bool:
@@ -136,7 +130,6 @@ class VerificationReport:
             "config": self.name,
             "claims": [r.to_dict() for r in self.records],
             "certificate_level": self.certificate_level,
-            "timings": {r.claim_id: round(r.seconds, 3) for r in self.records},
         }
 
 
@@ -228,7 +221,6 @@ def _structured_sliced_pass(
     interior: Sequence[int],
     extreme: int,
     progress: Progress = None,
-    block: int = 512,
 ) -> List[Tuple]:
     """Exact bulk check that every sliced zonal vanishes at every point.
 
@@ -236,18 +228,22 @@ def _structured_sliced_pass(
     over the interior roots w, so it vanishes whenever a.x is interior.  It
     also vanishes at a.x = +-extreme: every representative has a.a = extreme
     (the last check here) and every checked point has x.x = extreme
-    (``_norm_witnesses``, part of the same claim), so |a.x| = |a| |x| is
-    equality in Cauchy-Schwarz and forces x = +-a, where every complement
-    vector b has b.x = 0 by construction.  So the pass accepts the interior
-    roots and +-extreme; any other inner product is a counterexample, and so
-    is a representative off the shell.  That the points are distinct and that
-    a lies among them are facts of the build, not of vanishing.  The interior
-    root set must be symmetric (both families are antipodal), so membership
-    is tested on absolute values.  The products, norms included, come from
-    ``int_product``, which proves them exact before it multiplies.
+    (``_norm_witnesses``, checked first as part of the same claim), so
+    |a.x| = |a| |x| is equality in Cauchy-Schwarz and forces x = +-a, where
+    every complement vector b has b.x = 0 by construction.  So the pass
+    accepts the interior roots and +-extreme; any other inner product is a
+    counterexample, and so is a representative off the shell.  The argument
+    holds for any point on the shell, a point-file point as much as one of
+    the configuration's own.  The interior root set must be symmetric (both
+    families are antipodal), so membership is tested on absolute values.
+    The products, norms included, come from ``int_product``, which proves
+    them exact before it multiplies.  Base pairs go 4096 to a product while
+    the points are few, else 256 against each point block, so no product
+    holds more than POINT_BLOCK x 256 entries.
     """
     witnesses: List[Tuple] = []
     n = reps.shape[0]
+    block = 4096 if pts.shape[0] <= POINT_BLOCK // 16 else 256
     accepted = sorted({abs(w) for w in interior} | {extreme})
     for start in range(0, n, block):
         chunk = reps[start : start + block]
@@ -267,15 +263,81 @@ def _structured_sliced_pass(
             return witnesses
         if progress is not None:
             progress(f"vanishing pass {min(start + block, n)}/{n} base pairs")
-    norms = int_product(reps[:, None, :], reps[:, :, None]).ravel()
+    norms = _squared_norms(reps)
     return [(f"pair{i}", "norm", int(norms[i])) for i in np.flatnonzero(norms != extreme)[:5]]
+
+
+def _squared_norms(X: np.ndarray) -> np.ndarray:
+    """The squared norm of every row, from one ``int_product``."""
+    return int_product(X[:, None, :], X[:, :, None]).ravel()
 
 
 def _norm_witnesses(arr: np.ndarray, r2: int):
     """Rows of the den-scaled points whose squared norm misses the scaled r2."""
-    n2 = (arr * arr).sum(axis=1)
+    n2 = _squared_norms(arr)
     bad = np.flatnonzero(n2 != r2)
     return [("NM", int(i), int(n2[i])) for i in bad[:5]]
+
+
+def _shell_units(G: GeneratorSet, den: int) -> Tuple[List[int], int]:
+    """The interior roots and r2 in the units of den-scaled coordinates.
+
+    Inner products of rows that carry den times the configuration's
+    coordinates are den^2 times the configuration's values.
+    """
+    scale = den * den
+    return [w * scale for w in G.interior_roots], int(G.r2 * scale)
+
+
+def _rescaled(X: np.ndarray, f: int) -> np.ndarray:
+    """f * X, refused with ArithmeticError when an entry would leave int64."""
+    if _max_abs(X) * f >= 2**63:
+        raise ArithmeticError("a rescaled entry leaves the int64 range")
+    return X * f
+
+
+def _pair_units(G: GeneratorSet, points: Optional[Sequence]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Points and pair representatives as integer rows over one denominator L, and L.
+
+    ``pair_reps`` carry den times the configuration's coordinates, den that
+    of ``integer_array``.  Given points (a point file) come with their own
+    least denominator; both sides are rescaled to the least common multiple.
+    """
+    arr, den = G.config.integer_array()
+    if points is None:
+        return arr, G.pair_reps, den
+    q = quad_array(list(points))
+    if q.B is not None:
+        raise FieldMismatchError(f"{G.name} points must be rational")
+    lcm = math.lcm(den, q.den)
+    return _rescaled(q.A, lcm // q.den), _rescaled(G.pair_reps, lcm // den), lcm
+
+
+def _pair_vanishing(
+    G: GeneratorSet, mode: str, points: Optional[Sequence], seed: int, progress: Progress
+) -> Tuple[List[Tuple], str]:
+    """(witnesses, detail) of the bulk pass for the sliced-zonal families.
+
+    The points, the given ones or else the configuration's own, must lie on
+    the shell (``_norm_witnesses``) before ``_structured_sliced_pass`` reads
+    their inner products with the representatives.  Given points beyond the
+    exact int64 range are left to the exact evaluation loop.
+    """
+    try:
+        pts, reps, den = _pair_units(G, points)
+        if mode == SAMPLED:
+            pts = pts[sample_indices(seed, VANISHING_SAMPLE, pts.shape[0])]
+        interior, extreme = _shell_units(G, den)
+        witnesses = _norm_witnesses(pts, extreme) or _structured_sliced_pass(
+            reps, pts, interior, extreme, progress=progress
+        )
+    except ArithmeticError:
+        if points is None:
+            raise
+        pts = list(points)
+        return _eval_vanishing(G, pts), f"{len(G)} generators x {len(pts)} points, exact evaluation"
+    kind = "sampled points" if mode == SAMPLED else "points"
+    return witnesses, f"{len(G)} generators x {len(pts)} {kind}"
 
 
 def check_vanishing(
@@ -283,73 +345,30 @@ def check_vanishing(
     mode: str = FULL,
     points: Optional[Sequence] = None,
     seed: int = DEFAULT_SEED,
-    sample: int = 256,
     progress: Progress = None,
 ) -> ClaimRecord:
-    """Pass iff every generator evaluates to zero (all points, or a sample)."""
-    t0 = time.time()
-    claim = f"{G.name}.vanishing"
+    """Pass iff every generator evaluates to zero (all points, or a sample).
 
-    if G.pair_reps is None or points is not None:
+    ``points`` replaces the configuration's own points.  The sliced-zonal
+    families take the bulk pair pass (``_pair_vanishing``) on either; other
+    sets evaluate every generator exactly.  A sampled pass checks
+    VANISHING_SAMPLE points.
+    """
+    if G.pair_reps is None:
         pts = list(points) if points is not None else list(_eval_points(G))
-        if mode == SAMPLED and len(pts) > sample:
-            keep = sample_indices(seed, sample, len(pts))
-            pts = [pts[i] for i in keep]
+        if mode == SAMPLED:
+            pts = [pts[i] for i in sample_indices(seed, VANISHING_SAMPLE, len(pts))]
         witnesses = _generic_vanishing(G, pts)
-        return ClaimRecord(
-            claim,
-            PASS if not witnesses else FAIL,
-            mode,
-            witnesses,
-            detail=f"{len(G)} generators x {len(pts)} points, exact evaluation",
-            seconds=time.time() - t0,
-        )
-
-    # bulk integer pass for the sliced-zonal families
-    cfg = G.config
-    arr, den = cfg.integer_array()
-    scale = den * den
-    interior = [w * scale for w in G.interior_roots]
-    extreme = int(cfg.r2 * scale)
-
-    if mode == SAMPLED:
-        keep = np.array(
-            sample_indices(seed, min(sample, arr.shape[0]), arr.shape[0]),
-            dtype=np.int64,
-        )
-        pts_arr = np.ascontiguousarray(arr[keep])
-        detail = f"{len(G)} generators x {pts_arr.shape[0]} sampled points"
-        block = 4096
+        detail = f"{len(G)} generators x {len(pts)} points, exact evaluation"
     else:
-        keep = None
-        pts_arr = arr
-        detail = f"{len(G)} generators x {arr.shape[0]} points"
-        block = 256
-
-    witnesses = _structured_sliced_pass(
-        G.pair_reps,
-        pts_arr,
-        interior,
-        extreme,
-        progress=progress,
-        block=block,
-    )
-    if not witnesses:
-        witnesses = _norm_witnesses(pts_arr, extreme)
-
+        witnesses, detail = _pair_vanishing(G, mode, points, seed, progress)
     return ClaimRecord(
-        claim,
-        PASS if not witnesses else FAIL,
-        mode,
-        witnesses,
-        detail=detail,
-        seconds=time.time() - t0,
+        f"{G.name}.vanishing", PASS if not witnesses else FAIL, mode, witnesses, detail=detail
     )
 
 
 def check_gallery_vanishing(G: GeneratorSet, gallery_points: Sequence) -> ClaimRecord:
     """Every generator vanishes on an extra gallery of points (4-cube companion)."""
-    t0 = time.time()
     witnesses = _generic_vanishing(G, list(gallery_points))
     return ClaimRecord(
         f"{G.name}.gallery",
@@ -357,7 +376,6 @@ def check_gallery_vanishing(G: GeneratorSet, gallery_points: Sequence) -> ClaimR
         FULL,
         witnesses,
         detail=f"{len(G)} generators x {len(gallery_points)} gallery points",
-        seconds=time.time() - t0,
     )
 
 
@@ -385,11 +403,8 @@ def _scaled_units(G: GeneratorSet, point):
     den-scaled points land on den^2 times the declared root values.
     """
     _, den = G.config.integer_array()
-    scaled = [x * den for x in point]
-    scale = den * den
-    roots = [w * scale for w in G.interior_roots]
-    extreme = int(G.r2 * scale)
-    return scaled, roots, extreme
+    roots, extreme = _shell_units(G, den)
+    return [x * den for x in point], roots, extreme
 
 
 def _select_independent(G: GeneratorSet, point):
@@ -490,7 +505,6 @@ def jacobian_full_pass(
     The sliced-zonal families are vectorized over two independent base sets:
     C for every point, then C' for the 2m points +-C (`_vectorized_jacobian_pass`).
     """
-    t0 = time.time()
     m = G.nvars
     claim = f"{G.name}.jacobian"
     if G.pair_reps is None:
@@ -511,7 +525,6 @@ def jacobian_full_pass(
             FULL,
             witnesses,
             detail=f"symbolic rank {m} at {len(pts)} points",
-            seconds=time.time() - t0,
         )
 
     witnesses = _vectorized_jacobian_pass(G, progress)
@@ -525,7 +538,6 @@ def jacobian_full_pass(
             f"independent base set C, and over a second base set C' for the {2 * m} "
             "points +-C"
         ),
-        seconds=time.time() - t0,
     )
 
 
@@ -621,20 +633,17 @@ def _vectorized_jacobian_pass(G: GeneratorSet, progress: Progress = None):
     +-c for at most one representative c, which lies in C; so C' contains
     no +-x for any x in +-C, and C' must meet each such x in interior roots.
     """
-    cfg = G.config
-    arr, den = cfg.integer_array()
+    arr, den = G.config.integer_array()
     reps = G.pair_reps
     m = G.nvars
-    scale = den * den
-    interior = np.array([w * scale for w in G.interior_roots], dtype=np.int64)
+    roots, extreme = _shell_units(G, den)
+    interior = np.array(roots, dtype=np.int64)
 
     base = independent_rows(reps, m)
     second = independent_rows(reps, m, skip=base)
     if len(second) < m:
         return [("independent-base-selection", len(base), len(second))]
-    failure, paired = _closed_form_failure(
-        arr, reps[base], interior, extreme=int(cfg.r2 * scale)
-    )
+    failure, paired = _closed_form_failure(arr, reps[base], interior, extreme=extreme)
     if failure is not None:
         return [failure]
     if progress is not None:
@@ -751,7 +760,6 @@ def design_strength_gegenbauer(
     t: int,
     mode: str = FULL,
     seed: int = DEFAULT_SEED,
-    sample: int = DEFAULT_SAMPLE,
     progress: Progress = None,
 ) -> DesignStrengthResult:
     """Pair-sum test: sums of C_k(x.y / r2) must vanish for k = 1..t.
@@ -764,7 +772,7 @@ def design_strength_gegenbauer(
     """
     if t < 1:
         raise ValueError("strength t must be at least 1")
-    dist = pair_distribution(cfg, mode=mode, seed=seed, count=sample, progress=progress)
+    dist = pair_distribution(cfg, mode=mode, seed=seed, progress=progress)
     ck_table = [gegenbauer_values(cfg.m, t, _fdiv(w, cfg.r2)) for w in dist.omegas]
     rows, mult = np.unique(dist.counts, axis=0, return_counts=True)
 
@@ -901,7 +909,6 @@ def design_strength_moments(
 
 def spanning_check(cfg: SphericalConfiguration) -> ClaimRecord:
     """The points linearly span the whole space (streamed, early exit)."""
-    t0 = time.time()
     arr_den = cfg.integer_array()
     r = len(independent_rows(cfg.points if arr_den is None else arr_den[0], cfg.m))
     return ClaimRecord(
@@ -910,18 +917,14 @@ def spanning_check(cfg: SphericalConfiguration) -> ClaimRecord:
         FULL,
         [] if r == cfg.m else [("rank", r)],
         detail=f"points span rank {r} of {cfg.m}",
-        seconds=time.time() - t0,
     )
 
 
 def section_embedding_check(cfg: SphericalConfiguration) -> ClaimRecord:
     """Section coordinates match the ambient points under the section map."""
-    t0 = time.time()
     claim = f"{cfg.name}.section"
     if cfg.section is None or cfg.ambient_points is None:
-        return ClaimRecord(
-            claim, SKIPPED, FULL, [], detail="no section data", seconds=0.0
-        )
+        return ClaimRecord(claim, SKIPPED, FULL, [], detail="no section data")
     sec = cfg.section
     witnesses = []
     for k, (y, x) in enumerate(zip(cfg.points, cfg.ambient_points)):
@@ -937,7 +940,6 @@ def section_embedding_check(cfg: SphericalConfiguration) -> ClaimRecord:
         FULL,
         witnesses,
         detail=f"{len(cfg.points)} points match their ambient images",
-        seconds=time.time() - t0,
     )
 
 
@@ -966,7 +968,6 @@ def nontrivial_generator_check(G: GeneratorSet, degree: int) -> ClaimRecord:
     deg f >= t//2 + 1 = ``degree``, while deg f is at most ``p.degree()``,
     which counts the factors of a FactoredPoly.
     """
-    t0 = time.time()
     w = sphere_witness_point(G)
     candidates = list(G.items)
     if G.stream_count:
@@ -981,7 +982,6 @@ def nontrivial_generator_check(G: GeneratorSet, degree: int) -> ClaimRecord:
         FULL,
         [] if found else [("no nontrivial generator of degree", degree)],
         detail=f"witness generator: {found}" if found else "",
-        seconds=time.time() - t0,
     )
 
 
@@ -1023,14 +1023,13 @@ def assemble_certificate(
             [],
             detail="vanishing + zero-set support: "
             + ", ".join([vanish.claim_id] + [rec.claim_id for rec in support]),
-            seconds=vanish.seconds + sum(rec.seconds for rec in support),
         )
     )
 
     jac = need("jacobian")
     report.add(
         ClaimRecord(
-            f"{theorem}.ii", jac.status, jac.mode, jac.witnesses, jac.detail, jac.seconds
+            f"{theorem}.ii", jac.status, jac.mode, jac.witnesses, jac.detail
         )
     )
 
@@ -1052,7 +1051,6 @@ def assemble_certificate(
             design.mode,
             [],
             detail=f"strength {design.t} forces degree >= {lower}; {found}",
-            seconds=nontriv.seconds,
         )
     )
 
@@ -1068,7 +1066,6 @@ def assemble_certificate(
                 f"ideal generated in degree <= {degree} at level {level}; "
                 "radicality from the simple-zero pass"
             ),
-            seconds=0.0,
         )
     )
     report.certificate_level = level
@@ -1082,7 +1079,6 @@ def assemble_certificate(
                 f"pair sums zero for k = 1..{design.t} "
                 f"over {design.base_count} base points"
             ),
-            seconds=0.0,
         )
     )
     return report

@@ -143,7 +143,7 @@ def test_criterion_04_vanishing(leech_cfg):
     assert check_gallery_vanishing(g_cube, cell).passed
 
     g_leech = build_generator_set("leech")
-    sampled = check_vanishing(g_leech, mode=SAMPLED, sample=256)
+    sampled = check_vanishing(g_leech, mode=SAMPLED)
     assert sampled.passed and sampled.mode == SAMPLED
     note = "Leech sampled (256)"
     if os.environ.get("IDEALFORGE_LEECH_FULL") == "1":

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from idealforge import cli
+from idealforge import cli, verify
 from idealforge.cli import EXIT_CHECK, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
 from idealforge.configs import SphericalConfiguration, read_points
 from idealforge.generators import FactoredPoly
@@ -207,6 +208,68 @@ def test_point_file_field_is_enforced(name, field, built_points, tmp_path):
     code, doc = run_json(["verify", name, "--points", str(bad)], tmp_path)
     assert code == EXIT_CHECK
     assert [(c["id"], c["status"]) for c in doc["claims"]] == [(f"{name}.points_file", "fail")]
+
+
+@pytest.fixture(scope="module")
+def leech_lines(tmp_path_factory):
+    """The header and the first four points of ``build leech --points-out``."""
+    out = tmp_path_factory.mktemp("leech")
+    full = out / "leech.pts"
+    run(["build", "leech", "--points-out", str(full), "--out", str(out / "b.json")])
+    return full.read_text().splitlines()[:5]
+
+
+@pytest.fixture
+def pair_pass_only(monkeypatch):
+    """Point files of e8 and Leech must not reach the generic exact evaluator."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the generic evaluator ran on a pair-structured set")
+
+    monkeypatch.setattr(verify, "_generic_vanishing", refuse)
+
+
+def _verify_lines(name, lines, tmp_path):
+    pts = tmp_path / f"{name}.pts"
+    pts.write_text("\n".join(lines) + "\n")
+    code, doc = run_json(["verify", name, "--points", str(pts)], tmp_path)
+    return code, doc["claims"][0]
+
+
+def test_leech_point_file_takes_the_pair_pass(leech_lines, pair_pass_only, tmp_path):
+    code, claim = _verify_lines("leech", leech_lines, tmp_path)
+    assert code == EXIT_OK, claim
+    assert claim["detail"] == "2260441 generators x 4 points"
+
+
+def test_changed_leech_coordinate_names_a_pair(leech_lines, pair_pass_only, tmp_path):
+    # one sign flipped keeps point 1 on the shell, but not in the lattice
+    lines = list(leech_lines)
+    x = lines[2].split()
+    x[0] = str(-int(x[0]))
+    lines[2] = " ".join(x)
+    code, claim = _verify_lines("leech", lines, tmp_path)
+    assert code == EXIT_CHECK
+    assert claim["status"] == "fail" and claim["witness"]
+    assert all(re.fullmatch(r"\('pair\d+', 1, -?\d+\)", w) for w in claim["witness"])
+
+
+def test_leech_point_off_the_sphere_fails(leech_lines, pair_pass_only, tmp_path):
+    lines = list(leech_lines)
+    lines[3] = " ".join(str(2 * int(v)) for v in lines[3].split())
+    code, claim = _verify_lines("leech", lines, tmp_path)
+    assert code == EXIT_CHECK
+    assert claim["witness"] == ["('NM', 2, 128)"]
+
+
+def test_e8_integer_point_file_takes_the_pair_pass(built_points, pair_pass_only, tmp_path):
+    # file denominator 1 against the configuration's 2
+    lines = built_points["e8"].read_text().splitlines()
+    ints = [line for line in lines[1:] if "/" not in line]
+    assert len(ints) == 112
+    code, claim = _verify_lines("e8", lines[:1] + ints, tmp_path)
+    assert code == EXIT_OK, claim
+    assert claim["detail"] == "841 generators x 112 points"
 
 
 def test_point_file_over_another_field_fails(tmp_path):

@@ -86,7 +86,7 @@ def test_sampled_pair_distribution_names_a_point_past_the_first_block(leech):
     bad = 3 * POINT_BLOCK + 5
     arr[bad, 0] += 1
     X = SphericalConfiguration("leech", 24, 32, leech.omegas, array=arr)
-    pd = pair_distribution(X, mode="sampled", count=64)
+    pd = pair_distribution(X, mode="sampled")
     assert not pd.closure_ok
     first = next(i for i in pd.base_indices if arr[i, 0] != 0)
     assert pd.witness == (first, bad, dot(arr[first].tolist(), arr[bad].tolist()))
@@ -100,7 +100,7 @@ def test_sampled_pair_distribution_multiplies_in_point_blocks(leech, monkeypatch
         return int_product(A, B)
 
     monkeypatch.setattr(configs, "int_product", recording)
-    pd = pair_distribution(leech, mode="sampled", count=64)
+    pd = pair_distribution(leech, mode="sampled")
     assert pd.closure_ok
     assert sum(widths) == leech.npoints and max(widths) < leech.npoints
 
@@ -112,7 +112,7 @@ def test_pair_distribution_derives_values_without_a_declared_list():
     pts = [tuple(int(v) for v in p) for p in g[(g * g).sum(axis=1) == 210]]
     assert len(pts) == 4608
     X = SphericalConfiguration("z4shell", 4, 210, None, points=pts)
-    pd = pair_distribution(X, mode="sampled", count=12)
+    pd = pair_distribution(X, mode="sampled")
     assert pd.closure_ok and pd.omegas[0] == 210
     assert pd.omegas[1:] == sorted(pd.omegas[1:], reverse=True)
     # the exact oracle, given every integer value in range, on the same rows
@@ -227,7 +227,7 @@ def test_leech_counts(leech):
 
 
 def test_leech_sampled_histogram(leech):
-    pd = pair_distribution(leech, mode="sampled", seed=0xC0DE, count=64)
+    pd = pair_distribution(leech, mode="sampled", seed=0xC0DE)
     assert pd.closure_ok
     assert pd.distance_invariant
     assert list(pd.counts[0]) == [1, 4600, 47104, 93150, 47104, 4600, 1]

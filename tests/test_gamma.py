@@ -209,26 +209,25 @@ def test_nullity_matches_trivial_below_threshold():
             assert ev.nullity == trivial_dimension(cfg, k), (cfg.name, k)
 
 
-def test_gamma1_exact_low_kmax_is_inconclusive():
-    assert gamma1_exact(build_e6(), kmax=2) is None
-
-
 def test_gamma2_status_levels():
     ico = build_icosahedron()
-    certified = gamma2_status(ico, 3, certified=True, gamma1=3)
+    certified = gamma2_status(ico, 3, certified=True)
+    certified.gamma1 = 3
     assert certified.level == LEVEL_FULL_GROEBNER
     assert certified.equality == "yes"
 
     leech = build_leech()
-    bounded = gamma2_status(leech, 6, certified=False, gamma1=6)
+    bounded = gamma2_status(leech, 6, certified=False)
+    bounded.gamma1 = 6
     assert bounded.level == LEVEL_PAPER
     assert bounded.equality == "conditional"
 
-    open_case = gamma2_status(ico, 3, certified=False, gamma1=None)
+    open_case = gamma2_status(ico, 3, certified=False)
     assert open_case.equality == "open"
 
     knn = build_knn(3)
-    modl = gamma2_status(knn, 2, certified=True, gamma1=2)
+    modl = gamma2_status(knn, 2, certified=True)
+    modl.gamma1 = 2
     assert modl.to_dict()["modulo_linear_forms"] is True
     assert modl.equality == "yes"
 

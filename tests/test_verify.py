@@ -22,7 +22,17 @@ from idealforge.configs import (
     e7_defining_vectors,
     pair_distribution,
 )
-from idealforge.exact import Echelon, Quad, dot, independent_rows, quad_array, stride_order
+from idealforge.exact import (
+    POINT_BLOCK,
+    Echelon,
+    FieldMismatchError,
+    Quad,
+    dot,
+    independent_rows,
+    int_product,
+    quad_array,
+    stride_order,
+)
 from idealforge.generators import (
     LABEL_NM,
     FactoredPoly,
@@ -208,7 +218,7 @@ def test_vanishing_e8_structured_full():
     G = build_generator_set("e8")
     rec = check_vanishing(G)
     assert rec.passed and "240 points" in rec.detail
-    # the structured pass agrees with plain evaluation on a slice
+    # given points take the same pass
     sub = check_vanishing(G, points=G.config.points[:24])
     assert sub.passed
 
@@ -235,6 +245,53 @@ def test_structured_pass_refuses_cancelling_large_terms():
     reps = np.array([[2**53 + 1, 2**53]], dtype=np.int64)
     pts = np.array([[1, -1]], dtype=np.int64)
     assert _structured_sliced_pass(reps, pts, [0], 8) == [("pair0", 0, 1)]
+
+
+def _record_products(monkeypatch):
+    """The (A, B) shapes of every ``int_product`` call the vanishing pass makes."""
+    shapes = []
+
+    def recording(A, B):
+        shapes.append((A.shape, B.shape))
+        return int_product(A, B)
+
+    monkeypatch.setattr(verify, "int_product", recording)
+    return shapes
+
+
+def test_sampled_leech_pass_takes_4096_pairs_a_product(monkeypatch):
+    # 98,280 base pairs against 256 sampled points: 24 products of pairs
+    # (the 3-d products are the squared norms)
+    G = build_generator_set("leech")
+    shapes = _record_products(monkeypatch)
+    assert check_vanishing(G, mode=SAMPLED).passed
+    pairs = [(a, b) for a, b in shapes if len(a) == 2]
+    assert len(pairs) == 24
+    assert all(a == (256, 24) and b[0] == 24 and b[1] <= 4096 for a, b in pairs)
+
+
+def test_structured_pass_over_point_blocks_takes_256_pairs(monkeypatch):
+    # 300 pairs against POINT_BLOCK + 1 points: two chunks, two point blocks each
+    reps = np.tile(np.array([[1, 0]], dtype=np.int64), (300, 1))
+    pts = np.tile(np.array([[0, 1]], dtype=np.int64), (POINT_BLOCK + 1, 1))
+    shapes = _record_products(monkeypatch)
+    assert _structured_sliced_pass(reps, pts, [0], 1) == []
+    assert [b[1] for a, b in shapes if len(a) == 2] == [256, 256, 44, 44]
+
+
+def test_pair_set_points_beyond_int64_take_the_exact_loop():
+    G = build_generator_set("e8")
+    pts = [G.config.points[0], (2**70,) + (0,) * 7]
+    expected = _eval_vanishing(G, pts)
+    assert expected and all(w[1] == 1 for w in expected)
+    rec = check_vanishing(G, points=pts)
+    assert rec.witnesses == expected and rec.detail.endswith("exact evaluation")
+
+
+def test_pair_set_refuses_irrational_points():
+    G = build_generator_set("e8")
+    with pytest.raises(FieldMismatchError):
+        check_vanishing(G, points=[(Quad(0, 1, 2),) + (0,) * 7])
 
 
 def test_vanishing_names_a_representative_off_the_shell():
