@@ -42,7 +42,7 @@ from .generators import (
     write_generators,
 )
 from .groebner import BudgetExceededError, DEFAULT_BUDGET, Certification, certify_full
-from .lattice import basis_from_generators, enumerate_short_vectors, unimodularity_check
+from .lattice import enumerate_short_vectors, unimodularity_check
 from .verify import (
     FAIL,
     FULL,
@@ -65,7 +65,6 @@ EXIT_RESOURCE = 3
 EXIT_USAGE = 64
 
 CONFIG_NAMES = tuple(FAMILIES)
-LATTICE_CONFIGS = ("e8", "leech")
 # configurations whose candidate generators submit to desk-scale certification
 CERTIFIABLE = ("icosahedron", "e6", "e7", "cube4", "ngon", "knn")
 
@@ -198,10 +197,7 @@ def _checks(
 
     progress = _stderr_progress if name == "leech" and mode == FULL else None
     with _timed(report, "vanishing"):
-        if points is not None:
-            vanish = check_vanishing(G, points=points)
-        else:
-            vanish = check_vanishing(G, mode=mode, seed=args.seed, progress=progress)
+        vanish = check_vanishing(G, mode=mode, points=points, seed=args.seed)
     if points is not None:
         report["counts"] = {"points": len(points), "generators": len(G)}
         report["claims"] = [vanish.to_dict()]
@@ -303,18 +299,28 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """``verify`` runs the check suite; ``report`` adds the gamma and lattice sections."""
+    """``verify`` runs the check suite; ``report`` adds the gamma and lattice sections.
+
+    Points from a file are all checked, so such a run is full.
+    """
     name = args.config
-    mode = args.mode or (SAMPLED if name == "leech" else FULL)
+    if getattr(args, "points", None):
+        mode = FULL
+    else:
+        mode = args.mode or (SAMPLED if name == "leech" else FULL)
     report, cfg, G = _start(args, mode, generators=True)
     ok, cert = _checks(args, report, mode, G)
     if args.command == "report":
         _gamma_stage(args, report, G, cert)
-        if name in LATTICE_CONFIGS:
+        if cfg.lattice is not None:
             with _timed(report, "lattice"):
-                uni = unimodularity_check(basis_from_generators(cfg))
+                uni = unimodularity_check(cfg.lattice.basis)
             report["counts"].update(
-                det_gram=uni.det_gram, det_expected=uni.expected, unimodular=uni.unimodular
+                det_gram=uni.det_gram,
+                det_expected=uni.expected,
+                unimodular=uni.unimodular,
+                minimum_search_nodes=cfg.lattice.search_nodes,
+                value_set=list(cfg.lattice.values),
             )
             ok = ok and uni.unimodular
     return _finish(report, args, ok)
@@ -368,16 +374,15 @@ def _sorted_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _cmd_enumerate(args) -> int:
-    name = args.config
-    if name not in LATTICE_CONFIGS:
+    report, cfg, _ = _start(args, FULL, generators=False)
+    if cfg.lattice is None:
         print(
-            f"idealforge enumerate: {name} has no integral lattice to enumerate",
+            f"idealforge enumerate: {args.config} has no integral lattice to enumerate",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    report, cfg, _ = _start(args, FULL, generators=False)
     with _timed(report, "basis"):
-        basis = basis_from_generators(cfg)
+        basis = cfg.lattice.basis
         uni = unimodularity_check(basis)
     with _timed(report, "enumeration"):
         result = enumerate_short_vectors(basis, cfg.r2)

@@ -17,6 +17,7 @@ import numpy as np
 from .exact import (
     POINT_BLOCK,
     SUPPORTED_D,
+    ConstructionError,
     Quad,
     QuadArray,
     Scalar,
@@ -31,16 +32,13 @@ from .exact import (
     quad_scalar,
     scalar_to_text,
 )
+from .lattice import LatticeProof, prove_value_set
 from .sampling import sample_indices
 
 PHI = Quad(Fraction(1, 2), Fraction(1, 2), 5)
 
 DEFAULT_SEED = 0xC0DE
 DEFAULT_SAMPLE = 64
-
-
-class ConstructionError(RuntimeError):
-    """A build-time self-check failed; the constructed object is unusable."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +146,12 @@ class SphericalConfiguration:
     numpy array, with exact tuples materialized lazily.
 
     The paper's configurations declare its facts about them: the design
-    strength t, and ``theorem``, the label ("E8", "Leech") their theorem
-    claims carry.  A point set read from a file declares neither.
+    strength t, ``theorem``, the label ("E8", "Leech") their theorem claims
+    carry, and ``lattice_scale`` for the two whose points span an even
+    lattice, with Gram / lattice_scale its form.  Declaring it runs the
+    value-set proof (``lattice.prove_value_set``) once, here, and keeps it
+    with the lattice basis as ``lattice``; a failed premise raises
+    ConstructionError.  A point set read from a file declares none of them.
     """
 
     def __init__(
@@ -165,7 +167,7 @@ class SphericalConfiguration:
         trivial_linear: Sequence[Tuple[Scalar, ...]] = (),
         section: Optional[SectionMap] = None,
         ambient_points: Optional[List[Tuple[Scalar, ...]]] = None,
-        lattice_scale: int = 1,
+        lattice_scale: Optional[int] = None,
         design_strength: Optional[int] = None,
         theorem: Optional[str] = None,
     ):
@@ -188,6 +190,9 @@ class SphericalConfiguration:
         self.lattice_scale = lattice_scale
         self.design_strength = design_strength
         self.theorem = theorem
+        self.lattice: Optional[LatticeProof] = (
+            None if lattice_scale is None else prove_value_set(self)
+        )
 
     @property
     def embedded(self) -> bool:
@@ -292,8 +297,8 @@ def build_golay() -> BinaryCode:
     return code
 
 
-def build_e8() -> SphericalConfiguration:
-    """240 norm-2 vectors: ±e_i±e_j plus half-integer sign patterns with even minus count."""
+def _e8_points() -> List[Tuple[Scalar, ...]]:
+    """The 240 roots: ±e_i±e_j plus half-integer sign patterns with even minus count."""
     pts: List[Tuple[Scalar, ...]] = []
     for i, j in itertools.combinations(range(8), 2):
         for si, sj in itertools.product((1, -1), repeat=2):
@@ -304,11 +309,15 @@ def build_e8() -> SphericalConfiguration:
     for signs in itertools.product((1, -1), repeat=8):
         if signs.count(-1) % 2 == 0:
             pts.append(tuple(half * s for s in signs))
+    return pts
+
+
+def build_e8() -> SphericalConfiguration:
+    """The 240 norm-2 vectors of E8, minimal vectors of an even unimodular lattice."""
     cfg = SphericalConfiguration(
-        "e8", 8, 2, [2, 1, 0, -1, -2], points=pts, antipodal=True,
-        design_strength=7, theorem="E8",
+        "e8", 8, 2, [2, 1, 0, -1, -2], points=_e8_points(), antipodal=True,
+        lattice_scale=1, design_strength=7, theorem="E8",
     )
-    cfg.validate_norms()
     if cfg.npoints != 240:
         raise ConstructionError(f"expected 240 points, got {cfg.npoints}")
     return cfg
@@ -326,7 +335,7 @@ def _e8_slice(name: str, free: int, expected: int) -> SphericalConfiguration:
     rows: List[List[Scalar]] = [[int(i == j) for j in range(free + 1)] for i in range(free)]
     rows += [[0] * free + [inv_sqrt] for _ in range(tied)]
     section = SectionMap(8, free + 1, rows, field_d=tied)
-    ambient = [a for a in build_e8().points if len(set(a[free:])) == 1]
+    ambient = [a for a in _e8_points() if len(set(a[free:])) == 1]
     cfg = SphericalConfiguration(
         name,
         free + 1,
@@ -358,8 +367,7 @@ def build_e6() -> SphericalConfiguration:
 
 def e7_defining_vectors() -> List[Tuple[Scalar, ...]]:
     """The 56 E8 vectors whose last two coordinates differ by exactly 1."""
-    e8 = build_e8()
-    out = [b for b in e8.points if b[6] - b[7] == 1]
+    out = [b for b in _e8_points() if b[6] - b[7] == 1]
     if len(out) != 56:
         raise ConstructionError(f"expected 56 vectors, got {len(out)}")
     return out
@@ -384,7 +392,9 @@ def build_leech() -> SphericalConfiguration:
     number of minus signs; (∓3, ±1^23) from a codeword sign pattern with one
     coordinate shifted by ±4; (±4^2, 0^22).  The sign convention of the second
     shape is validated against the first via the mod-8 inner-product rule and
-    flipped globally if the check fails.
+    flipped globally if the check fails.  The value-set proof that declaring
+    the lattice scale runs checks every squared norm, that no vector repeats,
+    and that every inner product lies in the declared values.
     """
     code = build_golay()
     octads = [w for w in code.codewords if w.bit_count() == 8]
@@ -415,14 +425,6 @@ def build_leech() -> SphericalConfiguration:
             r += 1
 
     arr = np.vstack([type1, type2, type3])
-    if not np.all((arr * arr).sum(axis=1) == 32):
-        raise ConstructionError("squared-norm check failed")
-    # squared norm 32 bounds every |coordinate| by 5, so int8 holds each row
-    # exactly and its 24 bytes identify it
-    rows8 = np.ascontiguousarray(arr, dtype=np.int8).view(np.dtype((np.void, 24)))
-    if np.unique(rows8).shape[0] != 196560:
-        raise ConstructionError("vectors are not distinct")
-
     cfg = SphericalConfiguration(
         "leech",
         24,
@@ -435,12 +437,6 @@ def build_leech() -> SphericalConfiguration:
         theorem="Leech",
     )
     cfg.type_counts = (type1.shape[0], type2.shape[0], type3.shape[0])
-
-    pts = QuadArray(arr, None, 1, None)
-    base = pts.take(sample_indices(DEFAULT_SEED, DEFAULT_SAMPLE, arr.shape[0]))
-    _, witness = _pair_counts(base, pts, [(w, 0) for w in cfg.omegas])
-    if witness is not None:
-        raise ConstructionError("sampled inner product outside the declared value set")
     return cfg
 
 

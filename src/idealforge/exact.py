@@ -20,6 +20,10 @@ import numpy as np
 SUPPORTED_D = (2, 3, 5)
 
 
+class ConstructionError(RuntimeError):
+    """A build-time self-check failed; the constructed object is unusable."""
+
+
 class FieldMismatchError(ValueError):
     """Raised when scalars from different fields meet in one operation."""
 
@@ -460,6 +464,21 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if bound < 2**63:
         return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
     raise ArithmeticError(f"integer product bound {bound} leaves the exact int64 range")
+
+
+def squared_norms(X: np.ndarray) -> np.ndarray:
+    """The squared norm of every row of an integer array, exactly, as int64.
+
+    Every term is at most max|X|^2 and every partial sum of a row's k terms
+    at most k * max|X|^2; below 2^63 int64 holds them all, so the sums are
+    exact.  Beyond that they are refused with ArithmeticError before
+    anything is multiplied.
+    """
+    bound = X.shape[-1] * _max_abs(X) ** 2
+    if bound >= 2**63:
+        raise ArithmeticError(f"squared-norm bound {bound} leaves the exact int64 range")
+    X = X.astype(np.int64, copy=False)
+    return np.einsum("ij,ij->i", X, X)
 
 
 class QuadArray:

@@ -6,26 +6,35 @@ vectors are enumerated on one integral Gram-Schmidt: integral LLL keeps the
 leading Gram minors d_i and the integers lam_ij = d_{j+1} mu_ij, and
 Fincke-Pohst reads its centres, residuals and intervals off the same integers,
 with ``math.isqrt`` for the interval ends.  It runs in one process.
+
+A configuration that declares a lattice scale gets a value-set proof
+(``prove_value_set``): its points are the minimal vectors of an even
+lattice, which bounds the inner product of every pair at once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from .configs import SphericalConfiguration
 from .exact import (
     POINT_BLOCK,
+    ConstructionError,
     HnfAccumulator,
     Matrix,
     _exact_div,
+    _max_abs,
     det,
-    independent_rows,
     int_product,
+    squared_norms,
+    stride_order,
 )
+
+if TYPE_CHECKING:
+    from .configs import SphericalConfiguration
 
 
 class RankDeficientError(ValueError):
@@ -91,36 +100,53 @@ def basis_from_generators(X: SphericalConfiguration) -> LatticeBasis:
     arr, den = pair
     m = X.m
 
+    # rows spread over the set until they span, and at least 5m of them:
+    # that usually closes the lattice (Leech: det 2^36 after 5m), so one
+    # membership pass finds no row outside
     acc = HnfAccumulator(m)
-    for i in independent_rows(arr, m):
+    for k, i in enumerate(stride_order(arr.shape[0])):
+        if k >= 5 * m and len(acc.pivot_rows) == m:
+            break
         acc.add_row(arr[i].tolist())
     if len(acc.pivot_rows) < m:
         raise RankDeficientError(f"generators span rank {len(acc.pivot_rows)} < {m}")
 
-    # add the first point outside the current lattice until none is left;
-    # r is in the lattice iff r @ adj = 0 mod det, and reducing adj mod det
-    # keeps that test while it shrinks the product bound
+    # add the first point outside the current lattice until none is left
     remaining = arr
     while remaining.shape[0]:
-        P = acc.normalized_rows()
-        dval = math.prod(P[i][i] for i in range(m))
-        adj = [[v % dval for v in row] for row in _triangular_adjugate(P, dval)]
-        try:  # np.array raises OverflowError, an ArithmeticError, past int64
-            A = np.array(adj, dtype=np.int64)
-            bad = np.concatenate([
-                (int_product(remaining[lo : lo + POINT_BLOCK], A) % dval != 0).any(axis=1)
-                for lo in range(0, remaining.shape[0], POINT_BLOCK)
-            ])
-        except ArithmeticError:  # stay exact beyond the kernel's range
-            bad = np.array([not acc.contains(r.tolist()) for r in remaining])
+        bad = _outside(acc.normalized_rows(), remaining)
         if not bad.any():
             break
         remaining = remaining[bad]
         acc.add_row(remaining[0].tolist())
         remaining = remaining[1:]
 
+    if X.lattice_scale is None:
+        raise ValueError(f"{X.name} declares no lattice scale")
     basis_rows = acc.normalized_rows()
     return LatticeBasis(basis_rows, scale=den * den * X.lattice_scale, coord_den=den, name=X.name)
+
+
+def _outside(P: List[List[int]], rows: np.ndarray) -> np.ndarray:
+    """Mask of the integer rows outside rowspan_Z(P), P a full-rank Hermite form.
+
+    r is in the lattice iff r @ adj = 0 mod det; reducing adj mod det keeps
+    that test while it shrinks the product bound.
+    """
+    m = len(P)
+    dval = math.prod(P[i][i] for i in range(m))
+    adj = [[v % dval for v in row] for row in _triangular_adjugate(P, dval)]
+    try:  # np.array raises OverflowError, an ArithmeticError, past int64
+        A = np.array(adj, dtype=np.int64)
+        return np.concatenate([
+            (int_product(rows[lo : lo + POINT_BLOCK], A) % dval != 0).any(axis=1)
+            for lo in range(0, rows.shape[0], POINT_BLOCK)
+        ])
+    except ArithmeticError:  # stay exact beyond the kernel's range
+        acc = HnfAccumulator(m)
+        for r in P:
+            acc.add_row(r)
+        return np.array([not acc.contains(r.tolist()) for r in rows], dtype=bool)
 
 
 def _triangular_adjugate(P: List[List[int]], dval: int) -> List[List[int]]:
@@ -286,3 +312,104 @@ def enumerate_short_vectors(B: LatticeBasis, bound) -> EnumerationResult:
         vectors.append(v)
         vectors.append(tuple(-c for c in v))
     return EnumerationResult(2 * len(half), vectors, B.coord_den, nodes)
+
+
+# ---------------------------------------------------------------------------
+# the value-set proof: minimal vectors of an even lattice
+# ---------------------------------------------------------------------------
+
+
+class LatticeProof:
+    """The lattice L the points span, with the proven bound on their inner products.
+
+    Lattice units are configuration units over ``lattice_scale``.
+    ``points`` is a read-only copy of the integer rows (coord_den times
+    configuration units) the proof covers; ``values`` are the inner
+    products (configuration units, descending) that two of them x != +-y
+    can have; ``norm`` is their norm N in lattice units; ``search_nodes`` is
+    the work of the search below N.
+    """
+
+    def __init__(
+        self, basis: LatticeBasis, points: np.ndarray, norm: int, values: Tuple, search_nodes: int
+    ):
+        self.basis = basis
+        self.points = points
+        self.norm = norm
+        self.values = values
+        self.search_nodes = search_nodes
+
+    def outside(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the integer rows (coord_den times configuration units) outside L."""
+        return _outside([list(r) for r in self.basis.rows], rows)
+
+
+def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
+    """Prove that every inner product of points x != +-y lies in X's declared values.
+
+    Premises, each checked here; a ConstructionError names the first that
+    fails:
+
+    * norm: every point has squared norm r2;
+    * distinct: no point repeats, so |X| counts vectors;
+    * integral, even: Gram / scale of the Hermite basis of L, the Z-span of
+      X (every point lies in L by ``basis_from_generators``), is integral
+      with an even diagonal, so every vector of L has an even norm;
+    * minimum: Fincke-Pohst finds no nonzero vector of L with norm at most
+      N - 2 in lattice units, r2 - 2 lattice_scale in configuration units,
+      so no nonzero vector has norm below N (norms are even);
+    * values: the declared values hold every multiple of lattice_scale
+      down to -N / 2 lattice units and up to N / 2.
+
+    Then for x != +-y in X, x -+ y is a nonzero vector of L, so
+    2N -+ 2<x,y> >= N: <x,y> is an integer (lattice units) with
+    |<x,y>| <= N / 2 (Conway & Sloane, *Sphere Packings, Lattices and Groups*,
+    ch. 1).  This covers every pair, not a sample.
+    """
+    arr, den = X.integer_array()
+    norms = squared_norms(arr)
+    bad = np.flatnonzero(norms != X.r2 * den * den)
+    if bad.size:
+        i = int(bad[0])
+        raise ConstructionError(
+            f"value-set premise 'norm' fails: point {i} has squared norm "
+            f"{Fraction(int(norms[i]), den * den)}, not {X.r2}"
+        )
+    # a copy of the points the proof covers; int8 holds small entries
+    # exactly, and then a row's m bytes identify it
+    points = np.array(arr, dtype=np.int8 if _max_abs(arr) < 128 else np.int64)
+    points.flags.writeable = False
+    keys = points.view(np.dtype((np.void, points.itemsize * X.m))).ravel()
+    if np.unique(keys).shape[0] != arr.shape[0]:
+        raise ConstructionError("value-set premise 'distinct' fails: a point repeats")
+
+    basis = basis_from_generators(X)
+    gram, scale = basis.gram(), basis.scale
+    for i in range(X.m):
+        for j in range(i, X.m):
+            if gram[i, j] % scale:
+                raise ConstructionError(
+                    f"value-set premise 'integral' fails: Gram entry ({i}, {j}) = "
+                    f"{gram[i, j]} is no multiple of the scale {scale}"
+                )
+        if (gram[i, i] // scale) % 2:
+            raise ConstructionError(
+                f"value-set premise 'even' fails: Gram diagonal entry {i} / scale "
+                f"= {gram[i, i] // scale} is odd"
+            )
+    # lattice units are configuration units over the lattice scale
+    n = Fraction(X.r2) / X.lattice_scale
+    found = enumerate_short_vectors(basis, X.r2 - 2 * X.lattice_scale)
+    if found.count:
+        raise ConstructionError(
+            f"value-set premise 'minimum' fails: {found.count} nonzero lattice vectors "
+            f"of norm at most {n - 2} in lattice units, below the points' {n}"
+        )
+    half = int(n) // 2
+    values = tuple(v * X.lattice_scale for v in range(half, -half - 1, -1))
+    missing = [v for v in values if v not in X.omegas]
+    if missing:
+        raise ConstructionError(
+            f"value-set premise 'values' fails: {missing} are not declared inner products"
+        )
+    return LatticeProof(basis, points, int(n), values, found.search_nodes)

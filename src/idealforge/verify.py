@@ -3,8 +3,8 @@
 Five families of checks, each exact:
 
 * vanishing: every generator is zero at every point (exact evaluation for
-  most sets; a bulk pair pass for the sliced-zonal families, on their own
-  points or a point file's, over a seeded sample or all of them);
+  most sets; for the sliced-zonal families, the lattice value-set proof on
+  their own points and a bulk pair pass on a point file's);
 * simple zeros: the Jacobian of the generating set has full rank at every
   point, from its rank modulo a prime where that reaches full rank, else
   computed symbolically, or from the closed-form row shape of a sliced
@@ -47,9 +47,10 @@ from .exact import (
     rank,
     rank_mod_p,
     scalar_to_text,
+    squared_norms,
     to_mod_p,
 )
-from .generators import FactoredPoly, GeneratorSet, orthogonal_complement_basis
+from .generators import FactoredPoly, GeneratorSet, _antipodal_rows, orthogonal_complement_basis
 from .sampling import sample_indices
 
 PASS = "pass"
@@ -220,7 +221,6 @@ def _structured_sliced_pass(
     pts: np.ndarray,
     interior: Sequence[int],
     extreme: int,
-    progress: Progress = None,
 ) -> List[Tuple]:
     """Exact bulk check that every sliced zonal vanishes at every point.
 
@@ -261,20 +261,13 @@ def _structured_sliced_pass(
                 return witnesses
         if witnesses:
             return witnesses
-        if progress is not None:
-            progress(f"vanishing pass {min(start + block, n)}/{n} base pairs")
-    norms = _squared_norms(reps)
+    norms = squared_norms(reps)
     return [(f"pair{i}", "norm", int(norms[i])) for i in np.flatnonzero(norms != extreme)[:5]]
-
-
-def _squared_norms(X: np.ndarray) -> np.ndarray:
-    """The squared norm of every row, from one ``int_product``."""
-    return int_product(X[:, None, :], X[:, :, None]).ravel()
 
 
 def _norm_witnesses(arr: np.ndarray, r2: int):
     """Rows of the den-scaled points whose squared norm misses the scaled r2."""
-    n2 = _squared_norms(arr)
+    n2 = squared_norms(arr)
     bad = np.flatnonzero(n2 != r2)
     return [("NM", int(i), int(n2[i])) for i in bad[:5]]
 
@@ -296,16 +289,14 @@ def _rescaled(X: np.ndarray, f: int) -> np.ndarray:
     return X * f
 
 
-def _pair_units(G: GeneratorSet, points: Optional[Sequence]) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Points and pair representatives as integer rows over one denominator L, and L.
+def _pair_units(G: GeneratorSet, points: Sequence) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Given points and pair representatives as integer rows over one denominator L, and L.
 
     ``pair_reps`` carry den times the configuration's coordinates, den that
-    of ``integer_array``.  Given points (a point file) come with their own
-    least denominator; both sides are rescaled to the least common multiple.
+    of ``integer_array``; the points (a point file) come with their own
+    least denominator.  Both sides are rescaled to the least common multiple.
     """
-    arr, den = G.config.integer_array()
-    if points is None:
-        return arr, G.pair_reps, den
+    _, den = G.config.integer_array()
     q = quad_array(list(points))
     if q.B is not None:
         raise FieldMismatchError(f"{G.name} points must be rational")
@@ -313,31 +304,63 @@ def _pair_units(G: GeneratorSet, points: Optional[Sequence]) -> Tuple[np.ndarray
     return _rescaled(q.A, lcm // q.den), _rescaled(G.pair_reps, lcm // den), lcm
 
 
-def _pair_vanishing(
-    G: GeneratorSet, mode: str, points: Optional[Sequence], seed: int, progress: Progress
-) -> Tuple[List[Tuple], str]:
-    """(witnesses, detail) of the bulk pass for the sliced-zonal families.
+def _pair_vanishing(G: GeneratorSet, points: Sequence) -> Tuple[List[Tuple], str]:
+    """(witnesses, detail) of the bulk pass of the sliced-zonal families on given points.
 
-    The points, the given ones or else the configuration's own, must lie on
-    the shell (``_norm_witnesses``) before ``_structured_sliced_pass`` reads
-    their inner products with the representatives.  Given points beyond the
-    exact int64 range are left to the exact evaluation loop.
+    The points must lie on the shell (``_norm_witnesses``) before
+    ``_structured_sliced_pass`` reads their inner products with the
+    representatives.  Points beyond the exact int64 range are left to the
+    exact evaluation loop.
     """
     try:
         pts, reps, den = _pair_units(G, points)
-        if mode == SAMPLED:
-            pts = pts[sample_indices(seed, VANISHING_SAMPLE, pts.shape[0])]
         interior, extreme = _shell_units(G, den)
         witnesses = _norm_witnesses(pts, extreme) or _structured_sliced_pass(
-            reps, pts, interior, extreme, progress=progress
+            reps, pts, interior, extreme
         )
     except ArithmeticError:
-        if points is None:
-            raise
         pts = list(points)
         return _eval_vanishing(G, pts), f"{len(G)} generators x {len(pts)} points, exact evaluation"
-    kind = "sampled points" if mode == SAMPLED else "points"
-    return witnesses, f"{len(G)} generators x {len(pts)} {kind}"
+    return witnesses, f"{len(G)} generators x {len(pts)} points"
+
+
+def _lattice_vanishing(G: GeneratorSet) -> List[Tuple]:
+    """Witnesses against the generators vanishing on the configuration's own points.
+
+    Each generator is Nm or (b.Y) prod_w (a.Y - w) over the interior roots w,
+    for a representative a and a vector b orthogonal to it.  The
+    configuration's value-set proof (``lattice.prove_value_set``) shows that
+    its lattice L is even with no nonzero vector of norm below r2, and that
+    its points lie in L with norm r2.  So for a point x and a representative
+    a that is a vector of L with norm r2, either x = +-a, where b.x = 0, or
+    x.a lies in the proven values: when the interior roots hold them, every
+    generator vanishes at x.  No pair product is formed.
+
+    The representatives are the proof's points with a positive leading
+    entry, as the families build them.  Points or representatives that
+    differ from the proof's (changed after the build) are checked here
+    instead: norm r2 and membership in L.
+    """
+    cfg, reps, proof = G.config, G.pair_reps, G.config.lattice
+    if proof is None:
+        raise ValueError(f"{G.name}: the pair structure needs the configuration's lattice proof")
+    missing = [("interior-root-missing", v) for v in proof.values if v not in G.interior_roots]
+    if missing:
+        return missing
+    arr, den = cfg.integer_array()
+    _, extreme = _shell_units(G, den)
+    if not np.array_equal(arr, proof.points):
+        witnesses = _norm_witnesses(arr, extreme) or [
+            ("outside-lattice", int(i)) for i in np.flatnonzero(proof.outside(arr))[:5]
+        ]
+        if witnesses:
+            return witnesses
+    if np.array_equal(reps, _antipodal_rows(proof.points)):
+        return []
+    norms = squared_norms(reps)
+    return [(f"pair{i}", "norm", int(norms[i])) for i in np.flatnonzero(norms != extreme)[:5]] or [
+        (f"pair{i}", "outside-lattice") for i in np.flatnonzero(proof.outside(reps))[:5]
+    ]
 
 
 def check_vanishing(
@@ -345,14 +368,15 @@ def check_vanishing(
     mode: str = FULL,
     points: Optional[Sequence] = None,
     seed: int = DEFAULT_SEED,
-    progress: Progress = None,
 ) -> ClaimRecord:
     """Pass iff every generator evaluates to zero (all points, or a sample).
 
     ``points`` replaces the configuration's own points.  The sliced-zonal
-    families take the bulk pair pass (``_pair_vanishing``) on either; other
-    sets evaluate every generator exactly.  A sampled pass checks
-    VANISHING_SAMPLE points.
+    families are checked in full on their own points by the lattice
+    value-set proof (``_lattice_vanishing``), whatever the mode, and take
+    the bulk pair pass (``_pair_vanishing``) on given points; other sets
+    evaluate every generator exactly, on VANISHING_SAMPLE points when
+    sampled.
     """
     if G.pair_reps is None:
         pts = list(points) if points is not None else list(_eval_points(G))
@@ -360,8 +384,12 @@ def check_vanishing(
             pts = [pts[i] for i in sample_indices(seed, VANISHING_SAMPLE, len(pts))]
         witnesses = _generic_vanishing(G, pts)
         detail = f"{len(G)} generators x {len(pts)} points, exact evaluation"
+    elif points is None:
+        witnesses, mode = _lattice_vanishing(G), FULL
+        detail = f"{len(G)} generators x {G.config.npoints} points by the lattice value set"
     else:
-        witnesses, detail = _pair_vanishing(G, mode, points, seed, progress)
+        witnesses, detail = _pair_vanishing(G, points)
+        mode = FULL
     return ClaimRecord(
         f"{G.name}.vanishing", PASS if not witnesses else FAIL, mode, witnesses, detail=detail
     )
@@ -1000,8 +1028,9 @@ def assemble_certificate(
     which holds when ``degree`` meets the lower bound the strength forces.
     Claims are named by the configuration's ``theorem`` label, or by its
     name when it declares none.  Raises MissingCheckError when a
-    prerequisite is absent.  A sampled vanishing pass keeps part i and iv in
-    sampled mode; it is never promoted.
+    prerequisite is absent.  Each part keeps the mode of the checks it rests
+    on: part iv rests on parts i to iii, so it is sampled when any of them
+    is; a sampled check is never promoted.
     """
     name, label = cfg.name, cfg.theorem or cfg.name
     theorem = f"thm{cfg.theorem}" if cfg.theorem else name
@@ -1056,11 +1085,12 @@ def assemble_certificate(
 
     level = LEVEL_FULL_GROEBNER if groebner_certified else LEVEL_PAPER
     iv_ok = part_i_ok and jac.passed and iii_ok
+    iv_mode = SAMPLED if SAMPLED in (vanish.mode, jac.mode, design.mode) else FULL
     report.add(
         ClaimRecord(
             f"{theorem}.iv",
             PASS if iv_ok else FAIL,
-            vanish.mode,
+            iv_mode,
             [],
             detail=(
                 f"ideal generated in degree <= {degree} at level {level}; "

@@ -70,11 +70,14 @@ def test_verify_e8_full_theorem_claims(tmp_path):
 
 
 def test_verify_sampled_labels(tmp_path):
+    # part i is full by the lattice value-set proof; the design pass samples,
+    # and part iv rests on it
     code, doc = run_json(["verify", "e8", "--sampled", "--seed", "7"], tmp_path)
     assert code == EXIT_OK
     assert doc["mode"] == "sampled"
     modes = {c["id"]: c["mode"] for c in doc["claims"]}
-    assert modes["thmE8.i"] == "sampled"
+    assert modes["thmE8.i"] == "full"
+    assert modes["thmE8.iii"] == modes["thmE8.iv"] == modes["design.E8.t7"] == "sampled"
     assert doc["design"]["mode"] == "sampled"
 
 
@@ -240,6 +243,33 @@ def test_leech_point_file_takes_the_pair_pass(leech_lines, pair_pass_only, tmp_p
     code, claim = _verify_lines("leech", leech_lines, tmp_path)
     assert code == EXIT_OK, claim
     assert claim["detail"] == "2260441 generators x 4 points"
+
+
+def test_leech_point_file_report_is_full(leech_lines, tmp_path):
+    # every file point is checked, so the report says full, as its claim does
+    pts = tmp_path / "leech.pts"
+    pts.write_text("\n".join(leech_lines) + "\n")
+    code, doc = run_json(["verify", "leech", "--points", str(pts)], tmp_path)
+    assert code == EXIT_OK
+    assert doc["mode"] == "full"
+    assert [(c["id"], c["mode"]) for c in doc["claims"]] == [("leech.vanishing", "full")]
+
+
+def test_sampled_leech_report_modes(tmp_path):
+    # part i is full by the value-set proof; part iv rests on part iii, whose
+    # design pass samples
+    code, doc = run_json(["report", "leech", "--sampled", "--seed", "3"], tmp_path)
+    assert code == EXIT_OK
+    modes = {c["id"]: c["mode"] for c in doc["claims"]}
+    assert modes == {
+        "thmLeech.i": "full",
+        "thmLeech.ii": "full",
+        "thmLeech.iii": "sampled",
+        "thmLeech.iv": "sampled",
+        "design.Leech.t11": "sampled",
+    }
+    assert doc["counts"]["minimum_search_nodes"] == 15223
+    assert doc["counts"]["value_set"] == [16, 8, 0, -8, -16]
 
 
 def test_changed_leech_coordinate_names_a_pair(leech_lines, pair_pass_only, tmp_path):

@@ -1,12 +1,15 @@
 """Lattice basis extraction, unimodularity, and short-vector enumeration."""
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 
-from idealforge.configs import build_e8, build_knn, build_leech
-from idealforge.exact import HnfAccumulator, Matrix, det, ldlt
+from idealforge import configs, lattice
+from idealforge.configs import SphericalConfiguration, build_e8, build_knn, build_leech
+from idealforge.exact import ConstructionError, HnfAccumulator, Matrix, det, dot, ldlt
 from idealforge.lattice import (
     LatticeBasis,
     RankDeficientError,
@@ -198,3 +201,101 @@ def test_singular_basis_raises():
     for rows in ([(1, 2), (2, 4)], [(1, 0, 1), (0, 1, 1), (1, 1, 2)]):
         with pytest.raises(ValueError):
             enumerate_short_vectors(LatticeBasis(rows, scale=1), 4)
+
+
+# ---------------------------------------------------------------------------
+# the value-set proof
+# ---------------------------------------------------------------------------
+
+
+def test_value_set_proofs_of_e8_and_leech():
+    for build, norm, values, nodes, det_gram in (
+        (build_e8, 2, (1, 0, -1), 8, 4**8),
+        (build_leech, 4, (16, 8, 0, -8, -16), 15223, 8**24),
+    ):
+        cfg = build()
+        proof = cfg.lattice
+        assert (proof.norm, proof.values, proof.search_nodes) == (norm, values, nodes)
+        assert set(values) < set(cfg.omegas)
+        assert proof.basis.det_gram() == det_gram
+        arr = cfg.integer_array()[0]
+        assert not proof.outside(arr).any()
+        assert np.array_equal(proof.points, arr) and not np.shares_memory(proof.points, arr)
+        assert not proof.points.flags.writeable
+
+
+def test_leech_basis_takes_one_membership_pass(monkeypatch):
+    calls = []
+    outside = lattice._outside
+
+    def counting(P, rows):
+        calls.append(rows.shape[0])
+        return outside(P, rows)
+
+    monkeypatch.setattr(lattice, "_outside", counting)
+    assert build_leech().lattice.basis.det_gram() == 8**24
+    assert calls == [196560]
+
+
+def _corrupted_leech(monkeypatch, corrupt):
+    """build_leech with its point array changed before the configuration is declared."""
+    declare = configs.SphericalConfiguration
+
+    def corrupting(*args, array=None, **kwargs):
+        if array is not None:
+            array = array.copy()
+            corrupt(array)
+        return declare(*args, array=array, **kwargs)
+
+    monkeypatch.setattr(configs, "SphericalConfiguration", corrupting)
+    return build_leech()
+
+
+CORRUPTIONS = {
+    # norm 32 and distinct, but outside the lattice: the lattice the points
+    # span is no longer integral (Gram / 8)
+    "integral": lambda a: a.__setitem__(5, [4, 2, 2, 2, 2] + [0] * 19),
+    "norm": lambda a: a.__setitem__(5, 2 * a[5]),
+    "distinct": lambda a: a.__setitem__(5, a[6]),
+}
+
+
+@pytest.mark.parametrize("premise", sorted(CORRUPTIONS))
+def test_corrupted_leech_build_names_the_failed_premise(premise, monkeypatch):
+    with pytest.raises(ConstructionError, match=f"premise '{premise}' fails"):
+        _corrupted_leech(monkeypatch, CORRUPTIONS[premise])
+
+
+def test_odd_lattice_fails_the_evenness_premise():
+    # D12+: the half-integer vectors (+-1/2)^12 with an even number of minus
+    # signs span an odd integral lattice of minimum 2, one below their norm
+    # 3.  The search below the minimum (norm <= 1) finds nothing, yet two
+    # points differing in two signs have inner product 2 > 3/2: only the
+    # evenness premise keeps the proof from claiming the values 0, +-1
+    half = Fraction(1, 2)
+    pts = [
+        tuple(half * s for s in signs)
+        for signs in itertools.product((1, -1), repeat=12)
+        if signs.count(-1) % 2 == 0
+    ]
+    assert dot(pts[0], pts[3]) == 2
+    with pytest.raises(ConstructionError, match="premise 'even' fails"):
+        SphericalConfiguration("d12+", 12, 3, [3, 2, 1, 0, -1, -2, -3], points=pts, lattice_scale=1)
+
+
+def test_short_lattice_vector_fails_the_minimum_premise():
+    # (+-3, +-1) and (+-1, +-3) span the even lattice x1 = x2 mod 2, which
+    # holds (1, 1) of norm 2 below their norm 10
+    pts = [(a * x, b * y) for x, y in ((3, 1), (1, 3)) for a in (1, -1) for b in (1, -1)]
+    with pytest.raises(ConstructionError, match="premise 'minimum' fails: 12 nonzero"):
+        SphericalConfiguration("octagon", 2, 10, [10, 8, 6, 0, -6, -8, -10], points=pts, lattice_scale=1)
+
+
+def test_undeclared_proven_value_fails_the_values_premise():
+    with pytest.raises(ConstructionError, match=r"premise 'values' fails: \[0\]"):
+        SphericalConfiguration("e8", 8, 2, [2, 1, -1, -2], points=configs._e8_points(), lattice_scale=1)
+
+
+def test_configuration_without_a_lattice_scale_has_no_proof():
+    assert build_knn(3).lattice is None
+    assert configs.build_e7().lattice is None

@@ -11,6 +11,7 @@ import pytest
 
 from idealforge import verify
 from idealforge.configs import (
+    DEFAULT_SEED,
     SphericalConfiguration,
     build_4cube,
     build_e6,
@@ -42,6 +43,7 @@ from idealforge.generators import (
     restrict_to_section,
 )
 from idealforge.poly import SparsePoly, is_trivial, nm_poly
+from idealforge.sampling import sample_indices
 from idealforge.verify import (
     FAIL,
     PASS,
@@ -223,15 +225,18 @@ def test_vanishing_e8_structured_full():
     assert sub.passed
 
 
-def test_vanishing_leech_sampled():
+def test_vanishing_leech_sampled(monkeypatch):
+    # a sampled request on the configuration's own points is answered in
+    # full by the build's value-set proof, with no pair product
     G = build_generator_set("leech")
+    shapes = _record_products(monkeypatch)
     rec = check_vanishing(G, mode=SAMPLED)
-    assert rec.passed and rec.mode == "sampled"
-    assert "256 sampled points" in rec.detail
-    again = check_vanishing(G, mode=SAMPLED)
-    assert again.detail == rec.detail and again.status == rec.status
-    other_seed = check_vanishing(G, mode=SAMPLED, seed=99)
-    assert other_seed.passed
+    assert rec.passed and rec.mode == "full"
+    assert rec.detail == "2260441 generators x 196560 points by the lattice value set"
+    assert shapes == []
+    for seed in (DEFAULT_SEED, 99):
+        again = check_vanishing(G, mode=SAMPLED, seed=seed)
+        assert (again.status, again.mode, again.detail) == (rec.status, rec.mode, rec.detail)
 
 
 def test_structured_pass_refuses_cancelling_large_terms():
@@ -260,14 +265,14 @@ def _record_products(monkeypatch):
 
 
 def test_sampled_leech_pass_takes_4096_pairs_a_product(monkeypatch):
-    # 98,280 base pairs against 256 sampled points: 24 products of pairs
-    # (the 3-d products are the squared norms)
+    # 98,280 base pairs against 256 sampled points given as a point list:
+    # 24 products of pairs
     G = build_generator_set("leech")
+    pts = [G.config.point(i) for i in sample_indices(DEFAULT_SEED, 256, G.config.npoints)]
     shapes = _record_products(monkeypatch)
-    assert check_vanishing(G, mode=SAMPLED).passed
-    pairs = [(a, b) for a, b in shapes if len(a) == 2]
-    assert len(pairs) == 24
-    assert all(a == (256, 24) and b[0] == 24 and b[1] <= 4096 for a, b in pairs)
+    assert check_vanishing(G, points=pts).passed
+    assert len(shapes) == 24
+    assert all(a == (256, 24) and b[0] == 24 and b[1] <= 4096 for a, b in shapes)
 
 
 def test_structured_pass_over_point_blocks_takes_256_pairs(monkeypatch):
@@ -314,6 +319,21 @@ def test_vanishing_names_a_point_off_the_sphere():
     rec = check_vanishing(G)
     assert rec.status == FAIL
     assert rec.witnesses == [("NM", 3, 0)]
+
+
+def test_vanishing_names_points_outside_the_lattice():
+    # (1, 1/2, 1/2, 1/2, 1/2, 0, 0, 0) has norm 2 but mixes integer and
+    # half-integer coordinates, so it lies outside E8: the value-set proof
+    # does not cover it, as a point or as a representative
+    G = build_generator_set("e8")
+    stray = [2, 1, 1, 1, 1, 0, 0, 0]
+    arr, _ = G.config.integer_array()
+    saved = arr[0].copy()
+    arr[0] = stray
+    assert check_vanishing(G).witnesses == [("outside-lattice", 0)]
+    arr[0] = saved
+    G.pair_reps[5] = stray
+    assert check_vanishing(G).witnesses == [("pair5", "outside-lattice")]
 
 
 def test_point_blocks_leave_passes_and_witnesses_unchanged(monkeypatch):
