@@ -215,7 +215,7 @@ def _checks(
         components["gallery"] = check_gallery_vanishing(G, cell24_points())
     else:
         with _timed(report, "jacobian"):
-            components["jacobian"] = jacobian_full_pass(G, progress=progress)
+            components["jacobian"] = jacobian_full_pass(G)
     report["counts"] = {"points": cfg.npoints, "generators": len(G)}
     if cfg.design_strength is None:
         claims = list(components.values())

@@ -7,8 +7,9 @@ Five families of checks, each exact:
   their own points and a bulk pair pass on a point file's);
 * simple zeros: the Jacobian of the generating set has full rank at every
   point, from its rank modulo a prime where that reaches full rank, else
-  computed symbolically, or from the closed-form row shape of a sliced
-  zonal gradient;
+  computed symbolically; for the sliced-zonal families, from the closed-form
+  row shape of a sliced zonal gradient, whose inner products the lattice
+  value-set proof fixes, and one m x m product of two base sets;
 * nontriviality: a generator of the critical degree is nonzero at one point
   of the sphere, so it is no multiple of the sphere polynomial;
 * design strength: Gegenbauer pair sums and raw moment comparisons;
@@ -324,22 +325,22 @@ def _pair_vanishing(G: GeneratorSet, points: Sequence) -> Tuple[List[Tuple], str
     return witnesses, f"{len(G)} generators x {len(pts)} points"
 
 
-def _lattice_vanishing(G: GeneratorSet) -> List[Tuple]:
-    """Witnesses against the generators vanishing on the configuration's own points.
+def _proof_witnesses(G: GeneratorSet) -> List[Tuple]:
+    """Witnesses against the premises the lattice value-set proof needs.
 
-    Each generator is Nm or (b.Y) prod_w (a.Y - w) over the interior roots w,
-    for a representative a and a vector b orthogonal to it.  The
-    configuration's value-set proof (``lattice.prove_value_set``) shows that
-    its lattice L is even with no nonzero vector of norm below r2, and that
-    its points lie in L with norm r2.  So for a point x and a representative
-    a that is a vector of L with norm r2, either x = +-a, where b.x = 0, or
-    x.a lies in the proven values: when the interior roots hold them, every
-    generator vanishes at x.  No pair product is formed.
+    The configuration's value-set proof (``lattice.prove_value_set``) shows
+    that its lattice L is even with no nonzero vector of norm below r2, and
+    that its points lie in L with norm r2.  So for a point x and a vector a
+    of L with norm r2, either x = +-a or x.a is a proven value.  That covers
+    every pair of a point and a representative once these premises hold:
 
-    The representatives are the proof's points with a positive leading
-    entry, as the families build them.  Points or representatives that
-    differ from the proof's (changed after the build) are checked here
-    instead: norm r2 and membership in L.
+    * the interior roots hold every proven value;
+    * the points are the proof's, or have norm r2 and lie in L;
+    * the representatives are the proof's points with a positive leading
+      entry, as the families build them, or have norm r2 and lie in L.
+
+    Only points or representatives changed after the build are checked
+    (norm, then membership); no pair product is formed.
     """
     cfg, reps, proof = G.config, G.pair_reps, G.config.lattice
     if proof is None:
@@ -372,11 +373,14 @@ def check_vanishing(
     """Pass iff every generator evaluates to zero (all points, or a sample).
 
     ``points`` replaces the configuration's own points.  The sliced-zonal
-    families are checked in full on their own points by the lattice
-    value-set proof (``_lattice_vanishing``), whatever the mode, and take
-    the bulk pair pass (``_pair_vanishing``) on given points; other sets
-    evaluate every generator exactly, on VANISHING_SAMPLE points when
-    sampled.
+    families are checked in full on their own points, whatever the mode:
+    each generator is Nm or (b.Y) prod_w (a.Y - w) over the interior roots
+    w, for a representative a and a vector b orthogonal to it, so at a
+    point x it vanishes when x = +-a (b.x = 0) or when x.a is a proven
+    value, and ``_proof_witnesses`` checks the premises that leave no other
+    case.  On given points they take the bulk pair pass
+    (``_pair_vanishing``); other sets evaluate every generator exactly, on
+    VANISHING_SAMPLE points when sampled.
     """
     if G.pair_reps is None:
         pts = list(points) if points is not None else list(_eval_points(G))
@@ -385,7 +389,7 @@ def check_vanishing(
         witnesses = _generic_vanishing(G, pts)
         detail = f"{len(G)} generators x {len(pts)} points, exact evaluation"
     elif points is None:
-        witnesses, mode = _lattice_vanishing(G), FULL
+        witnesses, mode = _proof_witnesses(G), FULL
         detail = f"{len(G)} generators x {G.config.npoints} points by the lattice value set"
     else:
         witnesses, detail = _pair_vanishing(G, points)
@@ -524,14 +528,12 @@ def symbolic_selected_rows(G: GeneratorSet, point) -> List[Tuple[Scalar, ...]]:
     return out
 
 
-def jacobian_full_pass(
-    G: GeneratorSet,
-    progress: Progress = None,
-) -> ClaimRecord:
+def jacobian_full_pass(G: GeneratorSet) -> ClaimRecord:
     """Rank = nvars at every point.
 
-    The sliced-zonal families are vectorized over two independent base sets:
-    C for every point, then C' for the 2m points +-C (`_vectorized_jacobian_pass`).
+    The sliced-zonal families take the lattice value-set proof and two
+    independent base sets: C for every point, then C' for the 2m points +-C
+    (``_lattice_jacobian``).
     """
     m = G.nvars
     claim = f"{G.name}.jacobian"
@@ -555,7 +557,7 @@ def jacobian_full_pass(
             detail=f"symbolic rank {m} at {len(pts)} points",
         )
 
-    witnesses = _vectorized_jacobian_pass(G, progress)
+    witnesses = _proof_witnesses(G) or _lattice_jacobian(G)
     return ClaimRecord(
         claim,
         PASS if not witnesses else FAIL,
@@ -648,84 +650,41 @@ def _full_rank_mod_p(G: GeneratorSet, pts) -> np.ndarray:
     return proven
 
 
-def _vectorized_jacobian_pass(G: GeneratorSet, progress: Progress = None):
-    """Full simple-zero pass for the sliced-zonal families.
+def _lattice_jacobian(G: GeneratorSet) -> List[Tuple]:
+    """Witnesses against rank nvars at every point, given ``_proof_witnesses``' premises.
 
-    An independent set C of nvars pair representatives serves every point at
-    once.  For c in C and a point x where c.x is an interior root and some
-    complement vector b of c has b.x != 0, the gradient row of that generator
-    at x is a nonzero multiple of c; the rows then span by the independence
-    of C.  A point x that meets some c in C at +-r2 (on the shell, x = +-c:
-    2m points) is checked again, against every vector of a second base
-    C' = independent_rows(reps, m, skip=C).  That is sound because a point is
-    +-c for at most one representative c, which lies in C; so C' contains
-    no +-x for any x in +-C, and C' must meet each such x in interior roots.
+    Every generator but Nm is (b.Y) prod_w (c.Y - w) over the interior roots
+    w, for a representative c and each b of a basis of c's orthogonal
+    complement.  Where c.x is an interior root w0 that occurs once, its
+    gradient at x is (b.x) prod_{w != w0} (w0 - w) c.
+
+    * C = ``independent_rows(reps, m)``.  For a point x and c in C, either
+      x = +-c or c.x is a proven value (the premises), hence an interior
+      root.  A proven value v has |v| <= r2 / 2 < r2, so then x is not
+      parallel to c, some b has b.x != 0, and the closed-form row is a
+      nonzero multiple of c.  So the rows over C span at every point but
+      the 2m points +-C.
+    * C' = ``independent_rows(reps, m, skip=C)``.  The points +-C meet C'
+      only in proven values exactly when every entry of the m x m product
+      C C'^T is one; then the rows over C' span at +-C by the same
+      argument.
+
+    No product against the points is formed.
     """
-    arr, den = G.config.integer_array()
-    reps = G.pair_reps
-    m = G.nvars
-    roots, extreme = _shell_units(G, den)
-    interior = np.array(roots, dtype=np.int64)
-
+    reps, m, roots = G.pair_reps, G.nvars, list(G.interior_roots)
+    repeated = sorted({w for w in roots if roots.count(w) > 1})
+    if repeated:
+        return [("interior-root-repeated", w) for w in repeated]
     base = independent_rows(reps, m)
     second = independent_rows(reps, m, skip=base)
     if len(second) < m:
         return [("independent-base-selection", len(base), len(second))]
-    failure, paired = _closed_form_failure(arr, reps[base], interior, extreme=extreme)
-    if failure is not None:
-        return [failure]
-    if progress is not None:
-        progress(f"jacobian pass: {int(paired.sum())} points left for the second base")
-    rows = np.flatnonzero(paired)
-    failure, _ = _closed_form_failure(arr[rows], reps[second], interior)
-    if failure is not None:
-        kind, slot, r = failure[:3]
-        return [("second-base", kind, slot, int(rows[r])) + failure[3:]]
-    return []
-
-
-def _closed_form_failure(
-    pts: np.ndarray, base: np.ndarray, interior: np.ndarray, extreme: Optional[int] = None
-) -> Tuple[Optional[Tuple], np.ndarray]:
-    """First point whose gradient row for some base vector fails the closed form.
-
-    The row for base vector c at x is a nonzero multiple of c when c.x is an
-    interior root and x is no multiple of c: the complement vectors of c span
-    its orthogonal complement, so one of them has b.x != 0.  x is a multiple
-    of c iff (c.x)^2 == (c.c)(x.x).  Points meeting a base vector at
-    +-``extreme`` are not failures but paired; returns (failure or None,
-    paired mask).  Failures are reported in base order, the first point
-    first.  The products c.x come from ``int_product``, one per point block
-    against the whole base; the squares stay int64, exact since
-    (m * max|entry|^2)^2 < 2^63 is enforced.
-    """
-    n, nbase = pts.shape[0], base.shape[0]
-    paired = np.zeros(n, dtype=bool)
-    if n == 0:
-        return None, paired
-    bound = max(_max_abs(pts), _max_abs(base))
-    if (pts.shape[1] * bound * bound) ** 2 >= 2**63:
-        raise ArithmeticError("inner products left the exact int64 range")
-    base_norms = np.einsum("ij,ij->i", base, base)
-    first = np.full((2, nbase), n)  # first stray and first parallel point per slot
-    for lo in range(0, n, POINT_BLOCK):
-        P = pts[lo : lo + POINT_BLOCK]
-        V = int_product(P, base.T)
-        hit = np.abs(V) == extreme if extreme is not None else np.zeros(V.shape, dtype=bool)
-        stray = ~(np.isin(V, interior) | hit)
-        parallel = ~hit & (V * V == np.einsum("ij,ij->i", P, P)[:, None] * base_norms)
-        for kind, mask in enumerate((stray, parallel)):
-            new = mask.any(axis=0) & (first[kind] == n)
-            first[kind, new] = lo + mask[:, new].argmax(axis=0)
-        paired[lo : lo + P.shape[0]] = hit.any(axis=1)
-    failing = np.flatnonzero((first < n).any(axis=0))
-    if failing.size == 0:
-        return None, paired
-    slot = int(failing[0])
-    r = int(first[0, slot])
-    if r < n:
-        return ("inner-product-range", slot, r, dot(pts[r].tolist(), base[slot].tolist())), paired
-    return ("no-slicing-vector", slot, int(first[1, slot])), paired
+    _, den = G.config.integer_array()
+    V = int_product(reps[base], reps[second].T)
+    stray = np.argwhere(~np.isin(V, [v * den * den for v in G.config.lattice.values]))
+    return [
+        ("second-base", f"pair{base[i]}", f"pair{second[j]}", int(V[i, j])) for i, j in stray[:5]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_criterion_05_simple_zeros(leech_cfg, e8_cfg):
     t0 = time.time()
     rec24 = jacobian_full_pass(g_leech)
     elapsed = time.time() - t0
-    assert rec24.passed and elapsed < 3600
+    assert rec24.passed and elapsed < 30
 
     g8 = build_generator_set("e8")
     rng = random.Random(0xC0DE)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idealforge import configs
-from idealforge.exact import POINT_BLOCK, Matrix, Quad, dot, int_product, rank
+from idealforge.exact import POINT_BLOCK, ConstructionError, Matrix, Quad, dot, int_product, rank
 from idealforge.configs import (
     PHI,
     _pair_exact,
@@ -224,6 +224,31 @@ def test_leech_counts(leech):
     arr, den = leech.integer_array()
     assert den == 1
     assert np.all((arr * arr).sum(axis=1) == 32)
+
+
+def test_leech_type2_rows_are_closed_under_negation(leech):
+    # the code holds each codeword's complement, so a global sign flip gives
+    # the same type-2 rows: the build has no other convention to try
+    rows = configs._leech_type2(build_golay().codewords)
+    assert np.array_equal(np.unique(rows, axis=0), np.unique(-rows, axis=0))
+    n1, n2, _ = leech.type_counts
+    assert np.array_equal(leech.integer_array()[0][n1 : n1 + n2], rows)
+
+
+def test_leech_build_refuses_type2_rows_off_the_mod8_rule(monkeypatch):
+    # -3 s_i -> 3 s_i keeps every norm at 32 but breaks the mod-8 rule on
+    # the fixed type-1 rows the build checks against
+    good = configs._leech_type2
+
+    def wrong(codewords):
+        rows = good(codewords)
+        diag = np.arange(24)
+        rows.reshape(len(codewords), 24, 24)[:, diag, diag] *= -1
+        return rows
+
+    monkeypatch.setattr(configs, "_leech_type2", wrong)
+    with pytest.raises(ConstructionError, match="mod-8"):
+        build_leech()
 
 
 def test_leech_sampled_histogram(leech):

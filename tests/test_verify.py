@@ -51,7 +51,6 @@ from idealforge.verify import (
     SKIPPED,
     ClaimRecord,
     MissingCheckError,
-    _closed_form_failure,
     _eval_vanishing,
     _exact_jacobian_rank,
     _generic_vanishing,
@@ -344,7 +343,7 @@ def test_point_blocks_leave_passes_and_witnesses_unchanged(monkeypatch):
     arr[200, 0] += 1
     arr[37, 0] += 1
     whole = [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses]
-    assert whole[0][0][1] == 37 and whole[1][0][2] == 37
+    assert whole[0][0][1] == 37 and whole[1][0][1] == 37
     for size in (1, 7):
         monkeypatch.setattr(verify, "POINT_BLOCK", size)
         assert [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses] == whole
@@ -458,38 +457,89 @@ def test_jacobian_e8():
 
 
 def test_jacobian_names_point_moved_off_shell():
+    # the premises of the value-set proof name the point before any base
+    # vector is read
     G = build_generator_set("e8")
     arr, den = G.config.integer_array()
     arr[37, 0] += 1  # half a unit: off the shell, off every interior root
     rec = jacobian_full_pass(G)
     assert rec.status == FAIL
-    kind, _slot, point, _value = rec.witnesses[0]
-    assert (kind, point) == ("inner-product-range", 37)
+    assert rec.witnesses[0] == ("NM", 37, 9)
     # the origin meets every base vector at the interior root 0, but no
     # complement vector sees it
     arr[37] = 0
     rec = jacobian_full_pass(G)
     assert rec.status == FAIL
-    assert rec.witnesses[0] == ("no-slicing-vector", 0, 37)
+    assert rec.witnesses[0] == ("NM", 37, 0)
 
 
 def test_jacobian_second_base_sees_exactly_the_pairs():
-    # the points meeting the first base at +-r2 are +-C, and the second
-    # base holds no +-x for any of them
+    # a plain product of every point with both bases: every c.x is interior
+    # or +-r2, the points meeting the first base at +-r2 are exactly +-C, and
+    # the second base meets them only in interior roots, as the m x m check
+    # C C'^T in the pass assumes
     G = build_generator_set("e8")
     arr, den = G.config.integer_array()
     reps, m = G.pair_reps, G.nvars
     interior = [w * den * den for w in G.interior_roots]
+    extreme = int(G.config.r2 * den * den)
     base = independent_rows(reps, m)
     second = independent_rows(reps, m, skip=base)
     assert len(base) == len(second) == m and not set(base) & set(second)
-    extreme = int(G.config.r2 * den * den)
-    failure, paired = _closed_form_failure(arr, reps[base], interior, extreme)
-    assert failure is None
+    V = arr @ reps[base].T
+    hit = np.abs(V) == extreme
+    assert (np.isin(V, interior) | hit).all()
+    paired = hit.any(axis=1)
     on_c = {tuple(s * v) for v in reps[base] for s in (1, -1)}
     assert {tuple(x) for x in arr[paired]} == on_c and paired.sum() == 2 * m
-    failure, left = _closed_form_failure(arr[paired], reps[second], interior)
-    assert failure is None and not left.any()
+    assert np.isin(arr[paired] @ reps[second].T, interior).all()
+    assert jacobian_full_pass(G).passed
+
+
+def test_jacobian_leech_forms_no_product_against_the_points(monkeypatch):
+    G = build_generator_set("leech")
+    m = G.nvars
+    shapes = []
+
+    def small(A, B):
+        assert A.shape[0] <= m and B.shape[0] <= m, "a product against the points"
+        shapes.append((A.shape, B.shape))
+        return int_product(A, B)
+
+    monkeypatch.setattr(verify, "int_product", small)
+    rec = jacobian_full_pass(G)
+    assert rec.passed and "196560 points" in rec.detail
+    assert shapes == [((m, m), (m, m))]
+
+
+def test_jacobian_names_a_second_base_vector_equal_to_a_first():
+    # the copy stays in the lattice on the shell, so vanishing still holds,
+    # but the points +-c meet it at r2, where its rows vanish
+    G = build_generator_set("e8")
+    reps, m = G.pair_reps, G.nvars
+    base = independent_rows(reps, m)
+    second = independent_rows(reps, m, skip=base)
+    reps[second[0]] = reps[base[0]]
+    assert check_vanishing(G).passed
+    rec = jacobian_full_pass(G)
+    assert rec.status == FAIL
+    assert rec.witnesses == [("second-base", f"pair{base[0]}", f"pair{second[0]}", 8)]
+
+
+def test_interior_roots_missing_a_proven_value_fail_both_passes():
+    G = build_generator_set("e8")
+    G.interior_roots = (1, 0)
+    for rec in (check_vanishing(G), jacobian_full_pass(G)):
+        assert rec.status == FAIL
+        assert rec.witnesses == [("interior-root-missing", -1)]
+
+
+def test_repeated_interior_root_fails_only_the_jacobian():
+    # a double root still vanishes, but its gradient is zero there
+    G = build_generator_set("e8")
+    G.interior_roots = (1, 0, 0, -1)
+    assert check_vanishing(G).passed
+    assert jacobian_full_pass(G).witnesses == [("interior-root-repeated", 0)]
 
 
 def test_independent_rows_leech_stride_reaches_full_rank_at_once():
