@@ -4,9 +4,10 @@ import os
 
 # One OpenBLAS thread, set before numpy loads.  The only BLAS call is
 # exact.int_product, exact in any summation order, so this changes cost, not
-# results: its thin products (64x24x16384 per Leech pair block) take 1.9 ms on
-# one thread and 12-16 ms on two (2-core host), and leech_report's cpu_s falls
-# from 2.7 to 1.5 s.  An explicit setting wins; numpy imported first ignores it.
+# results: its thin products (64x24x16384 per Leech pair block, float32) take
+# 3.0 ms a block on one thread and 2.3 ms on two, but the sampled pair pass
+# costs 0.076 s of CPU on one thread against 0.128 s on two (2-core host).
+# An explicit setting wins; numpy imported first ignores it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .configs import (

@@ -406,14 +406,16 @@ def build_leech() -> SphericalConfiguration:
         [s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0],
         dtype=np.int64,
     )
+    # rows 128k..128k+127 put 2 * sign8 on the support of octad k, in
+    # ascending column order
+    support = np.nonzero((np.array(octads)[:, None] >> np.arange(24)) & 1)[1].reshape(759, 8)
     type1 = np.zeros((759 * 128, 24), dtype=np.int64)
-    for k, w in enumerate(octads):
-        idx = [i for i in range(24) if (w >> i) & 1]
-        type1[k * 128 : (k + 1) * 128, idx] = 2 * sign8
+    type1[np.arange(759 * 128).reshape(759, 128, 1), support[:, None, :]] = 2 * sign8
 
     type2 = _leech_type2(code.codewords)
     probe = type1[list(itertools.islice(stride_order(type1.shape[0]), 32))].T
-    if np.any(int_product(type2, probe) % 8):
+    # x & 7 is x mod 8 in two's complement, negative x included
+    if np.any(int_product(type2, probe) & 7):
         raise ConstructionError("type-2 rows break the mod-8 rule")
 
     type3 = np.zeros((1104, 24), dtype=np.int64)
@@ -604,7 +606,11 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
     the first point outside the keys of the first row that has one, else
     None: the keys are distinct, so a row whose counts fall short of the
     points seen has one.  The products run in point blocks, one
-    ``int_product`` call each.
+    ``int_product`` call each.  A key outside the block's range of R cannot
+    match and is skipped; a rational block whose R lies in the int8 range
+    is compared as int8, which keeps equal values equal and distinct ones
+    distinct.  A block row counts at most POINT_BLOCK < 2^31 hits, so int32
+    sums are exact.
     """
     left, right = quad_operands(rows, pts)
     counts = np.zeros((len(rows), len(keys)), dtype=np.int64)
@@ -616,9 +622,12 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
 
     for lo in range(0, len(pts), POINT_BLOCK):
         R, I = quad_parts(int_product(left, right[lo : lo + POINT_BLOCK].T), len(rows))
+        low, high = int(R.min()), int(R.max())
+        if I is None and -128 <= low and high < 128:
+            R = R.astype(np.int8)
         for k, key in enumerate(keys):
-            if key is not None:
-                counts[:, k] += hits(R, I, key).sum(axis=1)
+            if key is not None and low <= key[0] <= high:
+                counts[:, k] += hits(R, I, key).sum(axis=1, dtype=np.int32)
         for r in np.flatnonzero(counts.sum(axis=1) != lo + R.shape[1]).tolist():
             if r not in bad:
                 Ir = None if I is None else I[r]

@@ -3,9 +3,9 @@
 Scalars are plain ``int``/``Fraction`` for rational work and :class:`Quad` for
 quadratic-field work.  All arithmetic is exact.  The one floating-point step
 is :func:`int_product`, the bulk integer matrix product, which multiplies in
-float64 only under a bound that makes every value it forms an exactly
-representable integer.  The one modular step is :func:`rank_mod_p`, a lower
-bound on a rank that proves it only where it meets an upper bound.
+float32 or float64 only under a bound that makes every value it forms an
+exactly representable integer.  The one modular step is :func:`rank_mod_p`,
+a lower bound on a rank that proves it only where it meets an upper bound.
 """
 
 from __future__ import annotations
@@ -335,6 +335,11 @@ def _row_content(row: Sequence[Scalar]) -> Fraction:
 
 
 def _primitive(row: List[Scalar]) -> List[Scalar]:
+    if all(type(x) is int for x in row):
+        # the content of an integer row is the gcd of its entries, and the
+        # division by it is exact: the same row as the Fraction path, in ints
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
     c = _row_content(row)
     if c != 1:
         inv = 1 / c
@@ -446,21 +451,24 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     With k the inner dimension, every term a*b of an entry is at most
     max|A| * max|B| in magnitude, and every partial sum of its k terms at
-    most k * max|A| * max|B|.  When that bound is below 2^53, every input,
-    term and partial sum is an integer that float64 holds exactly (if one
-    factor is all zero, so is every term), so each multiply, add or fused
-    multiply-add returns the exact value, whatever order BLAS sums in: the
-    product runs in float64 BLAS.  Any BLAS thread count gives the same
-    exact result; the package runs one (see ``idealforge/__init__.py``).
-    Below 2^63 the same argument holds for int64, which numpy multiplies
-    without BLAS.  Beyond that the product is refused with ArithmeticError
-    before anything is multiplied.
+    most k * max|A| * max|B|.  A float type whose significand has s bits
+    holds every integer of magnitude up to 2^s exactly.  So when that bound
+    is below 2^24 (float32) or 2^53 (float64), every input, term and partial
+    sum is an integer the type holds exactly (if one factor is all zero, so
+    is every term), and each multiply, add or fused multiply-add returns the
+    exact value, whatever order BLAS sums in: the product runs in BLAS in
+    the narrowest of the two that the bound allows.  Any BLAS thread count
+    gives the same exact result; the package runs one (see
+    ``idealforge/__init__.py``).  Below 2^63 the same argument holds for
+    int64, which numpy multiplies without BLAS.  Beyond that the product is
+    refused with ArithmeticError before anything is multiplied.
     """
     if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
         raise TypeError("int_product needs integer arrays")
     bound = A.shape[-1] * _max_abs(A) * _max_abs(B)
     if bound < 2**53:
-        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        real = np.float32 if bound < 2**24 else np.float64
+        return (A.astype(real) @ B.astype(real)).astype(np.int64)
     if bound < 2**63:
         return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
     raise ArithmeticError(f"integer product bound {bound} leaves the exact int64 range")

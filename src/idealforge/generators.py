@@ -265,15 +265,6 @@ def _antipodal_reps(points: Sequence[Tuple[Scalar, ...]]) -> List[Tuple[Scalar, 
     return reps
 
 
-def _antipodal_rows(arr: np.ndarray) -> np.ndarray:
-    """The integer rows ``_antipodal_reps`` keeps, in the same order: first nonzero entry positive."""
-    lead = arr[np.arange(arr.shape[0]), (arr != 0).argmax(axis=1)]
-    reps = np.ascontiguousarray(arr[lead > 0])
-    if 2 * reps.shape[0] != arr.shape[0]:
-        raise ConstructionError("point set is not antipodally paired")
-    return reps
-
-
 def _icosahedron_set() -> GeneratorSet:
     cfg = build_icosahedron()
     items: List[Tuple[str, object]] = [
@@ -307,7 +298,7 @@ def _e8_set() -> GeneratorSet:
         cfg.r2,
         items,
         config=cfg,
-        pair_reps=_antipodal_rows(cfg.integer_array()[0]),
+        pair_reps=cfg.lattice.reps,
         interior_roots=interior,
     )
 
@@ -337,7 +328,7 @@ def _e6_set() -> GeneratorSet:
 def _leech_set() -> GeneratorSet:
     cfg = build_leech()
     items: List[Tuple[str, object]] = [(LABEL_NM, nm_poly(24, cfg.r2))]
-    reps = _antipodal_rows(cfg.integer_array()[0])
+    reps = cfg.lattice.reps
     interior = (16, 8, 0, -8, -16)
 
     def factory(k: int) -> Tuple[str, FactoredPoly]:

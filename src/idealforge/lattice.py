@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
@@ -130,16 +131,25 @@ def basis_from_generators(X: SphericalConfiguration) -> LatticeBasis:
 def _outside(P: List[List[int]], rows: np.ndarray) -> np.ndarray:
     """Mask of the integer rows outside rowspan_Z(P), P a full-rank Hermite form.
 
-    r is in the lattice iff r @ adj = 0 mod det; reducing adj mod det keeps
-    that test while it shrinks the product bound.
+    r is in the lattice iff r @ adj = 0 mod det.  With g the gcd of det and
+    every entry of adj, g x = 0 mod g e iff x = 0 mod e, so the test is
+    r @ (adj / g) = 0 mod e for e = det / g, the exponent of Z^m / L (the
+    least e with e Z^m in L): 8 on Leech, where det = 2^36.  Reducing
+    adj / g mod e keeps that test while it shrinks the product bound to
+    m * max|r| * (e - 1), 24 * 4 * 7 = 672 on Leech, inside the float32 range
+    of ``int_product``.  ``np.fmod`` keeps the sign of the dividend, so it is
+    zero exactly where e divides, like ``%``, and cheaper; the product is
+    formed as adj^T r^T so that the test of each row reduces over a column.
     """
     m = len(P)
     dval = math.prod(P[i][i] for i in range(m))
-    adj = [[v % dval for v in row] for row in _triangular_adjugate(P, dval)]
+    adj = _triangular_adjugate(P, dval)
+    g = math.gcd(dval, *(v for row in adj for v in row))
+    e = dval // g
     try:  # np.array raises OverflowError, an ArithmeticError, past int64
-        A = np.array(adj, dtype=np.int64)
+        At = np.array([[adj[i][j] // g % e for i in range(m)] for j in range(m)], dtype=np.int64)
         return np.concatenate([
-            (int_product(rows[lo : lo + POINT_BLOCK], A) % dval != 0).any(axis=1)
+            np.fmod(int_product(At, rows[lo : lo + POINT_BLOCK].T), e).any(axis=0)
             for lo in range(0, rows.shape[0], POINT_BLOCK)
         ])
     except ArithmeticError:  # stay exact beyond the kernel's range
@@ -319,6 +329,15 @@ def enumerate_short_vectors(B: LatticeBasis, bound) -> EnumerationResult:
 # ---------------------------------------------------------------------------
 
 
+def _antipodal_rows(arr: np.ndarray) -> np.ndarray:
+    """The integer rows whose first nonzero entry is positive, in order: one per antipodal pair."""
+    lead = arr[np.arange(arr.shape[0]), (arr != 0).argmax(axis=1)]
+    reps = np.ascontiguousarray(arr[lead > 0])
+    if 2 * reps.shape[0] != arr.shape[0]:
+        raise ConstructionError("point set is not antipodally paired")
+    return reps
+
+
 class LatticeProof:
     """The lattice L the points span, with the proven bound on their inner products.
 
@@ -338,6 +357,17 @@ class LatticeProof:
         self.norm = norm
         self.values = values
         self.search_nodes = search_nodes
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """Read-only int64 copy of the points with a positive leading entry, one per pair.
+
+        The sliced-zonal families take it as their ``pair_reps``, so a check
+        that finds it there by identity knows the rows are the proof's.
+        """
+        reps = _antipodal_rows(self.points).astype(np.int64)
+        reps.flags.writeable = False
+        return reps
 
     def outside(self, rows: np.ndarray) -> np.ndarray:
         """Mask of the integer rows (coord_den times configuration units) outside L."""
@@ -376,11 +406,13 @@ def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
             f"{Fraction(int(norms[i]), den * den)}, not {X.r2}"
         )
     # a copy of the points the proof covers; int8 holds small entries
-    # exactly, and then a row's m bytes identify it
+    # exactly, and then a row's m bytes identify it: a repeat leaves two
+    # equal keys next to each other once they are sorted (np.sort, since
+    # np.unique on one axis imports numpy.ma, a cost every process would pay)
     points = np.array(arr, dtype=np.int8 if _max_abs(arr) < 128 else np.int64)
     points.flags.writeable = False
-    keys = points.view(np.dtype((np.void, points.itemsize * X.m))).ravel()
-    if np.unique(keys).shape[0] != arr.shape[0]:
+    keys = np.sort(points.view(np.dtype((np.void, points.itemsize * X.m))).ravel())
+    if (keys[1:] == keys[:-1]).any():
         raise ConstructionError("value-set premise 'distinct' fails: a point repeats")
 
     basis = basis_from_generators(X)

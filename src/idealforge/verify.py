@@ -16,8 +16,8 @@ Five families of checks, each exact:
 * certificates: the per-claim records assembled into a report.
 
 Bulk integer passes multiply through ``exact.int_product``, which proves its
-int64/float64 range exact before it multiplies; the test suite cross-checks
-them against the generic exact evaluator on samples.
+float32/float64/int64 range exact before it multiplies; the test suite
+cross-checks them against the generic exact evaluator on samples.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .exact import (
     squared_norms,
     to_mod_p,
 )
-from .generators import FactoredPoly, GeneratorSet, _antipodal_rows, orthogonal_complement_basis
+from .generators import FactoredPoly, GeneratorSet, orthogonal_complement_basis
 from .sampling import sample_indices
 
 PASS = "pass"
@@ -336,8 +336,9 @@ def _proof_witnesses(G: GeneratorSet) -> List[Tuple]:
 
     * the interior roots hold every proven value;
     * the points are the proof's, or have norm r2 and lie in L;
-    * the representatives are the proof's points with a positive leading
-      entry, as the families build them, or have norm r2 and lie in L.
+    * the representatives are the proof's ``reps`` (its points with a
+      positive leading entry), which the families pass as they are, or have
+      norm r2 and lie in L.
 
     Only points or representatives changed after the build are checked
     (norm, then membership); no pair product is formed.
@@ -356,7 +357,7 @@ def _proof_witnesses(G: GeneratorSet) -> List[Tuple]:
         ]
         if witnesses:
             return witnesses
-    if np.array_equal(reps, _antipodal_rows(proof.points)):
+    if reps is proof.reps or np.array_equal(reps, proof.reps):
         return []
     norms = squared_norms(reps)
     return [(f"pair{i}", "norm", int(norms[i])) for i in np.flatnonzero(norms != extreme)[:5]] or [

@@ -532,3 +532,16 @@ def test_import_pins_one_blas_thread(preset):
         assert (threads, value) == ("1", "1")
     else:
         assert value == preset
+
+
+def test_e8_build_leaves_numpy_ma_unimported():
+    """np.unique imports numpy.ma on first use, a cost every process would pay."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    probe = (
+        "import sys, idealforge.cli; from idealforge.configs import build_e8; "
+        "build_e8(); print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["False"]

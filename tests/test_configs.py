@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from idealforge import configs
-from idealforge.exact import POINT_BLOCK, ConstructionError, Matrix, Quad, dot, int_product, rank
+from idealforge.exact import POINT_BLOCK, ConstructionError, Matrix, Quad, QuadArray, dot, int_product, rank
 from idealforge.configs import (
     PHI,
+    _pair_counts,
     _pair_exact,
     SphericalConfiguration,
     build_4cube,
@@ -149,6 +150,22 @@ def test_pair_distribution_agrees_with_the_exact_oracle(name):
         assert pd.counts.tolist() == exact.counts.tolist()
         assert (pd.closure_ok, pd.witness) == (exact.closure_ok, exact.witness)
         assert pd.closure_ok == (omegas is None)
+
+
+@pytest.mark.parametrize("edge", [127, 128])
+def test_pair_counts_compare_on_int8_only_inside_its_range(edge):
+    # products -128 and `edge`: with edge = 128 the block leaves the int8
+    # range, where a cast would turn 128 into -128; keys outside the
+    # block's range match nothing
+    rows = QuadArray(np.array([[1], [0]]), None, 1, None)
+    pts = QuadArray(np.array([[-128], [edge], [3]]), None, 1, None)
+    keys = [(edge, 0), (3, 0), (-128, 0), (0, 0), (-256, 0), (999, 0), None]
+    counts, witness = _pair_counts(rows, pts, keys)
+    assert counts.tolist() == [[1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 3, 0, 0, 0]]
+    assert witness is None
+    counts, witness = _pair_counts(rows, pts, keys[1:])
+    assert counts.tolist() == [[1, 1, 0, 0, 0, 0], [0, 0, 3, 0, 0, 0]]
+    assert witness == (0, 1, (edge, 0))
 
 
 def test_full_pair_distribution_reports_progress(e8):

@@ -9,6 +9,7 @@ from idealforge.exact import (
     RANK_PRIME,
     SQRT_MOD_P,
     SUPPORTED_D,
+    Echelon,
     FieldMismatchError,
     HnfAccumulator,
     Matrix,
@@ -216,6 +217,28 @@ def test_independent_rows_agrees_with_rank():
     assert independent_rows([], 3) == []
 
 
+def test_echelon_on_integer_rows_matches_the_fraction_path():
+    # the Fraction path is the oracle: integer content taken by gcd must
+    # pick the same rows, reach the same rank and keep the same pivots
+    rng = random.Random(19)
+    for trial in range(80):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 6)
+        top = rng.choice([1, 3, 50, 2**40])
+        rows = [[rng.choice([0, 0, rng.randint(-top, top)]) for _ in range(nc)] for _ in range(nr)]
+        if trial % 3 == 0 and nr > 1:
+            rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+        fracs = [[Fraction(x) for x in r] for r in rows]
+        skip = set(rng.sample(range(nr), rng.randint(0, nr // 2)))
+        for limit in (1, nc):
+            assert independent_rows(rows, limit, skip) == independent_rows(fracs, limit, skip)
+        ints, oracle = Echelon(nc), Echelon(nc)
+        for r, f in zip(rows, fracs):
+            assert ints.add_row(r) == oracle.add_row(f)
+        assert ints.rank == oracle.rank == rank(Matrix(rows))
+        assert ints.pivots == oracle.pivots
+        assert all(type(x) is int for _, r in ints.pivots for x in r)
+
+
 def test_hnf_rejects_non_integer():
     with pytest.raises(ValueError):
         hnf(Matrix([[Fraction(1, 2)]]))
@@ -275,10 +298,14 @@ def test_rank_nullity_sum():
 
 
 def _bounded_factors(draw, st):
-    """Integer factors with k * max|A| * max|B| within a few k*a of 2^53 or 2^63."""
+    """Integer factors with k * max|A| * max|B| within a few k*a of 2^24, 2^53 or 2^63.
+
+    Each factor holds one entry at +-its bound; sometimes one factor is all
+    zero, which makes the product bound 0 whatever the other holds.
+    """
     k = draw(st.integers(1, 5))
     n, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    limit = draw(st.sampled_from([2**53, 2**63]))
+    limit = draw(st.sampled_from([2**24, 2**53, 2**63]))
     a = draw(st.integers(1, 2**20))
     b = min(max(limit // (k * a) + draw(st.integers(-2, 2)), 1), 2**63 - 1)
 
@@ -287,7 +314,13 @@ def _bounded_factors(draw, st):
         vals[draw(st.integers(0, rows * cols - 1))] = draw(st.sampled_from([top, -top]))
         return [vals[i * cols : (i + 1) * cols] for i in range(rows)]
 
-    return k * a * b, entries(n, k, a), entries(k, p, b)
+    A, B = entries(n, k, a), entries(k, p, b)
+    zero = draw(st.sampled_from([None, None, "A", "B"]))
+    if zero == "A":
+        A, a = [[0] * k for _ in range(n)], 0
+    elif zero == "B":
+        B, b = [[0] * p for _ in range(k)], 0
+    return k * a * b, A, B
 
 
 def test_int_product_matches_python_ints_at_the_bounds():
@@ -314,6 +347,9 @@ def test_int_product_float_path_never_rounds():
     # 2^53 + 1 has no float64 value, so a float product would give 0 here
     A = np.array([[2**53 + 1, -(2**53)]], dtype=np.int64)
     assert int_product(A, np.array([[1], [1]])).tolist() == [[1]]
+    # 2^24 + 1 has no float32 value: its bound puts it on the float64 path
+    assert int_product(np.array([[2**24 + 1]]), np.array([[1]])).tolist() == [[2**24 + 1]]
+    assert int_product(np.array([[1 - 2**12]]), np.array([[2**12 + 1]])).tolist() == [[1 - 2**24]]
     assert int_product(np.array([[3, -4]]), np.array([5, 7])).tolist() == [-13]
     with pytest.raises(TypeError):
         int_product(np.ones((2, 2)), np.ones((2, 2)))

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from idealforge.configs import (
@@ -215,6 +216,16 @@ def test_leech_stream_sampled_vanishing():
     nm = G.items[0][1]
     for j in pi:
         assert nm.eval(pts[j]) == 0
+
+
+@pytest.mark.parametrize("name", ["e8", "leech"])
+def test_pair_reps_are_the_proofs_read_only_rows(name):
+    G = build_generator_set(name)
+    proof = G.config.lattice
+    assert G.pair_reps is proof.reps and proof.reps is proof.reps
+    assert G.pair_reps.dtype == np.int64 and not G.pair_reps.flags.writeable
+    arr, _ = G.config.integer_array()
+    assert G.pair_reps.tolist() == [r for r in arr.tolist() if next(x for x in r if x) > 0]
 
 
 def test_leech_stream_is_deterministic():

@@ -1,6 +1,7 @@
 """Lattice basis extraction, unimodularity, and short-vector enumeration."""
 
 import itertools
+import math
 from fractions import Fraction
 from math import isqrt
 
@@ -9,7 +10,7 @@ import pytest
 
 from idealforge import configs, lattice
 from idealforge.configs import SphericalConfiguration, build_e8, build_knn, build_leech
-from idealforge.exact import ConstructionError, HnfAccumulator, Matrix, det, dot, ldlt
+from idealforge.exact import ConstructionError, HnfAccumulator, Matrix, det, dot, ldlt, stride_order
 from idealforge.lattice import (
     LatticeBasis,
     RankDeficientError,
@@ -148,6 +149,65 @@ def _check_integral_lll(rows):
         if i:
             assert D[i] >= (Fraction(99, 100) - L[i, i - 1] ** 2) * D[i - 1]
     assert _hnf(reduced) == _hnf(rows)
+
+
+def _exponent(P):
+    """(g, e): the gcd of det(P) and its adjugate's entries, and det(P) / g."""
+    dval = int(np.prod([P[i][i] for i in range(len(P))]))
+    g = math.gcd(dval, *(v for row in lattice._triangular_adjugate(P, dval) for v in row))
+    return g, dval // g
+
+
+def _membership_agrees(P, rows):
+    """_outside(P, rows) against HnfAccumulator.contains; returns the mask."""
+    acc = HnfAccumulator(len(P))
+    for r in P:
+        acc.add_row(r)
+    mask = lattice._outside(P, np.array(rows, dtype=np.int64))
+    assert mask.tolist() == [not acc.contains([int(x) for x in r]) for r in rows]
+    return mask
+
+
+def test_membership_modulo_the_exponent_matches_hnf_contains():
+    rng = np.random.default_rng(23)
+    # diag(6, 6, 6): g = 36 and the exponent 6 is no power of 2
+    forms = [[[6, 0, 0], [0, 6, 0], [0, 0, 6]], [[3, 1, 2], [0, 9, 4], [0, 0, 5]]]
+    for _ in range(40):
+        m = int(rng.integers(1, 6))
+        diag = [int(d) for d in rng.choice([1, 2, 3, 5, 6, 9, 12], size=m)]
+        forms.append([
+            [diag[i] if j == i else int(rng.integers(0, diag[j])) if j > i else 0 for j in range(m)]
+            for i in range(m)
+        ])
+    seen = set()
+    for P in forms:
+        m = len(P)
+        inside = rng.integers(-3, 4, size=(20, m)) @ np.array(P)
+        noise = rng.integers(-20, 21, size=(20, m))
+        mask = _membership_agrees(P, np.vstack([inside, noise]))
+        assert not mask[:20].any()
+        g, e = _exponent(P)
+        seen.add((g > 1, e & (e - 1) != 0, bool(mask.any())))
+    assert (True, True, True) in seen
+
+    # the first pass of basis_from_generators on E8: a sublattice not yet
+    # closed, so some points fall outside it
+    arr, _ = build_e8().integer_array()
+    acc = HnfAccumulator(8)
+    for i in stride_order(len(arr)):
+        acc.add_row(arr[i].tolist())
+        if len(acc.pivot_rows) == 8:
+            break
+    assert _membership_agrees(acc.normalized_rows(), arr).sum() == 112
+
+    # p^2 - 1 with p = 2^31 + 11 puts the product bound past int64: the
+    # exact fallback decides
+    p = 2**31 + 11
+    P = [[p, 1], [0, p]]
+    assert _exponent(P) == (1, p * p)
+    assert _membership_agrees(P, [[p, 1], [0, p], [1, 0], [p, p + 1], [2 * p, 3]]).tolist() == [
+        False, False, True, False, True
+    ]
 
 
 def test_integral_lll_on_e8_and_leech(e8_basis, leech_basis):

@@ -303,6 +303,7 @@ def test_vanishing_names_a_representative_off_the_shell():
     # 0, +-1 and +-2 = +-r2, all accepted values: only the norm of the
     # representative shows that a.x = r2 no longer forces x = a
     G = build_generator_set("e8")
+    G.pair_reps = G.pair_reps.copy()
     G.pair_reps[5] = [4, 0, 0, 0, 0, 0, 0, 0]
     rec = check_vanishing(G)
     assert rec.status == FAIL
@@ -331,6 +332,7 @@ def test_vanishing_names_points_outside_the_lattice():
     arr[0] = stray
     assert check_vanishing(G).witnesses == [("outside-lattice", 0)]
     arr[0] = saved
+    G.pair_reps = G.pair_reps.copy()
     G.pair_reps[5] = stray
     assert check_vanishing(G).witnesses == [("pair5", "outside-lattice")]
 
@@ -516,7 +518,8 @@ def test_jacobian_names_a_second_base_vector_equal_to_a_first():
     # the copy stays in the lattice on the shell, so vanishing still holds,
     # but the points +-c meet it at r2, where its rows vanish
     G = build_generator_set("e8")
-    reps, m = G.pair_reps, G.nvars
+    G.pair_reps = reps = G.pair_reps.copy()
+    m = G.nvars
     base = independent_rows(reps, m)
     second = independent_rows(reps, m, skip=base)
     reps[second[0]] = reps[base[0]]
