@@ -32,7 +32,7 @@ from .configs import (
     read_points,
     write_points,
 )
-from .exact import Scalar
+from .exact import POINT_BLOCK, Scalar
 from .gamma import EntryGuardError, gamma2_status, gamma_profile
 from .generators import (
     FAMILIES,
@@ -118,9 +118,9 @@ def _stderr_progress(msg: str) -> None:
 
 
 def _start(
-    args, mode: str, generators: bool
+    args, generators: bool
 ) -> Tuple[Dict[str, object], SphericalConfiguration, Optional[GeneratorSet]]:
-    """An empty report, the run's configuration, and its generator set if asked for.
+    """An empty full-mode report, the run's configuration, and its generator set if asked for.
 
     A generator set carries the configuration it was built on, so a run that
     needs both builds the configuration once.
@@ -129,7 +129,7 @@ def _start(
     n = family.default_n if args.n is None else args.n
     report: Dict[str, object] = {
         "config": name if n is None else f"{name}{n}",
-        "mode": mode,
+        "mode": FULL,
         "claims": [],
         "gamma": {},
         "design": {},
@@ -177,14 +177,14 @@ def _file_points(path: str, G: GeneratorSet) -> List[Tuple[Scalar, ...]]:
 
 
 def _checks(
-    args, report: Dict[str, object], mode: str, G: GeneratorSet
+    args, report: Dict[str, object], G: GeneratorSet
 ) -> Tuple[bool, Optional[Certification]]:
     """Run the check suite into the report: (all green, the certificate if one ran).
 
     With ``--points`` only the vanishing check runs, on the file's points:
     the other claims are about the built configuration, which was not read.
     """
-    name, cfg = args.config, G.config
+    name, cfg, mode = args.config, G.config, report["mode"]
     points = None
     if getattr(args, "points", None):
         try:
@@ -195,9 +195,8 @@ def _checks(
             ]
             return False, None
 
-    progress = _stderr_progress if name == "leech" and mode == FULL else None
     with _timed(report, "vanishing"):
-        vanish = check_vanishing(G, mode=mode, points=points, seed=args.seed)
+        vanish = check_vanishing(G, points=points)
     if points is not None:
         report["counts"] = {"points": len(points), "generators": len(G)}
         report["claims"] = [vanish.to_dict()]
@@ -225,6 +224,8 @@ def _checks(
     # the theorem claims: the generators' top degree must meet the lower
     # bound the declared design strength forces
     degree = G.max_degree()
+    # a full design pass over more than POINT_BLOCK base points is long
+    progress = _stderr_progress if mode == FULL and cfg.npoints > POINT_BLOCK else None
     with _timed(report, "nontrivial"):
         components["nontrivial"] = nontrivial_generator_check(G, degree)
     with _timed(report, "design"):
@@ -278,7 +279,7 @@ def _gamma_stage(
 
 
 def _cmd_build(args) -> int:
-    report, cfg, G = _start(args, FULL, generators=bool(args.generators_out))
+    report, cfg, G = _start(args, generators=bool(args.generators_out))
     counts: Dict[str, object] = {"points": cfg.npoints, "dimension": cfg.m}
     if args.config == "leech":
         code = build_golay()
@@ -301,15 +302,15 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     """``verify`` runs the check suite; ``report`` adds the gamma and lattice sections.
 
-    Points from a file are all checked, so such a run is full.
+    Points from a file are all checked, so such a run is full.  Otherwise
+    the mode, which only the design pass reads, is ``--full``/``--sampled``,
+    by default sampled for a configuration of more than POINT_BLOCK points
+    (Leech), where a full pass takes minutes.
     """
-    name = args.config
-    if getattr(args, "points", None):
-        mode = FULL
-    else:
-        mode = args.mode or (SAMPLED if name == "leech" else FULL)
-    report, cfg, G = _start(args, mode, generators=True)
-    ok, cert = _checks(args, report, mode, G)
+    report, cfg, G = _start(args, generators=True)
+    if not getattr(args, "points", None):
+        report["mode"] = args.mode or (SAMPLED if cfg.npoints > POINT_BLOCK else FULL)
+    ok, cert = _checks(args, report, G)
     if args.command == "report":
         _gamma_stage(args, report, G, cert)
         if cfg.lattice is not None:
@@ -327,7 +328,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    report, _, G = _start(args, FULL, generators=True)
+    report, _, G = _start(args, generators=True)
     _gamma_stage(args, report, G, None)
     return _finish(report, args, True)
 
@@ -337,7 +338,7 @@ def _cmd_groebner(args) -> int:
     if name == "leech":
         print("idealforge groebner: leech is out of reach for the engine", file=sys.stderr)
         return EXIT_USAGE
-    report, cfg, G = _start(args, FULL, generators=True)
+    report, cfg, G = _start(args, generators=True)
     cert = _certificate(args, report, G)
     report["claims"] = [
         {
@@ -374,7 +375,7 @@ def _sorted_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _cmd_enumerate(args) -> int:
-    report, cfg, _ = _start(args, FULL, generators=False)
+    report, cfg, _ = _start(args, generators=False)
     if cfg.lattice is None:
         print(
             f"idealforge enumerate: {args.config} has no integral lattice to enumerate",
@@ -438,7 +439,7 @@ def _add_common(sub: argparse.ArgumentParser, with_mode: bool = True) -> None:
             dest="mode",
             action="store_const",
             const=SAMPLED,
-            help="check a seeded sample",
+            help="sample the design pass (seeded by --seed)",
         )
         sub.set_defaults(mode=None)
 

@@ -3,8 +3,9 @@
 Five families of checks, each exact:
 
 * vanishing: every generator is zero at every point (exact evaluation for
-  most sets; for the sliced-zonal families, the lattice value-set proof on
-  their own points and a bulk pair pass on a point file's);
+  most sets; for the sliced-zonal families, the premises of the lattice
+  value-set proof, norm and lattice membership, on their own points and a
+  point file's alike);
 * simple zeros: the Jacobian of the generating set has full rank at every
   point, from its rank modulo a prime where that reaches full rank, else
   computed symbolically; for the sliced-zonal families, from the closed-form
@@ -31,7 +32,6 @@ import numpy as np
 
 from .configs import DEFAULT_SEED, SphericalConfiguration, pair_distribution
 from .exact import (
-    POINT_BLOCK,
     RANK_PRIME,
     Echelon,
     FieldMismatchError,
@@ -39,7 +39,6 @@ from .exact import (
     QuadArray,
     Scalar,
     _fdiv,
-    _max_abs,
     dot,
     independent_rows,
     int_product,
@@ -52,7 +51,6 @@ from .exact import (
     to_mod_p,
 )
 from .generators import FactoredPoly, GeneratorSet, orthogonal_complement_basis
-from .sampling import sample_indices
 
 PASS = "pass"
 FAIL = "fail"
@@ -64,8 +62,6 @@ LEVEL_FULL_GROEBNER = "FULL_GROEBNER"
 LEVEL_PAPER = "PAPER_CERTIFICATE"
 
 Progress = Optional[Callable[[str], None]]
-
-VANISHING_SAMPLE = 256  # points in a sampled vanishing pass
 
 
 class MissingCheckError(ValueError):
@@ -217,62 +213,6 @@ def _eval_vanishing(G, points, max_witnesses=5):
     return witnesses
 
 
-def _structured_sliced_pass(
-    reps: np.ndarray,
-    pts: np.ndarray,
-    interior: Sequence[int],
-    extreme: int,
-) -> List[Tuple]:
-    """Exact bulk check that every sliced zonal vanishes at every point.
-
-    For base pair a and point x the generator value is (b.x) prod(a.x - w)
-    over the interior roots w, so it vanishes whenever a.x is interior.  It
-    also vanishes at a.x = +-extreme: every representative has a.a = extreme
-    (the last check here) and every checked point has x.x = extreme
-    (``_norm_witnesses``, checked first as part of the same claim), so
-    |a.x| = |a| |x| is equality in Cauchy-Schwarz and forces x = +-a, where
-    every complement vector b has b.x = 0 by construction.  So the pass
-    accepts the interior roots and +-extreme; any other inner product is a
-    counterexample, and so is a representative off the shell.  The argument
-    holds for any point on the shell, a point-file point as much as one of
-    the configuration's own.  The interior root set must be symmetric (both
-    families are antipodal), so membership is tested on absolute values.
-    The products, norms included, come from ``int_product``, which proves
-    them exact before it multiplies.  Base pairs go 4096 to a product while
-    the points are few, else 256 against each point block, so no product
-    holds more than POINT_BLOCK x 256 entries.
-    """
-    witnesses: List[Tuple] = []
-    n = reps.shape[0]
-    block = 4096 if pts.shape[0] <= POINT_BLOCK // 16 else 256
-    accepted = sorted({abs(w) for w in interior} | {extreme})
-    for start in range(0, n, block):
-        chunk = reps[start : start + block]
-        for lo in range(0, pts.shape[0], POINT_BLOCK):
-            V = int_product(pts[lo : lo + POINT_BLOCK], chunk.T)
-            A = np.abs(V)
-            ok = np.zeros(V.shape, dtype=bool)
-            for val in accepted:
-                ok |= A == val
-            if ok.all():
-                continue
-            for r, c in np.argwhere(~ok)[: 5 - len(witnesses)]:
-                witnesses.append((f"pair{start + c}", lo + int(r), int(V[r, c])))
-            if len(witnesses) >= 5:
-                return witnesses
-        if witnesses:
-            return witnesses
-    norms = squared_norms(reps)
-    return [(f"pair{i}", "norm", int(norms[i])) for i in np.flatnonzero(norms != extreme)[:5]]
-
-
-def _norm_witnesses(arr: np.ndarray, r2: int):
-    """Rows of the den-scaled points whose squared norm misses the scaled r2."""
-    n2 = squared_norms(arr)
-    bad = np.flatnonzero(n2 != r2)
-    return [("NM", int(i), int(n2[i])) for i in bad[:5]]
-
-
 def _shell_units(G: GeneratorSet, den: int) -> Tuple[List[int], int]:
     """The interior roots and r2 in the units of den-scaled coordinates.
 
@@ -283,56 +223,38 @@ def _shell_units(G: GeneratorSet, den: int) -> Tuple[List[int], int]:
     return [w * scale for w in G.interior_roots], int(G.r2 * scale)
 
 
-def _rescaled(X: np.ndarray, f: int) -> np.ndarray:
-    """f * X, refused with ArithmeticError when an entry would leave int64."""
-    if _max_abs(X) * f >= 2**63:
-        raise ArithmeticError("a rescaled entry leaves the int64 range")
-    return X * f
+def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
+    """Witnesses that the points A / q (A integer rows) leave the shell or the lattice.
 
-
-def _pair_units(G: GeneratorSet, points: Sequence) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Given points and pair representatives as integer rows over one denominator L, and L.
-
-    ``pair_reps`` carry den times the configuration's coordinates, den that
-    of ``integer_array``; the points (a point file) come with their own
-    least denominator.  Both sides are rescaled to the least common multiple.
+    First the norm: a point whose squared norm is not r2 is named
+    ``('NM', point, squared norm)``, the norm in the units of lcm(den, q),
+    den the denominator of ``integer_array``.  Then membership in the
+    proof's lattice L, whose rows carry den times configuration units: a
+    point whose den-scaled coordinates are not all integers lies outside L,
+    as does one that ``LatticeProof.outside`` rejects, and is named
+    ``('outside-lattice', point)``.  A point on the shell has coordinates of
+    magnitude at most sqrt(r2), so its den-scaled row is small.
     """
-    _, den = G.config.integer_array()
-    q = quad_array(list(points))
-    if q.B is not None:
-        raise FieldMismatchError(f"{G.name} points must be rational")
-    lcm = math.lcm(den, q.den)
-    return _rescaled(q.A, lcm // q.den), _rescaled(G.pair_reps, lcm // den), lcm
+    den = G.config.integer_array()[1]
+    n2 = squared_norms(A)
+    f = den // math.gcd(den, q)  # lcm(den, q) / q
+    bad = np.flatnonzero(n2 != G.r2 * q * q)
+    if bad.size:
+        return [("NM", int(i), int(n2[i]) * f * f) for i in bad[:5]]
+    k = q // math.gcd(den, q)  # lcm(den, q) / den, so A / k * f is den-scaled
+    outside = (A % k).any(axis=1) | G.config.lattice.outside(A // k * f)
+    return [("outside-lattice", int(i)) for i in np.flatnonzero(outside)[:5]]
 
 
-def _pair_vanishing(G: GeneratorSet, points: Sequence) -> Tuple[List[Tuple], str]:
-    """(witnesses, detail) of the bulk pass of the sliced-zonal families on given points.
-
-    The points must lie on the shell (``_norm_witnesses``) before
-    ``_structured_sliced_pass`` reads their inner products with the
-    representatives.  Points beyond the exact int64 range are left to the
-    exact evaluation loop.
-    """
-    try:
-        pts, reps, den = _pair_units(G, points)
-        interior, extreme = _shell_units(G, den)
-        witnesses = _norm_witnesses(pts, extreme) or _structured_sliced_pass(
-            reps, pts, interior, extreme
-        )
-    except ArithmeticError:
-        pts = list(points)
-        return _eval_vanishing(G, pts), f"{len(G)} generators x {len(pts)} points, exact evaluation"
-    return witnesses, f"{len(G)} generators x {len(pts)} points"
-
-
-def _proof_witnesses(G: GeneratorSet) -> List[Tuple]:
+def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List[Tuple]:
     """Witnesses against the premises the lattice value-set proof needs.
 
     The configuration's value-set proof (``lattice.prove_value_set``) shows
     that its lattice L is even with no nonzero vector of norm below r2, and
-    that its points lie in L with norm r2.  So for a point x and a vector a
-    of L with norm r2, either x = +-a or x.a is a proven value.  That covers
-    every pair of a point and a representative once these premises hold:
+    that its points lie in L with norm r2.  So for a point x of L with norm
+    r2 and a vector a of L with norm r2, either x = +-a or x.a is a proven
+    value.  That covers every pair of a point and a representative once
+    these premises hold:
 
     * the interior roots hold every proven value;
     * the points are the proof's, or have norm r2 and lie in L;
@@ -340,8 +262,10 @@ def _proof_witnesses(G: GeneratorSet) -> List[Tuple]:
       positive leading entry), which the families pass as they are, or have
       norm r2 and lie in L.
 
-    Only points or representatives changed after the build are checked
-    (norm, then membership); no pair product is formed.
+    ``points`` (rational, else FieldMismatchError) replaces the
+    configuration's own points.  Given points, and points or
+    representatives changed after the build, are checked by norm, then
+    membership; no pair product is formed.
     """
     cfg, reps, proof = G.config, G.pair_reps, G.config.lattice
     if proof is None:
@@ -350,53 +274,68 @@ def _proof_witnesses(G: GeneratorSet) -> List[Tuple]:
     if missing:
         return missing
     arr, den = cfg.integer_array()
-    _, extreme = _shell_units(G, den)
-    if not np.array_equal(arr, proof.points):
-        witnesses = _norm_witnesses(arr, extreme) or [
-            ("outside-lattice", int(i)) for i in np.flatnonzero(proof.outside(arr))[:5]
-        ]
-        if witnesses:
-            return witnesses
+    if points is not None:
+        q = quad_array(list(points))
+        if q.B is not None:
+            raise FieldMismatchError(f"{G.name} points must be rational")
+        witnesses = _lattice_witnesses(G, q.A, q.den)
+    else:
+        witnesses = [] if np.array_equal(arr, proof.points) else _lattice_witnesses(G, arr, den)
+    if witnesses:
+        return witnesses
     if reps is proof.reps or np.array_equal(reps, proof.reps):
         return []
+    _, extreme = _shell_units(G, den)
     norms = squared_norms(reps)
     return [(f"pair{i}", "norm", int(norms[i])) for i in np.flatnonzero(norms != extreme)[:5]] or [
         (f"pair{i}", "outside-lattice") for i in np.flatnonzero(proof.outside(reps))[:5]
     ]
 
 
-def check_vanishing(
-    G: GeneratorSet,
-    mode: str = FULL,
-    points: Optional[Sequence] = None,
-    seed: int = DEFAULT_SEED,
-) -> ClaimRecord:
-    """Pass iff every generator evaluates to zero (all points, or a sample).
+def check_vanishing(G: GeneratorSet, points: Optional[Sequence] = None) -> ClaimRecord:
+    """Pass iff every generator evaluates to zero at every point.
 
-    ``points`` replaces the configuration's own points.  The sliced-zonal
-    families are checked in full on their own points, whatever the mode:
-    each generator is Nm or (b.Y) prod_w (a.Y - w) over the interior roots
-    w, for a representative a and a vector b orthogonal to it, so at a
-    point x it vanishes when x = +-a (b.x = 0) or when x.a is a proven
-    value, and ``_proof_witnesses`` checks the premises that leave no other
-    case.  On given points they take the bulk pair pass
-    (``_pair_vanishing``); other sets evaluate every generator exactly, on
-    VANISHING_SAMPLE points when sampled.
+    ``points`` replaces the configuration's own points.  Sets without the
+    pair structure evaluate every generator exactly at every point.  The
+    sliced-zonal families (e8, Leech) check the premises of the lattice
+    value-set proof instead (``_proof_witnesses``), on their own points and
+    on given ones alike.  Each generator is Nm or (b.Y) prod_w (a.Y - w)
+    over the interior roots w, for a representative a and a vector b
+    orthogonal to it.
+
+    * Pass.  A point x of the lattice L with norm N (r2 in configuration
+      units) has x -+ a in L for every representative a, so x = +-a or
+      x.a is a proven value: b.x = 0 or a factor a.x - w is 0, and every
+      generator vanishes at x.
+    * Fail.  A point off the shell is no zero of Nm.  A point x on the
+      shell but outside L is a real counterexample, not only an unproven
+      one: L is unimodular in lattice units (``report``'s lattice stage
+      and acceptance criterion 3 pin det(Gram) = scale^m), so L* = L and x
+      has a non-integral inner product, in lattice units, with some point a
+      of the set, which spans L.  That value is no root, x != +-a, and the
+      complement vectors b span the orthogonal complement of a, so some
+      b.x != 0 and the generator (b.Y) prod_w (a.Y - w) is nonzero at x.
+
+    Given points whose scaled entries leave the exact int64 range go to
+    the exact evaluation loop.
     """
     if G.pair_reps is None:
         pts = list(points) if points is not None else list(_eval_points(G))
-        if mode == SAMPLED:
-            pts = [pts[i] for i in sample_indices(seed, VANISHING_SAMPLE, len(pts))]
         witnesses = _generic_vanishing(G, pts)
         detail = f"{len(G)} generators x {len(pts)} points, exact evaluation"
     elif points is None:
-        witnesses, mode = _proof_witnesses(G), FULL
+        witnesses = _proof_witnesses(G)
         detail = f"{len(G)} generators x {G.config.npoints} points by the lattice value set"
     else:
-        witnesses, detail = _pair_vanishing(G, points)
-        mode = FULL
+        pts = list(points)
+        try:
+            witnesses = _proof_witnesses(G, pts)
+            detail = f"{len(G)} generators x {len(pts)} points"
+        except ArithmeticError:
+            witnesses = _eval_vanishing(G, pts)
+            detail = f"{len(G)} generators x {len(pts)} points, exact evaluation"
     return ClaimRecord(
-        f"{G.name}.vanishing", PASS if not witnesses else FAIL, mode, witnesses, detail=detail
+        f"{G.name}.vanishing", PASS if not witnesses else FAIL, FULL, witnesses, detail=detail
     )
 
 

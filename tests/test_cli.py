@@ -2,9 +2,9 @@
 
 import json
 import os
-import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from idealforge import cli, verify
 from idealforge.cli import EXIT_CHECK, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
 from idealforge.configs import SphericalConfiguration, read_points
-from idealforge.generators import FactoredPoly
+from idealforge.generators import FactoredPoly, build_generator_set
 
 TOP_KEYS = ["config", "mode", "claims", "gamma", "design", "counts", "timings"]
 
@@ -79,6 +79,16 @@ def test_verify_sampled_labels(tmp_path):
     assert modes["thmE8.i"] == "full"
     assert modes["thmE8.iii"] == modes["thmE8.iv"] == modes["design.E8.t7"] == "sampled"
     assert doc["design"]["mode"] == "sampled"
+
+
+def test_sampled_flag_samples_only_the_design_pass(tmp_path):
+    # e7 vanishing evaluates all 126 points under --sampled, so part i is
+    # full; the design pass samples, and parts iii and iv rest on it
+    code, doc = run_json(["verify", "e7", "--sampled"], tmp_path)
+    assert code == EXIT_OK
+    modes = {c["id"]: c["mode"] for c in doc["claims"]}
+    assert modes["thmE7.i"] == "full"
+    assert modes["thmE7.iii"] == modes["thmE7.iv"] == modes["design.E7.t5"] == "sampled"
 
 
 def test_usage_errors_exit_64():
@@ -223,13 +233,14 @@ def leech_lines(tmp_path_factory):
 
 
 @pytest.fixture
-def pair_pass_only(monkeypatch):
-    """Point files of e8 and Leech must not reach the generic exact evaluator."""
+def lattice_premises_only(monkeypatch):
+    """Point files of e8 and Leech take the value-set premises, no exact evaluator."""
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("the generic evaluator ran on a pair-structured set")
+        raise AssertionError("an exact evaluator ran on a pair-structured set")
 
     monkeypatch.setattr(verify, "_generic_vanishing", refuse)
+    monkeypatch.setattr(verify, "_eval_vanishing", refuse)
 
 
 def _verify_lines(name, lines, tmp_path):
@@ -239,7 +250,7 @@ def _verify_lines(name, lines, tmp_path):
     return code, doc["claims"][0]
 
 
-def test_leech_point_file_takes_the_pair_pass(leech_lines, pair_pass_only, tmp_path):
+def test_leech_point_file_takes_the_lattice_premises(leech_lines, lattice_premises_only, tmp_path):
     code, claim = _verify_lines("leech", leech_lines, tmp_path)
     assert code == EXIT_OK, claim
     assert claim["detail"] == "2260441 generators x 4 points"
@@ -272,7 +283,9 @@ def test_sampled_leech_report_modes(tmp_path):
     assert doc["counts"]["value_set"] == [16, 8, 0, -8, -16]
 
 
-def test_changed_leech_coordinate_names_a_pair(leech_lines, pair_pass_only, tmp_path):
+def test_changed_leech_coordinate_names_a_point_outside_the_lattice(
+    leech_lines, lattice_premises_only, tmp_path
+):
     # one sign flipped keeps point 1 on the shell, but not in the lattice
     lines = list(leech_lines)
     x = lines[2].split()
@@ -280,11 +293,11 @@ def test_changed_leech_coordinate_names_a_pair(leech_lines, pair_pass_only, tmp_
     lines[2] = " ".join(x)
     code, claim = _verify_lines("leech", lines, tmp_path)
     assert code == EXIT_CHECK
-    assert claim["status"] == "fail" and claim["witness"]
-    assert all(re.fullmatch(r"\('pair\d+', 1, -?\d+\)", w) for w in claim["witness"])
+    assert claim["status"] == "fail"
+    assert claim["witness"] == ["('outside-lattice', 1)"]
 
 
-def test_leech_point_off_the_sphere_fails(leech_lines, pair_pass_only, tmp_path):
+def test_leech_point_off_the_sphere_fails(leech_lines, lattice_premises_only, tmp_path):
     lines = list(leech_lines)
     lines[3] = " ".join(str(2 * int(v)) for v in lines[3].split())
     code, claim = _verify_lines("leech", lines, tmp_path)
@@ -292,7 +305,9 @@ def test_leech_point_off_the_sphere_fails(leech_lines, pair_pass_only, tmp_path)
     assert claim["witness"] == ["('NM', 2, 128)"]
 
 
-def test_e8_integer_point_file_takes_the_pair_pass(built_points, pair_pass_only, tmp_path):
+def test_e8_integer_point_file_takes_the_lattice_premises(
+    built_points, lattice_premises_only, tmp_path
+):
     # file denominator 1 against the configuration's 2
     lines = built_points["e8"].read_text().splitlines()
     ints = [line for line in lines[1:] if "/" not in line]
@@ -300,6 +315,21 @@ def test_e8_integer_point_file_takes_the_pair_pass(built_points, pair_pass_only,
     code, claim = _verify_lines("e8", lines[:1] + ints, tmp_path)
     assert code == EXIT_OK, claim
     assert claim["detail"] == "841 generators x 112 points"
+
+
+def test_e8_points_off_the_lattice_name_themselves(built_points, tmp_path):
+    # (5/4, 1/4, ..., 1/4) has denominator 4 and (1, 1/2, 1/2, 1/2, 1/2, 0,
+    # 0, 0) mixes integer and half-integer coordinates: both have norm 2 but
+    # lie outside E8, and the exact evaluation loop, the oracle, finds a
+    # generator that misses each
+    lines = built_points["e8"].read_text().splitlines()
+    stray = ["5/4 1/4 1/4 1/4 1/4 1/4 1/4 1/4", "1 1/2 1/2 1/2 1/2 0 0 0"]
+    code, claim = _verify_lines("e8", lines[:3] + stray[:1] + lines[3:5] + stray[1:], tmp_path)
+    assert code == EXIT_CHECK
+    assert claim["witness"] == ["('outside-lattice', 2)", "('outside-lattice', 5)"]
+    G = build_generator_set("e8")
+    for text in stray:
+        assert verify._eval_vanishing(G, [tuple(Fraction(v) for v in text.split())])
 
 
 def test_point_file_over_another_field_fails(tmp_path):

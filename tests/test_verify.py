@@ -9,9 +9,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from idealforge import verify
+from idealforge import lattice, verify
 from idealforge.configs import (
-    DEFAULT_SEED,
     SphericalConfiguration,
     build_4cube,
     build_e6,
@@ -24,7 +23,6 @@ from idealforge.configs import (
     pair_distribution,
 )
 from idealforge.exact import (
-    POINT_BLOCK,
     Echelon,
     FieldMismatchError,
     Quad,
@@ -43,7 +41,6 @@ from idealforge.generators import (
     restrict_to_section,
 )
 from idealforge.poly import SparsePoly, is_trivial, nm_poly
-from idealforge.sampling import sample_indices
 from idealforge.verify import (
     FAIL,
     PASS,
@@ -54,7 +51,6 @@ from idealforge.verify import (
     _eval_vanishing,
     _exact_jacobian_rank,
     _generic_vanishing,
-    _structured_sliced_pass,
     assemble_certificate,
     check_gallery_vanishing,
     check_vanishing,
@@ -225,34 +221,18 @@ def test_vanishing_e8_structured_full():
 
 
 def test_vanishing_leech_sampled(monkeypatch):
-    # a sampled request on the configuration's own points is answered in
-    # full by the build's value-set proof, with no pair product
+    # the configuration's own points are answered in full by the build's
+    # value-set proof, with no pair product
     G = build_generator_set("leech")
     shapes = _record_products(monkeypatch)
-    rec = check_vanishing(G, mode=SAMPLED)
+    rec = check_vanishing(G)
     assert rec.passed and rec.mode == "full"
     assert rec.detail == "2260441 generators x 196560 points by the lattice value set"
     assert shapes == []
-    for seed in (DEFAULT_SEED, 99):
-        again = check_vanishing(G, mode=SAMPLED, seed=seed)
-        assert (again.status, again.mode, again.detail) == (rec.status, rec.mode, rec.detail)
-
-
-def test_structured_pass_refuses_cancelling_large_terms():
-    # terms of 2^63 cancel to 0, an interior root; the bound
-    # k * max|a| * max|x| = 2^64 leaves every exact range, so no product runs
-    reps = np.array([[2**32, 2**32]], dtype=np.int64)
-    pts = np.array([[2**31, -(2**31)]], dtype=np.int64)
-    with pytest.raises(ArithmeticError):
-        _structured_sliced_pass(reps, pts, [0], 8)
-    # 2^53 + 1 has no float64 value: a float product reads 0, int64 reads 1
-    reps = np.array([[2**53 + 1, 2**53]], dtype=np.int64)
-    pts = np.array([[1, -1]], dtype=np.int64)
-    assert _structured_sliced_pass(reps, pts, [0], 8) == [("pair0", 0, 1)]
 
 
 def _record_products(monkeypatch):
-    """The (A, B) shapes of every ``int_product`` call the vanishing pass makes."""
+    """The (A, B) shapes of every ``int_product`` call of the vanishing and membership passes."""
     shapes = []
 
     def recording(A, B):
@@ -260,27 +240,20 @@ def _record_products(monkeypatch):
         return int_product(A, B)
 
     monkeypatch.setattr(verify, "int_product", recording)
+    monkeypatch.setattr(lattice, "int_product", recording)
     return shapes
 
 
-def test_sampled_leech_pass_takes_4096_pairs_a_product(monkeypatch):
-    # 98,280 base pairs against 256 sampled points given as a point list:
-    # 24 products of pairs
+def test_leech_point_list_takes_no_product_against_the_representatives(monkeypatch):
+    # 16,384 file points are checked by norm and lattice membership: every
+    # product is the m x m membership matrix against a block of points, none
+    # is formed against the 98,280 representatives
     G = build_generator_set("leech")
-    pts = [G.config.point(i) for i in sample_indices(DEFAULT_SEED, 256, G.config.npoints)]
+    pts = [G.config.point(i) for i in range(16384)]
     shapes = _record_products(monkeypatch)
-    assert check_vanishing(G, points=pts).passed
-    assert len(shapes) == 24
-    assert all(a == (256, 24) and b[0] == 24 and b[1] <= 4096 for a, b in shapes)
-
-
-def test_structured_pass_over_point_blocks_takes_256_pairs(monkeypatch):
-    # 300 pairs against POINT_BLOCK + 1 points: two chunks, two point blocks each
-    reps = np.tile(np.array([[1, 0]], dtype=np.int64), (300, 1))
-    pts = np.tile(np.array([[0, 1]], dtype=np.int64), (POINT_BLOCK + 1, 1))
-    shapes = _record_products(monkeypatch)
-    assert _structured_sliced_pass(reps, pts, [0], 1) == []
-    assert [b[1] for a, b in shapes if len(a) == 2] == [256, 256, 44, 44]
+    rec = check_vanishing(G, points=pts)
+    assert rec.passed and rec.detail == "2260441 generators x 16384 points"
+    assert shapes and all(a == (24, 24) and b[0] == 24 for a, b in shapes)
 
 
 def test_pair_set_points_beyond_int64_take_the_exact_loop():
@@ -338,19 +311,20 @@ def test_vanishing_names_points_outside_the_lattice():
 
 
 def test_point_blocks_leave_passes_and_witnesses_unchanged(monkeypatch):
+    # two points moved off E8 but kept on the shell: the membership pass,
+    # run over point blocks of 1 and 7 rows, names the same two
     G = build_generator_set("e8")
     whole = [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses]
     assert whole == [[], []]
     arr, _ = G.config.integer_array()
-    arr[200, 0] += 1
-    arr[37, 0] += 1
+    saved = arr.copy()
+    arr[200] = arr[37] = [2, 1, 1, 1, 1, 0, 0, 0]
     whole = [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses]
-    assert whole[0][0][1] == 37 and whole[1][0][1] == 37
+    assert whole[0] == whole[1] == [("outside-lattice", 37), ("outside-lattice", 200)]
     for size in (1, 7):
-        monkeypatch.setattr(verify, "POINT_BLOCK", size)
+        monkeypatch.setattr(lattice, "POINT_BLOCK", size)
         assert [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses] == whole
-    arr[37, 0] -= 1
-    arr[200, 0] -= 1
+    arr[:] = saved
     assert check_vanishing(G).passed and jacobian_full_pass(G).passed
 
 
