@@ -334,11 +334,14 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_groebner(args) -> int:
-    name = args.config
-    if name == "leech":
-        print("idealforge groebner: leech is out of reach for the engine", file=sys.stderr)
-        return EXIT_USAGE
     report, cfg, G = _start(args, generators=True)
+    if G.stream_count:
+        print(
+            f"idealforge groebner: {args.config} has a streamed generator set "
+            f"({len(G)} generators), out of reach for the engine",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     cert = _certificate(args, report, G)
     report["claims"] = [
         {

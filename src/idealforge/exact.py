@@ -258,8 +258,6 @@ def scalar_to_text(x: Scalar) -> str:
 # vectors
 # ---------------------------------------------------------------------------
 
-Vector = Tuple[Scalar, ...]
-
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     if len(u) != len(v):
@@ -293,17 +291,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)), ncols=self.nrows)
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        return Matrix(
-            [[dot(r, c) for c in cols] for r in self.rows], ncols=other.ncols
-        )
 
     def __eq__(self, other):
         return (
@@ -663,29 +650,6 @@ def rank(M: Matrix) -> int:
     return ech.rank
 
 
-def nullspace_basis(M: Matrix) -> List[Vector]:
-    """Exact basis of the right kernel; size = ncols - rank."""
-    ech = Echelon(M.ncols)
-    for row in M.rows:
-        ech.add_row(row)
-    pivots = ech.pivots
-    pivot_cols = [c for c, _ in pivots]
-    free_cols = [c for c in range(M.ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v: List[Scalar] = [0] * M.ncols
-        v[fc] = 1
-        # back-substitute through the echelon rows, last pivot first
-        for col, prow in reversed(pivots):
-            s: Scalar = 0
-            for j in range(col + 1, M.ncols):
-                if v[j] != 0 and prow[j] != 0:
-                    s = s + prow[j] * v[j]
-            v[col] = _fdiv(-s, prow[col])
-        basis.append(tuple(v))
-    return basis
-
-
 def det(M: Matrix) -> Scalar:
     """Exact determinant via Bareiss fraction-free elimination."""
     if M.nrows != M.ncols:
@@ -844,14 +808,3 @@ def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def hnf(M: Matrix) -> Matrix:
-    """Row-style Hermite Normal Form; preserves the Z-row-span exactly."""
-    acc = HnfAccumulator(M.ncols)
-    for row in M.rows:
-        for x in row:
-            if isinstance(x, Quad) or (isinstance(x, Fraction) and x.denominator != 1):
-                raise ValueError("hnf needs integer entries")
-        acc.add_row([int(x) for x in row])
-    return Matrix(acc.normalized_rows(), ncols=M.ncols)

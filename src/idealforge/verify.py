@@ -35,7 +35,6 @@ from .exact import (
     RANK_PRIME,
     Echelon,
     FieldMismatchError,
-    Matrix,
     QuadArray,
     Scalar,
     _fdiv,
@@ -44,7 +43,6 @@ from .exact import (
     int_product,
     quad_array,
     quad_product,
-    rank,
     rank_mod_p,
     scalar_to_text,
     squared_norms,
@@ -356,116 +354,54 @@ def check_gallery_vanishing(G: GeneratorSet, gallery_points: Sequence) -> ClaimR
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_rows(G: GeneratorSet, point) -> List[List[Scalar]]:
-    rows = []
-    for _, p in G.items:
-        if isinstance(p, FactoredPoly):
-            rows.append(list(p.gradient_at(point)))
-        else:
-            rows.append(
-                [p.partial_derivative(i + 1).eval(point) for i in range(G.nvars)]
-            )
-    return rows
-
-
-def _scaled_units(G: GeneratorSet, point):
-    """Integer-unit view of a point plus the matching roots and extreme value.
-
-    pair_reps hold den-times-configuration coordinates, so inner products with
-    den-scaled points land on den^2 times the declared root values.
-    """
-    _, den = G.config.integer_array()
-    roots, extreme = _shell_units(G, den)
-    return [x * den for x in point], roots, extreme
-
-
-def _select_independent(G: GeneratorSet, point):
-    """nvars (base, slicing, scalar) triples with independent gradient rows.
-
-    Mirrors the radicality argument: pick independent base vectors c other
-    than the point's own pair (``independent_rows`` skips the representatives
-    that meet the point at +-r2), and for each a complement vector b with
-    b.point != 0.  The gradient row of the matching generator is then
-    scalar * c with scalar = (b.point) * prod of the non-vanishing root
-    differences, all in integer units.
-    """
-    m = G.nvars
-    scaled, roots, extreme = _scaled_units(G, point)
-    reps = G.pair_reps
-    ca_all = int_product(reps, np.array([int(x) for x in scaled], dtype=np.int64))
-    picks = independent_rows(reps, m, skip=np.flatnonzero(np.abs(ca_all) == extreme))
-    if len(picks) < m:
-        raise ArithmeticError("could not select a full independent base set")
-    chosen = []
-    for i in picks:
-        c = tuple(int(v) for v in reps[i])
-        ca = int(ca_all[i])
-        ba = None
-        for b in orthogonal_complement_basis(c):
-            v = dot(b, scaled)
-            if v != 0:
-                ba = (b, v)
-                break
-        if ba is None:
-            raise ArithmeticError("no slicing vector sees the point")
-        b, bval = ba
-        prod = 1
-        hit = 0
-        for w in roots:
-            d = ca - w
-            if d == 0:
-                hit += 1
-            else:
-                prod *= d
-        if hit != 1:
-            raise ArithmeticError("base inner product is not a single interior root")
-        chosen.append((c, b, bval * prod))
-    return chosen, scaled, roots
-
-
 def jacobian_rank_at(G: GeneratorSet, point, method: str = "symbolic") -> int:
-    """Rank of the generating set's Jacobian at the point.
+    """Rank of the generating set's Jacobian at the point, from the full pass's rows.
 
-    Sets without the pair structure use all generators and symbolic gradients.
-    For the sliced-zonal families a subset of nvars generators is selected the
-    way the radicality argument does; closed_form uses the fact that each
-    selected gradient row is a nonzero integer multiple of its base vector,
-    symbolic differentiates the product and must agree exactly.
+    Sets without the pair structure take every generator's exact gradient
+    (``_exact_jacobian_rank``).  The sliced-zonal families take the nvars
+    rows of ``lattice_jacobian_rows`` in either method.
     """
-    if G.pair_reps is None:
-        if method == "closed_form":
-            raise ValueError("closed_form requires the sliced-zonal pair structure")
-        if method != "symbolic":
-            raise ValueError(f"unknown jacobian method: {method}")
-        return rank(Matrix(_symbolic_rows(G, point)))
-
-    chosen, scaled, roots = _select_independent(G, point)
+    if G.pair_reps is not None:
+        return len(independent_rows(lattice_jacobian_rows(G, point, method), G.nvars))
     if method == "closed_form":
-        rows = [[s * cj for cj in c] for c, _, s in chosen]
-    elif method == "symbolic":
-        rows = []
-        for c, b, _ in chosen:
-            poly = FactoredPoly(G.nvars, [(b, 0)] + [(c, w) for w in roots])
-            rows.append(list(poly.gradient_at(scaled)))
-    else:
+        raise ValueError("closed_form requires the sliced-zonal pair structure")
+    if method != "symbolic":
         raise ValueError(f"unknown jacobian method: {method}")
-    return rank(Matrix(rows))
+    return _exact_jacobian_rank(G, point)
 
 
-def closed_form_rows(G: GeneratorSet, point) -> List[Tuple[Scalar, ...]]:
-    """The selected gradient rows in integer units (for agreement tests)."""
-    chosen, _, _ = _select_independent(G, point)
-    return [tuple(s * cj for cj in c) for c, _, s in chosen]
+def lattice_jacobian_rows(G: GeneratorSet, point, method: str) -> List[Tuple[Scalar, ...]]:
+    """The gradient rows at a point over the base set that ``_lattice_jacobian`` reads.
 
-
-def symbolic_selected_rows(G: GeneratorSet, point) -> List[Tuple[Scalar, ...]]:
-    """Product-rule gradients of the same selected generators, same units."""
-    chosen, scaled, roots = _select_independent(G, point)
-    out = []
-    for c, b, _ in chosen:
-        poly = FactoredPoly(G.nvars, [(b, 0)] + [(c, w) for w in roots])
-        out.append(poly.gradient_at(scaled))
-    return out
+    The base set is C, or C' at the 2m points +-C (``_lattice_bases``).  For
+    each base vector c, the generator is (b.Y) prod_w (c.Y - w), b the first
+    complement vector with b.x != 0, and the rows are in den-scaled units:
+    ``closed_form`` gives (b.x) prod_{w != c.x} (c.x - w) c, ``symbolic``
+    the product-rule gradient.  ArithmeticError where c.x is not exactly one
+    interior root or no b sees the point.
+    """
+    if method not in ("closed_form", "symbolic"):
+        raise ValueError(f"unknown jacobian method: {method}")
+    den = G.config.integer_array()[1]
+    roots, _ = _shell_units(G, den)
+    x = tuple(v * den for v in point)
+    base, second = _lattice_bases(G)
+    on_base = {x, tuple(-v for v in x)} & {tuple(G.pair_reps[i].tolist()) for i in base}
+    rows = []
+    for i in second if on_base else base:
+        c = tuple(G.pair_reps[i].tolist())
+        cx = dot(c, x)
+        b = next((b for b in orthogonal_complement_basis(c) if dot(b, x) != 0), None)
+        if b is None:
+            raise ArithmeticError("no slicing vector sees the point")
+        if roots.count(cx) != 1:
+            raise ArithmeticError("base inner product is not a single interior root")
+        if method == "symbolic":
+            rows.append(FactoredPoly(G.nvars, [(b, 0)] + [(c, w) for w in roots]).gradient_at(x))
+        else:
+            s = dot(b, x) * math.prod(cx - w for w in roots if w != cx)
+            rows.append(tuple(s * v for v in c))
+    return rows
 
 
 def jacobian_full_pass(G: GeneratorSet) -> ClaimRecord:
@@ -598,9 +534,9 @@ def _lattice_jacobian(G: GeneratorSet) -> List[Tuple]:
     complement.  Where c.x is an interior root w0 that occurs once, its
     gradient at x is (b.x) prod_{w != w0} (w0 - w) c.
 
-    * C = ``independent_rows(reps, m)``.  For a point x and c in C, either
-      x = +-c or c.x is a proven value (the premises), hence an interior
-      root.  A proven value v has |v| <= r2 / 2 < r2, so then x is not
+    * C = ``independent_rows(reps, m)`` (``_lattice_bases``).  For a point
+      x and c in C, either x = +-c or c.x is a proven value (the premises),
+      hence an interior root.  A proven value v has |v| <= r2 / 2 < r2, so then x is not
       parallel to c, some b has b.x != 0, and the closed-form row is a
       nonzero multiple of c.  So the rows over C span at every point but
       the 2m points +-C.
@@ -615,8 +551,7 @@ def _lattice_jacobian(G: GeneratorSet) -> List[Tuple]:
     repeated = sorted({w for w in roots if roots.count(w) > 1})
     if repeated:
         return [("interior-root-repeated", w) for w in repeated]
-    base = independent_rows(reps, m)
-    second = independent_rows(reps, m, skip=base)
+    base, second = _lattice_bases(G)
     if len(second) < m:
         return [("independent-base-selection", len(base), len(second))]
     _, den = G.config.integer_array()
@@ -625,6 +560,12 @@ def _lattice_jacobian(G: GeneratorSet) -> List[Tuple]:
     return [
         ("second-base", f"pair{base[i]}", f"pair{second[j]}", int(V[i, j])) for i, j in stray[:5]
     ]
+
+
+def _lattice_bases(G: GeneratorSet) -> Tuple[List[int], List[int]]:
+    """The indices of C = ``independent_rows(reps, m)`` and of C', chosen outside C."""
+    base = independent_rows(G.pair_reps, G.nvars)
+    return base, independent_rows(G.pair_reps, G.nvars, skip=base)
 
 
 # ---------------------------------------------------------------------------

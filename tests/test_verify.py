@@ -54,18 +54,17 @@ from idealforge.verify import (
     assemble_certificate,
     check_gallery_vanishing,
     check_vanishing,
-    closed_form_rows,
     design_strength_gegenbauer,
     design_strength_moments,
     gegenbauer_values,
     jacobian_full_pass,
     jacobian_rank_at,
+    lattice_jacobian_rows,
     nontrivial_generator_check,
     section_embedding_check,
     spanning_check,
     sphere_moment,
     sphere_witness_point,
-    symbolic_selected_rows,
 )
 
 
@@ -427,9 +426,47 @@ def test_jacobian_e8():
         pt = G.config.points[idx]
         assert jacobian_rank_at(G, pt, method="closed_form") == 8
         assert jacobian_rank_at(G, pt, method="symbolic") == 8
-        assert symbolic_selected_rows(G, pt) == [
-            tuple(r) for r in closed_form_rows(G, pt)
-        ]
+        closed = lattice_jacobian_rows(G, pt, "closed_form")
+        assert lattice_jacobian_rows(G, pt, "symbolic") == closed
+
+
+def _base_points(G):
+    """The 2m points +-C, in configuration units: the points the rows over C' cover."""
+    base, _ = verify._lattice_bases(G)
+    den = G.config.integer_array()[1]
+    reps = [G.pair_reps[i].tolist() for i in base]
+    return [tuple(Fraction(s * v, den) for v in c) for c in reps for s in (1, -1)]
+
+
+def _check_second_base_rows(G, pts):
+    # at +-c the base vector c meets the point at r2, no interior root, so
+    # rows over C would raise: these are the C' rows the m x m check vouches for
+    for pt in pts:
+        rows = lattice_jacobian_rows(G, pt, "closed_form")
+        assert lattice_jacobian_rows(G, pt, "symbolic") == rows
+        assert len(independent_rows(rows, G.nvars)) == G.nvars
+        assert jacobian_rank_at(G, pt, method="symbolic") == G.nvars
+
+
+def test_jacobian_rows_at_the_e8_base_points():
+    G = build_generator_set("e8")
+    pts = _base_points(G)
+    assert len(pts) == 16
+    _check_second_base_rows(G, pts)
+
+
+def test_jacobian_rows_at_leech_base_points():
+    G = build_generator_set("leech")
+    pts = _base_points(G)
+    assert len(pts) == 48
+    _check_second_base_rows(G, random.Random(24).sample(pts, 4))
+
+
+def test_jacobian_rank_at_refuses_a_point_the_bases_miss():
+    # at the origin every c.x is the root 0 but no slicing vector sees x
+    G = build_generator_set("e8")
+    with pytest.raises(ArithmeticError):
+        jacobian_rank_at(G, (0,) * 8)
 
 
 def test_jacobian_names_point_moved_off_shell():
@@ -543,8 +580,8 @@ def test_jacobian_leech_samples():
     rng = random.Random(7)
     pts = G.config.points
     for idx in rng.sample(range(len(pts)), 4):
-        closed = closed_form_rows(G, pts[idx])
-        assert symbolic_selected_rows(G, pts[idx]) == [tuple(r) for r in closed]
+        closed = lattice_jacobian_rows(G, pts[idx], "closed_form")
+        assert lattice_jacobian_rows(G, pts[idx], "symbolic") == closed
         assert jacobian_rank_at(G, pts[idx], method="closed_form") == 24
 
 
