@@ -368,10 +368,12 @@ def _cmd_groebner(args) -> int:
 
 
 def _sorted_rows(arr: np.ndarray) -> np.ndarray:
-    """The rows of an int64 array as sorted byte keys, one void item per row.
+    """The rows of an integer array as sorted byte keys, one void item per row.
 
     Two arrays with equal sorted keys hold the same rows with the same
-    multiplicities, so comparing them is a multiset test.
+    multiplicities, so comparing them is a multiset test.  The rows are
+    upcast to int64 first, so equal rows give equal bytes whatever dtype
+    each array was built in (Leech points are int8, enumerated vectors int64).
     """
     arr = np.ascontiguousarray(arr, dtype=np.int64)
     return np.sort(arr.view(np.dtype((np.void, arr.dtype.itemsize * arr.shape[1]))).ravel())

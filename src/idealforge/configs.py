@@ -1,9 +1,11 @@
 """Point configurations: Golay code, root-system shells, Leech vectors, gallery sets.
 
 Small configurations keep exact scalar coordinates throughout.  The Leech shell
-is assembled in numpy int64 with exact tuples materialized on demand; every
-product of its rows goes through ``exact.int_product``, which proves its
-range before it multiplies.
+is assembled in numpy int8, which its proven entry range |x| <= 4 allows,
+with exact tuples materialized on demand.  A builder may store a narrower
+integer dtype than int64 when it proves the range; consumers multiply such
+rows only through ``exact.int_product`` or ``exact.squared_norms``, which
+prove their range before they multiply, or upcast them first.
 """
 
 from __future__ import annotations
@@ -219,16 +221,21 @@ class SphericalConfiguration:
         return tuple(int(c) for c in self._array[k])
 
     def integer_array(self) -> Optional[Tuple[np.ndarray, int]]:
-        """(den * points) as an int64 array with den, or None when a coordinate is irrational."""
+        """(den * points) as an integer array with den, or None when a coordinate is irrational.
+
+        The array is ``quad_array().A``: int64, or the narrower dtype of an
+        array-backed set whose builder proves its range (Leech: int8).
+        """
         q = self.quad_array()
         return None if q.B is not None else (q.A, q.den)
 
     def quad_array(self) -> QuadArray:
-        """The points as exact int64 arrays (A + B*sqrt(d)) / den, built once.
+        """The points as exact integer arrays (A + B*sqrt(d)) / den, built once.
 
         The one place exact coordinates become integer arrays: through
-        ``exact.quad_array``, or by wrapping the array of an array-backed set.
-        Raises ArithmeticError when a scaled coordinate leaves int64.
+        ``exact.quad_array`` (int64), or by wrapping the array of an
+        array-backed set in the dtype its builder chose.  Raises
+        ArithmeticError when a scaled coordinate leaves int64.
         """
         if self._quad is None:
             if self._array is not None:
@@ -375,9 +382,9 @@ def e7_defining_vectors() -> List[Tuple[Scalar, ...]]:
 
 
 def _leech_type2(codewords: Sequence[int]) -> np.ndarray:
-    """Row 24k+i: the sign pattern s of codeword k, with s_i shifted by -4 s_i."""
+    """Row 24k+i: the sign pattern s of codeword k, with s_i shifted by -4 s_i, as int8."""
     bits = (np.array(codewords, dtype=np.int64)[:, None] >> np.arange(24)) & 1
-    signs = 1 - 2 * bits
+    signs = (1 - 2 * bits).astype(np.int8)
     rows = np.repeat(signs, 24, axis=0)
     diag = np.arange(24)
     rows.reshape(len(codewords), 24, 24)[:, diag, diag] -= 4 * signs
@@ -396,6 +403,14 @@ def build_leech() -> SphericalConfiguration:
     The value-set proof that declaring the lattice scale runs checks every
     squared norm, that no vector repeats, and that every inner product lies
     in the declared values.
+
+    The points are int8 from the first row on: the three shapes have
+    entries 0, +-1, +-2, +-3 and +-4, so |x| <= 4 (Conway & Sloane,
+    *Sphere Packings, Lattices and Groups*, ch. 4), and every step here
+    forms only entries of those shapes.  An entry that wrapped would change
+    its row's squared norm, which the proof's exact int64 'norm' premise
+    checks.  The array stays writable; the proof keeps its own read-only
+    snapshot.
     """
     code = build_golay()
     octads = [w for w in code.codewords if w.bit_count() == 8]
@@ -404,21 +419,23 @@ def build_leech() -> SphericalConfiguration:
 
     sign8 = np.array(
         [s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0],
-        dtype=np.int64,
+        dtype=np.int8,
     )
     # rows 128k..128k+127 put 2 * sign8 on the support of octad k, in
     # ascending column order
     support = np.nonzero((np.array(octads)[:, None] >> np.arange(24)) & 1)[1].reshape(759, 8)
-    type1 = np.zeros((759 * 128, 24), dtype=np.int64)
+    type1 = np.zeros((759 * 128, 24), dtype=np.int8)
     type1[np.arange(759 * 128).reshape(759, 128, 1), support[:, None, :]] = 2 * sign8
 
     type2 = _leech_type2(code.codewords)
     probe = type1[list(itertools.islice(stride_order(type1.shape[0]), 32))].T
-    # x & 7 is x mod 8 in two's complement, negative x included
-    if np.any(int_product(type2, probe) & 7):
-        raise ConstructionError("type-2 rows break the mod-8 rule")
+    # x & 7 is x mod 8 in two's complement, negative x included; one point
+    # block at a time, so no product against all type-2 rows is held
+    for lo in range(0, type2.shape[0], POINT_BLOCK):
+        if np.any(int_product(type2[lo : lo + POINT_BLOCK], probe) & 7):
+            raise ConstructionError("type-2 rows break the mod-8 rule")
 
-    type3 = np.zeros((1104, 24), dtype=np.int64)
+    type3 = np.zeros((1104, 24), dtype=np.int8)
     r = 0
     for i, j in itertools.combinations(range(24), 2):
         for si, sj in itertools.product((4, -4), repeat=2):

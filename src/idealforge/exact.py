@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -462,25 +462,33 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def squared_norms(X: np.ndarray) -> np.ndarray:
-    """The squared norm of every row of an integer array, exactly, as int64.
+    """The squared norm of every row of a 2-D integer array, exactly, as int64.
 
     Every term is at most max|X|^2 and every partial sum of a row's k terms
     at most k * max|X|^2; below 2^63 int64 holds them all, so the sums are
     exact.  Beyond that they are refused with ArithmeticError before
-    anything is multiplied.
+    anything is multiplied.  Rows are upcast to int64 one POINT_BLOCK at a
+    time (a narrower dtype would wrap in ``einsum``), so no int64 copy of a
+    whole narrow array is formed.
     """
     bound = X.shape[-1] * _max_abs(X) ** 2
     if bound >= 2**63:
         raise ArithmeticError(f"squared-norm bound {bound} leaves the exact int64 range")
-    X = X.astype(np.int64, copy=False)
-    return np.einsum("ij,ij->i", X, X)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for lo in range(0, X.shape[0], POINT_BLOCK):
+        B = X[lo : lo + POINT_BLOCK].astype(np.int64, copy=False)
+        out[lo : lo + POINT_BLOCK] = np.einsum("ij,ij->i", B, B)
+    return out
 
 
 class QuadArray:
-    """Rows of scalars over Q or Q(sqrt d) as int64 arrays: row = (A + B*sqrt(d)) / den.
+    """Rows of scalars over Q or Q(sqrt d) as integer arrays: row = (A + B*sqrt(d)) / den.
 
     B and d are None when every entry is rational, so a rational set pays
-    for one integer product, as before.
+    for one integer product, as before.  ``quad_array`` gives int64; an
+    array-backed configuration may wrap a narrower dtype whose range its
+    builder proves (Leech: int8).  Consumers multiply the parts only through
+    ``int_product`` or ``squared_norms``, or upcast them first.
     """
 
     __slots__ = ("A", "B", "den", "d")
@@ -501,34 +509,35 @@ def quad_array(rows: Sequence[Sequence[Scalar]]) -> QuadArray:
     """The rows as a :class:`QuadArray` with den the least common denominator.
 
     Raises FieldMismatchError when two entries lie in different quadratic
-    fields, and ArithmeticError when a scaled part leaves int64.
+    fields, and ArithmeticError when a scaled part leaves int64.  Each part
+    (an int or a Fraction) scales as numerator * (den // denominator), an
+    exact integer, with no Fraction formed per entry.
     """
     d = None
-    parts = []
+    rational, irrational = [], []
     for row in rows:
         for x in row:
-            if isinstance(x, Quad) and x.b != 0:
-                if d is not None and x.d != d:
-                    raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
-                d = x.d
-                parts.append((x.a, x.b))
+            if isinstance(x, Quad):
+                if x.b != 0:
+                    if d is not None and x.d != d:
+                        raise FieldMismatchError(f"cannot mix Q(sqrt {d}) with Q(sqrt {x.d})")
+                    d = x.d
+                rational.append(x.a)
+                irrational.append(x.b)
             else:
-                parts.append((x.a if isinstance(x, Quad) else x, 0))
-    den = 1
-    for a, b in parts:
-        for q in (a, b):
-            if isinstance(q, Fraction) and den % q.denominator:
-                den = den * q.denominator // gcd(den, q.denominator)
+                rational.append(x)
+                irrational.append(0)
+    den = lcm(*{q.denominator for q in rational}, *{q.denominator for q in irrational})
     shape = (len(rows), len(rows[0]) if len(rows) else 0)
 
     def scaled(vals) -> np.ndarray:
-        ints = [int(v * den) for v in vals]
+        ints = [v.numerator * (den // v.denominator) for v in vals]
         if ints and max(max(ints), -min(ints)) >= 2**63:
             raise ArithmeticError("a scaled entry leaves the int64 range")
         return np.array(ints, dtype=np.int64).reshape(shape)
 
-    A = scaled(a for a, _ in parts)
-    B = None if d is None else scaled(b for _, b in parts)
+    A = scaled(rational)
+    B = None if d is None else scaled(irrational)
     return QuadArray(A, B, den, d)
 
 
@@ -553,7 +562,9 @@ def quad_operands(X: QuadArray, Y: QuadArray) -> Tuple[np.ndarray, np.ndarray]:
     BY = np.zeros_like(Y.A) if Y.B is None else Y.B
     if _max_abs(BX) * d >= 2**63:
         raise ArithmeticError("d * B leaves the int64 range")
-    return np.vstack([np.hstack([X.A, d * BX]), np.hstack([BX, X.A])]), np.hstack([Y.A, BY])
+    # d * B in int64, where the bound above holds it: a narrower B would wrap
+    dBX = d * BX.astype(np.int64, copy=False)
+    return np.vstack([np.hstack([X.A, dBX]), np.hstack([BX, X.A])]), np.hstack([Y.A, BY])
 
 
 def quad_parts(both: np.ndarray, n: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:

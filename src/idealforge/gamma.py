@@ -149,14 +149,16 @@ def _points_mod_p(cfg: SphericalConfiguration, rows: Optional[Sequence[int]]) ->
     its entries lie in Z[sqrt(d)], where the ring map sends each minor to
     the same minor mod p.  So the rank mod p is still a lower bound on the
     exact rank.  The exact list of an array-backed set is never built.
+    The residues are formed in int64 (``dtype=``): p does not fit a narrow
+    dtype such as Leech's int8, and the residues need 20 bits.
     """
     p = RANK_PRIME
     q = cfg.quad_array()
     if rows is not None:
         q = q.take(list(rows))
-    out = np.mod(q.A, p)
+    out = np.mod(q.A, p, dtype=np.int64)
     if q.B is not None:
-        out = (out + SQRT_MOD_P[q.d] * np.mod(q.B, p)) % p
+        out = (out + SQRT_MOD_P[q.d] * np.mod(q.B, p, dtype=np.int64)) % p
     return out
 
 

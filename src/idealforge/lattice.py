@@ -360,12 +360,15 @@ class LatticeProof:
 
     @cached_property
     def reps(self) -> np.ndarray:
-        """Read-only int64 copy of the points with a positive leading entry, one per pair.
+        """Read-only copy of the points with a positive leading entry, one per pair.
 
-        The sliced-zonal families take it as their ``pair_reps``, so a check
-        that finds it there by identity knows the rows are the proof's.
+        It keeps the dtype of ``points`` (int8 for e8 and Leech), so its
+        consumers multiply it only through ``int_product`` or
+        ``squared_norms``.  The sliced-zonal families take it as their
+        ``pair_reps``, so a check that finds it there by identity knows the
+        rows are the proof's.
         """
-        reps = _antipodal_rows(self.points).astype(np.int64)
+        reps = _antipodal_rows(self.points)
         reps.flags.writeable = False
         return reps
 

@@ -38,6 +38,7 @@ from .exact import (
     QuadArray,
     Scalar,
     _fdiv,
+    _max_abs,
     dot,
     independent_rows,
     int_product,
@@ -231,7 +232,10 @@ def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
     point whose den-scaled coordinates are not all integers lies outside L,
     as does one that ``LatticeProof.outside`` rejects, and is named
     ``('outside-lattice', point)``.  A point on the shell has coordinates of
-    magnitude at most sqrt(r2), so its den-scaled row is small.
+    magnitude at most sqrt(r2), so its den-scaled row is small.  Rows in
+    the configuration's own units (k = f = 1) go to the membership test as
+    they are; others are rescaled in int64, since A // k * f can leave a
+    narrow dtype.
     """
     den = G.config.integer_array()[1]
     n2 = squared_norms(A)
@@ -240,7 +244,11 @@ def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
     if bad.size:
         return [("NM", int(i), int(n2[i]) * f * f) for i in bad[:5]]
     k = q // math.gcd(den, q)  # lcm(den, q) / den, so A / k * f is den-scaled
-    outside = (A % k).any(axis=1) | G.config.lattice.outside(A // k * f)
+    if k == f == 1:
+        outside = G.config.lattice.outside(A)
+    else:
+        A = A.astype(np.int64, copy=False)
+        outside = (A % k).any(axis=1) | G.config.lattice.outside(A // k * f)
     return [("outside-lattice", int(i)) for i in np.flatnonzero(outside)[:5]]
 
 
@@ -715,14 +723,14 @@ def design_strength_moments(
     int_path = False
     if arr_den is not None:
         arr, den = arr_den
-        peak = int(np.abs(arr).max()) or 1
+        peak = _max_abs(arr) or 1  # np.abs wraps at the int8 minimum
         int_path = npts * peak ** t < 2**62
     if int_path:
         pows = [
             [np.ones(npts, dtype=np.int64)] for _ in range(m)
         ]
         for i in range(m):
-            col = arr[:, i]
+            col = arr[:, i]  # each product with the int64 powers is int64
             for _ in range(t):
                 pows[i].append(pows[i][-1] * col)
     else:

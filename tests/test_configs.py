@@ -1,6 +1,7 @@
 """Construction counts, inner-product closure, and file round-trips."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +242,23 @@ def test_leech_counts(leech):
     arr, den = leech.integer_array()
     assert den == 1
     assert np.all((arr * arr).sum(axis=1) == 32)
+
+
+def test_leech_build_holds_no_int64_copy_of_the_points():
+    # one int64 copy of the 196,560 x 24 points is 37.7 MB; the build holds
+    # them as int8 from the first row on, blocks its whole-set passes, and
+    # peaks well below one such copy
+    one_int64_copy = 196560 * 24 * 8
+    tracemalloc.start()
+    try:
+        cfg = build_leech()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_int64_copy, peak
+    reps = cfg.lattice.reps
+    assert cfg.integer_array()[0].dtype == np.int8 and reps.dtype == np.int8
+    assert not reps.flags.writeable and reps.nbytes == 98280 * 24
 
 
 def test_leech_type2_rows_are_closed_under_negation(leech):

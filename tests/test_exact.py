@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from idealforge.exact import (
     rank,
     rank_mod_p,
     scalar_to_text,
+    squared_norms,
     to_mod_p,
 )
 
@@ -441,6 +442,47 @@ def test_quad_key_refuses_values_off_the_grid():
     assert quad_key(Quad(1, Fraction(1, 2), 5), 2, 2) is None
     assert quad_key(Quad(1, Fraction(1, 2), 5), 2, None) is None
     assert quad_key(Quad(3, 0, 5), 1, None) == (3, 0)
+
+
+def test_int8_kernels_stay_exact_at_the_dtype_edges():
+    # -128 and 127 are the int8 extremes; an int8 einsum would wrap the
+    # squared norm 24 * 127^2 = 387,096, and np.abs(-128) is -128 in int8
+    rng = np.random.default_rng(8)
+    X = rng.integers(-128, 128, size=(40, 24)).astype(np.int8)
+    X[0], X[1], X[2, :12] = -128, 127, -128
+    rows = X.tolist()
+    assert squared_norms(X).tolist() == [sum(x * x for x in r) for r in rows]
+    assert squared_norms(X)[1] == 387096 and squared_norms(X)[0] == 24 * 128**2
+    expected = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    assert int_product(X, X.T).tolist() == expected
+    assert int_product(X, X.T.astype(np.int64)).tolist() == expected
+
+
+def test_quad_array_scales_like_the_fraction_formula():
+    # reference: den the lcm of every part's denominator, each part int(v * den)
+    rng = random.Random(22)
+    pool = [0, 3, -7, Fraction(5, 6), Fraction(-9, 4), Quad(Fraction(1, 3), 2, 5),
+            Quad(-2, Fraction(-3, 10), 5), Quad(Fraction(7, 2), 0, 5)]
+    for _ in range(30):
+        rows = [[rng.choice(pool) for _ in range(4)] for _ in range(rng.randint(1, 6))]
+        parts = [(x.a, x.b) if isinstance(x, Quad) else (Fraction(x), Fraction(0))
+                 for r in rows for x in r]
+        den = 1
+        for q in (q for ab in parts for q in ab):
+            den = den * q.denominator // gcd(den, q.denominator)
+        Q = quad_array(rows)
+        assert Q.den == den
+        assert Q.A.ravel().tolist() == [int(a * den) for a, _ in parts]
+        irrational = any(isinstance(x, Quad) and x.b for r in rows for x in r)
+        if irrational:
+            assert Q.d == 5 and Q.B.ravel().tolist() == [int(b * den) for _, b in parts]
+        else:
+            assert Q.B is None and Q.d is None
+    with pytest.raises(ArithmeticError):
+        quad_array([[1, Fraction(2**63)]])
+    with pytest.raises(ArithmeticError):
+        quad_array([[Fraction(1, 2), 2**62]])
+    assert quad_array([[Fraction(1, 2), 2**62 - 1]]).A.tolist() == [[1, 2**63 - 2]]
 
 
 def test_quad_array_ranges_and_fields():

@@ -355,6 +355,16 @@ def test_den_free_rows_have_the_rank_of_to_mod_p_rows():
             assert got == want, (cfg.name, k)
 
 
+def test_points_mod_p_reduces_int8_rows_exactly():
+    # p = 1047961 fits no int8, so a residue formed in the points' own
+    # dtype would overflow; the residues are Python's x % p at the extremes
+    X = np.array([[-128, 127, 0, -1], [127, -128, 5, 1], [-3, 4, -128, 127]], dtype=np.int8)
+    cfg = SphericalConfiguration("edge", 4, 1, None, array=X)
+    expected = [[x % RANK_PRIME for x in row] for row in X.tolist()]
+    assert gamma._points_mod_p(cfg, None).tolist() == expected
+    assert gamma._points_mod_p(cfg, [2, 0]).tolist() == [expected[2], expected[0]]
+
+
 def _trivial_dimension_by_elimination(cfg, k):
     # the exact rank of the Nm and linear-form multiples' coefficient rows
     m = cfg.m

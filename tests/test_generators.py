@@ -223,7 +223,7 @@ def test_pair_reps_are_the_proofs_read_only_rows(name):
     G = build_generator_set(name)
     proof = G.config.lattice
     assert G.pair_reps is proof.reps and proof.reps is proof.reps
-    assert G.pair_reps.dtype == np.int64 and not G.pair_reps.flags.writeable
+    assert G.pair_reps.dtype == proof.points.dtype and not G.pair_reps.flags.writeable
     arr, _ = G.config.integer_array()
     assert G.pair_reps.tolist() == [r for r in arr.tolist() if next(x for x in r if x) > 0]
 

@@ -168,6 +168,18 @@ def _membership_agrees(P, rows):
     return mask
 
 
+def test_membership_on_int8_rows_matches_int64(leech_basis):
+    # the Leech points are int8; the same rows as an int64 copy, with some
+    # moved off the lattice by +-1 in one coordinate, give the same mask
+    rows = build_leech().integer_array()[0][::97].copy()
+    rows[::5, 3] += 1
+    rows[1::7, 0] -= 1
+    P = [list(r) for r in leech_basis.rows]
+    mask = lattice._outside(P, rows)
+    assert rows.dtype == np.int8 and mask.any() and not mask.all()
+    assert np.array_equal(mask, lattice._outside(P, rows.astype(np.int64)))
+
+
 def test_membership_modulo_the_exponent_matches_hnf_contains():
     rng = np.random.default_rng(23)
     # diag(6, 6, 6): g = 36 and the exponent 6 is no power of 2
