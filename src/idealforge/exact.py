@@ -467,18 +467,14 @@ def squared_norms(X: np.ndarray) -> np.ndarray:
     Every term is at most max|X|^2 and every partial sum of a row's k terms
     at most k * max|X|^2; below 2^63 int64 holds them all, so the sums are
     exact.  Beyond that they are refused with ArithmeticError before
-    anything is multiplied.  Rows are upcast to int64 one POINT_BLOCK at a
-    time (a narrower dtype would wrap in ``einsum``), so no int64 copy of a
-    whole narrow array is formed.
+    anything is multiplied.  ``einsum`` computes in int64 whatever X's dtype
+    (a narrower one would wrap), casting through its buffer, so no int64
+    copy of a whole narrow array is formed.
     """
     bound = X.shape[-1] * _max_abs(X) ** 2
     if bound >= 2**63:
         raise ArithmeticError(f"squared-norm bound {bound} leaves the exact int64 range")
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for lo in range(0, X.shape[0], POINT_BLOCK):
-        B = X[lo : lo + POINT_BLOCK].astype(np.int64, copy=False)
-        out[lo : lo + POINT_BLOCK] = np.einsum("ij,ij->i", B, B)
-    return out
+    return np.einsum("ij,ij->i", X, X, dtype=np.int64)
 
 
 class QuadArray:
@@ -562,9 +558,7 @@ def quad_operands(X: QuadArray, Y: QuadArray) -> Tuple[np.ndarray, np.ndarray]:
     BY = np.zeros_like(Y.A) if Y.B is None else Y.B
     if _max_abs(BX) * d >= 2**63:
         raise ArithmeticError("d * B leaves the int64 range")
-    # d * B in int64, where the bound above holds it: a narrower B would wrap
-    dBX = d * BX.astype(np.int64, copy=False)
-    return np.vstack([np.hstack([X.A, dBX]), np.hstack([BX, X.A])]), np.hstack([Y.A, BY])
+    return np.vstack([np.hstack([X.A, d * BX]), np.hstack([BX, X.A])]), np.hstack([Y.A, BY])
 
 
 def quad_parts(both: np.ndarray, n: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:

@@ -232,10 +232,7 @@ def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
     point whose den-scaled coordinates are not all integers lies outside L,
     as does one that ``LatticeProof.outside`` rejects, and is named
     ``('outside-lattice', point)``.  A point on the shell has coordinates of
-    magnitude at most sqrt(r2), so its den-scaled row is small.  Rows in
-    the configuration's own units (k = f = 1) go to the membership test as
-    they are; others are rescaled in int64, since A // k * f can leave a
-    narrow dtype.
+    magnitude at most sqrt(r2), so its den-scaled row is small.
     """
     den = G.config.integer_array()[1]
     n2 = squared_norms(A)
@@ -244,11 +241,8 @@ def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
     if bad.size:
         return [("NM", int(i), int(n2[i]) * f * f) for i in bad[:5]]
     k = q // math.gcd(den, q)  # lcm(den, q) / den, so A / k * f is den-scaled
-    if k == f == 1:
-        outside = G.config.lattice.outside(A)
-    else:
-        A = A.astype(np.int64, copy=False)
-        outside = (A % k).any(axis=1) | G.config.lattice.outside(A // k * f)
+    # a narrow (int8) A is only the configuration's own array, where k = f = 1
+    outside = (A % k).any(axis=1) | G.config.lattice.outside(A // k * f)
     return [("outside-lattice", int(i)) for i in np.flatnonzero(outside)[:5]]
 
 
