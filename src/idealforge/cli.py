@@ -32,7 +32,7 @@ from .configs import (
     read_points,
     write_points,
 )
-from .exact import POINT_BLOCK, Scalar
+from .exact import Scalar
 from .gamma import EntryGuardError, gamma2_status, gamma_profile
 from .generators import (
     FAMILIES,
@@ -65,6 +65,9 @@ EXIT_RESOURCE = 3
 EXIT_USAGE = 64
 
 CONFIG_NAMES = tuple(FAMILIES)
+# a full design pass over more points than this (Leech) takes minutes: verify
+# defaults to sampled mode there, and a full pass prints its progress
+LONG_PASS_POINTS = 16384
 # configurations whose candidate generators submit to desk-scale certification
 CERTIFIABLE = ("icosahedron", "e6", "e7", "cube4", "ngon", "knn")
 
@@ -224,8 +227,7 @@ def _checks(
     # the theorem claims: the generators' top degree must meet the lower
     # bound the declared design strength forces
     degree = G.max_degree()
-    # a full design pass over more than POINT_BLOCK base points is long
-    progress = _stderr_progress if mode == FULL and cfg.npoints > POINT_BLOCK else None
+    progress = _stderr_progress if mode == FULL and cfg.npoints > LONG_PASS_POINTS else None
     with _timed(report, "nontrivial"):
         components["nontrivial"] = nontrivial_generator_check(G, degree)
     with _timed(report, "design"):
@@ -304,12 +306,12 @@ def _cmd_verify(args) -> int:
 
     Points from a file are all checked, so such a run is full.  Otherwise
     the mode, which only the design pass reads, is ``--full``/``--sampled``,
-    by default sampled for a configuration of more than POINT_BLOCK points
-    (Leech), where a full pass takes minutes.
+    by default sampled for a configuration of more than LONG_PASS_POINTS
+    points (Leech), where a full pass takes minutes.
     """
     report, cfg, G = _start(args, generators=True)
     if not getattr(args, "points", None):
-        report["mode"] = args.mode or (SAMPLED if cfg.npoints > POINT_BLOCK else FULL)
+        report["mode"] = args.mode or (SAMPLED if cfg.npoints > LONG_PASS_POINTS else FULL)
     ok, cert = _checks(args, report, G)
     if args.command == "report":
         _gamma_stage(args, report, G, cert)

@@ -11,13 +11,13 @@ prove their range before they multiply, or upcast them first.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exact import (
-    POINT_BLOCK,
     SUPPORTED_D,
     ConstructionError,
     Quad,
@@ -30,8 +30,8 @@ from .exact import (
     quad_key,
     quad_operands,
     quad_parts,
-    quad_product,
     quad_scalar,
+    row_blocks,
     scalar_to_text,
     stride_order,
 )
@@ -409,8 +409,9 @@ def build_leech() -> SphericalConfiguration:
     *Sphere Packings, Lattices and Groups*, ch. 4), and every step here
     forms only entries of those shapes.  An entry that wrapped would change
     its row's squared norm, which the proof's exact int64 'norm' premise
-    checks.  The array stays writable; the proof keeps its own read-only
-    snapshot.
+    checks.  Each shape is written into its rows of the one point array, so
+    no shape is held beside it.  The array stays writable; the proof keeps
+    its own read-only snapshot.
     """
     code = build_golay()
     octads = [w for w in code.codewords if w.bit_count() == 8]
@@ -421,28 +422,28 @@ def build_leech() -> SphericalConfiguration:
         [s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0],
         dtype=np.int8,
     )
+    n1, n2 = 759 * 128, 24 * len(code.codewords)
+    arr = np.zeros((n1 + n2 + 1104, 24), dtype=np.int8)
+    type1, type2, type3 = arr[:n1], arr[n1 : n1 + n2], arr[n1 + n2 :]
     # rows 128k..128k+127 put 2 * sign8 on the support of octad k, in
     # ascending column order
     support = np.nonzero((np.array(octads)[:, None] >> np.arange(24)) & 1)[1].reshape(759, 8)
-    type1 = np.zeros((759 * 128, 24), dtype=np.int8)
-    type1[np.arange(759 * 128).reshape(759, 128, 1), support[:, None, :]] = 2 * sign8
+    type1[np.arange(n1).reshape(759, 128, 1), support[:, None, :]] = 2 * sign8
 
-    type2 = _leech_type2(code.codewords)
-    probe = type1[list(itertools.islice(stride_order(type1.shape[0]), 32))].T
-    # x & 7 is x mod 8 in two's complement, negative x included; one point
+    type2[:] = _leech_type2(code.codewords)
+    probe = type1[list(itertools.islice(stride_order(n1), 32))].T
+    # x & 7 is x mod 8 in two's complement, negative x included; one row
     # block at a time, so no product against all type-2 rows is held
-    for lo in range(0, type2.shape[0], POINT_BLOCK):
-        if np.any(int_product(type2[lo : lo + POINT_BLOCK], probe) & 7):
+    for s in row_blocks(n2, probe.shape[1]):
+        if np.any(int_product(type2[s], probe) & 7):
             raise ConstructionError("type-2 rows break the mod-8 rule")
 
-    type3 = np.zeros((1104, 24), dtype=np.int8)
     r = 0
     for i, j in itertools.combinations(range(24), 2):
         for si, sj in itertools.product((4, -4), repeat=2):
             type3[r, i], type3[r, j] = si, sj
             r += 1
 
-    arr = np.vstack([type1, type2, type3])
     cfg = SphericalConfiguration(
         "leech",
         24,
@@ -626,7 +627,8 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
     ``int_product`` call each.  A key outside the block's range of R cannot
     match and is skipped; a rational block whose R lies in the int8 range
     is compared as int8, which keeps equal values equal and distinct ones
-    distinct.  A block row counts at most POINT_BLOCK < 2^31 hits, so int32
+    distinct.  The point blocks come from ``row_blocks``, sized by the
+    product rows; a block row counts at most ENTRIES < 2^31 hits, so int32
     sums are exact.
     """
     left, right = quad_operands(rows, pts)
@@ -637,8 +639,9 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
         hit = R == key[0]
         return hit if I is None else hit & (I == key[1])
 
-    for lo in range(0, len(pts), POINT_BLOCK):
-        R, I = quad_parts(int_product(left, right[lo : lo + POINT_BLOCK].T), len(rows))
+    for s in row_blocks(len(pts), left.shape[0]):
+        lo = s.start
+        R, I = quad_parts(int_product(left, right[s].T), len(rows))
         low, high = int(R.min()), int(R.max())
         if I is None and -128 <= low and high < 128:
             R = R.astype(np.int8)
@@ -665,8 +668,9 @@ def observed_omegas(r2: Scalar, pts: QuadArray, base: List[int]) -> List[Scalar]
     seen: set = set()
     for lo in range(0, len(base), 128):
         rows = pts.take(base[lo : lo + 128])
-        for plo in range(0, len(pts), POINT_BLOCK):
-            R, I = quad_product(rows, pts.take(slice(plo, plo + POINT_BLOCK)))
+        left, right = quad_operands(rows, pts)
+        for s in row_blocks(len(pts), left.shape[0]):
+            R, I = quad_parts(int_product(left, right[s].T), len(rows))
             I = np.zeros_like(R) if I is None else I
             pairs = np.unique(np.stack([R.ravel(), I.ravel()], 1), axis=0)
             seen.update(map(tuple, pairs.tolist()))
@@ -727,12 +731,19 @@ def write_points(X: SphericalConfiguration, path: str):
             fh.write(" ".join(scalar_to_text(c) for c in p) + "\n")
 
 
+# a plain integer token: ASCII digits with an optional sign.  parse_scalar
+# reads it as the same integer, and int() reads it without a Fraction; int()
+# alone would also take "1_0", " +3" and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def read_points(path: str, name: str = "file") -> SphericalConfiguration:
     """The configuration a point file holds.
 
     The field must be Q or Q(sqrt d) with d in SUPPORTED_D, every coordinate
     must lie in it, and the file must hold at least one point; otherwise
-    ValueError.
+    ValueError.  Plain integer coordinates are read as ints, every other
+    token by ``parse_scalar``.
     """
     fields = {field_label(d): d for d in (None, *SUPPORTED_D)}
     with open(path) as fh:
@@ -750,7 +761,9 @@ def read_points(path: str, name: str = "file") -> SphericalConfiguration:
             line = line.strip()
             if not line:
                 continue
-            coords = tuple(parse_scalar(tok) for tok in line.split())
+            coords = tuple(
+                int(tok) if _INTEGER.fullmatch(tok) else parse_scalar(tok) for tok in line.split()
+            )
             if len(coords) != m:
                 raise ValueError(f"point with {len(coords)} coordinates, expected {m}")
             for c in coords:

@@ -423,10 +423,23 @@ def independent_rows(rows: Sequence, limit: int, skip: Iterable[int] = ()) -> Li
     return out
 
 
-# Bulk products against a whole point set run over blocks of this many
-# points: a 64-row base against one block is 8 MB in float64, so no product
-# against all 196,560 Leech points is held in float64 and int64 at once.
-POINT_BLOCK = 16384
+# Whole-set numpy passes run over row blocks that form at most ENTRIES
+# product entries each.  ``int_product`` holds a block's product in float32
+# (4 bytes an entry; float64 takes 8) beside its int64 copy (8 bytes), so
+# the two stay under 3 MiB (4 MiB in float64) however large the set: no
+# pass over the 196,560 Leech points forms a temporary the size of the set.
+ENTRIES = 2**18
+
+
+def row_blocks(nrows: int, width: int) -> Iterator[slice]:
+    """Slices of max(1, ENTRIES // width) rows each, in order, covering nrows rows.
+
+    ``width`` is the number of entries the pass forms per row: the rows of
+    the other factor of its product, or the row length of a test on the
+    rows themselves.
+    """
+    step = max(1, ENTRIES // width)
+    return (slice(lo, lo + step) for lo in range(0, nrows, step))
 
 
 def _max_abs(X: np.ndarray) -> int:

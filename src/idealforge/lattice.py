@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 import numpy as np
 
 from .exact import (
-    POINT_BLOCK,
     ConstructionError,
     HnfAccumulator,
     Matrix,
@@ -30,6 +29,7 @@ from .exact import (
     _max_abs,
     det,
     int_product,
+    row_blocks,
     squared_norms,
     stride_order,
 )
@@ -137,9 +137,10 @@ def _outside(P: List[List[int]], rows: np.ndarray) -> np.ndarray:
     least e with e Z^m in L): 8 on Leech, where det = 2^36.  Reducing
     adj / g mod e keeps that test while it shrinks the product bound to
     m * max|r| * (e - 1), 24 * 4 * 7 = 672 on Leech, inside the float32 range
-    of ``int_product``.  ``np.fmod`` keeps the sign of the dividend, so it is
-    zero exactly where e divides, like ``%``, and cheaper; the product is
-    formed as adj^T r^T so that the test of each row reduces over a column.
+    of ``int_product``.  When e is a power of two (8 on Leech, 4 on E8),
+    x & (e - 1) is x mod e in two's complement, negative x included, and
+    cheaper than ``%``.  The product is formed as adj^T r^T, one row block
+    at a time, so that the test of each row reduces over a column.
     """
     m = len(P)
     dval = math.prod(P[i][i] for i in range(m))
@@ -148,10 +149,13 @@ def _outside(P: List[List[int]], rows: np.ndarray) -> np.ndarray:
     e = dval // g
     try:  # np.array raises OverflowError, an ArithmeticError, past int64
         At = np.array([[adj[i][j] // g % e for i in range(m)] for j in range(m)], dtype=np.int64)
-        return np.concatenate([
-            np.fmod(int_product(At, rows[lo : lo + POINT_BLOCK].T), e).any(axis=0)
-            for lo in range(0, rows.shape[0], POINT_BLOCK)
-        ])
+        op, k = (np.bitwise_and, e - 1) if e & (e - 1) == 0 else (np.remainder, e)
+        out = np.empty(rows.shape[0], dtype=bool)
+        for s in row_blocks(rows.shape[0], m):
+            prod = int_product(At, rows[s].T)
+            out[s] = op(prod, k, out=prod).any(axis=0)
+            del prod  # so the next block's product is not formed beside it
+        return out
     except ArithmeticError:  # stay exact beyond the kernel's range
         acc = HnfAccumulator(m)
         for r in P:
@@ -331,11 +335,50 @@ def enumerate_short_vectors(B: LatticeBasis, bound) -> EnumerationResult:
 
 def _antipodal_rows(arr: np.ndarray) -> np.ndarray:
     """The integer rows whose first nonzero entry is positive, in order: one per antipodal pair."""
-    lead = arr[np.arange(arr.shape[0]), (arr != 0).argmax(axis=1)]
-    reps = np.ascontiguousarray(arr[lead > 0])
+    positive = np.empty(arr.shape[0], dtype=bool)
+    for s in row_blocks(arr.shape[0], arr.shape[1]):
+        block = arr[s]
+        positive[s] = block[np.arange(block.shape[0]), (block != 0).argmax(axis=1)] > 0
+    reps = np.ascontiguousarray(arr[positive])
     if 2 * reps.shape[0] != arr.shape[0]:
         raise ConstructionError("point set is not antipodally paired")
     return reps
+
+
+_KEY_BASE = 0x9E3779B97F4A7C15  # odd, so each power is a unit mod 2^64
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each row of a 2-D integer array: equal rows give equal keys.
+
+    The key is sum_j x_j K^(j+1) mod 2^64 for the odd word K = _KEY_BASE.
+    ``einsum`` casts through its buffer and sums in int64, whose products and
+    sums wrap mod 2^64 whatever their order, so the key is a function of the
+    row.  Distinct rows may share a key; ``_has_repeat`` compares those
+    exactly.
+    """
+    weights = np.array([pow(_KEY_BASE, j + 1, 2**64) for j in range(rows.shape[1])], dtype=np.uint64)
+    return np.einsum("ij,j->i", rows, weights.view(np.int64), dtype=np.int64)
+
+
+def _has_repeat(rows: np.ndarray) -> bool:
+    """Whether two rows of a 2-D integer array are equal.
+
+    The keys of ``_row_keys`` are sorted in place.  Equal rows give equal
+    keys, so keys that are all distinct prove the rows distinct.  Otherwise
+    only the rows whose key is shared are compared exactly: sorted as byte
+    strings, a repeat leaves two equal items next to each other (np.sort,
+    since np.unique on one axis imports numpy.ma, a cost every process
+    would pay).
+    """
+    keys = _row_keys(rows)
+    keys.sort()
+    tied = keys[1:] == keys[:-1]
+    if not tied.any():
+        return False
+    shared = rows[np.isin(_row_keys(rows), keys[1:][tied])]
+    items = np.sort(shared.view(np.dtype((np.void, shared.itemsize * shared.shape[1]))).ravel())
+    return bool((items[1:] == items[:-1]).any())
 
 
 class LatticeProof:
@@ -408,14 +451,11 @@ def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
             f"value-set premise 'norm' fails: point {i} has squared norm "
             f"{Fraction(int(norms[i]), den * den)}, not {X.r2}"
         )
-    # a copy of the points the proof covers; int8 holds small entries
-    # exactly, and then a row's m bytes identify it: a repeat leaves two
-    # equal keys next to each other once they are sorted (np.sort, since
-    # np.unique on one axis imports numpy.ma, a cost every process would pay)
+    del norms, bad  # not held beside the copies below
+    # a copy of the points the proof covers; int8 holds small entries exactly
     points = np.array(arr, dtype=np.int8 if _max_abs(arr) < 128 else np.int64)
     points.flags.writeable = False
-    keys = np.sort(points.view(np.dtype((np.void, points.itemsize * X.m))).ravel())
-    if (keys[1:] == keys[:-1]).any():
+    if _has_repeat(points):
         raise ConstructionError("value-set premise 'distinct' fails: a point repeats")
 
     basis = basis_from_generators(X)

@@ -45,6 +45,7 @@ from .exact import (
     quad_array,
     quad_product,
     rank_mod_p,
+    row_blocks,
     scalar_to_text,
     squared_norms,
     to_mod_p,
@@ -246,6 +247,16 @@ def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
     return [("outside-lattice", int(i)) for i in np.flatnonzero(outside)[:5]]
 
 
+def _same_rows(A: np.ndarray, B: np.ndarray) -> bool:
+    """``np.array_equal`` on two 2-D arrays, one row block at a time.
+
+    No bool array the size of A is formed.
+    """
+    return A.shape == B.shape and all(
+        np.array_equal(A[s], B[s]) for s in row_blocks(A.shape[0], A.shape[1])
+    )
+
+
 def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List[Tuple]:
     """Witnesses against the premises the lattice value-set proof needs.
 
@@ -280,10 +291,10 @@ def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List
             raise FieldMismatchError(f"{G.name} points must be rational")
         witnesses = _lattice_witnesses(G, q.A, q.den)
     else:
-        witnesses = [] if np.array_equal(arr, proof.points) else _lattice_witnesses(G, arr, den)
+        witnesses = [] if _same_rows(arr, proof.points) else _lattice_witnesses(G, arr, den)
     if witnesses:
         return witnesses
-    if reps is proof.reps or np.array_equal(reps, proof.reps):
+    if reps is proof.reps or _same_rows(reps, proof.reps):
         return []
     _, extreme = _shell_units(G, den)
     norms = squared_norms(reps)

@@ -8,8 +8,21 @@ import numpy as np
 import pytest
 
 from idealforge import configs
-from idealforge.exact import POINT_BLOCK, ConstructionError, Matrix, Quad, QuadArray, dot, int_product, rank
+from idealforge.exact import (
+    ENTRIES,
+    ConstructionError,
+    Matrix,
+    Quad,
+    QuadArray,
+    dot,
+    int_product,
+    parse_scalar,
+    quad_key,
+    rank,
+    scalar_to_text,
+)
 from idealforge.configs import (
+    DEFAULT_SAMPLE,
     PHI,
     _pair_counts,
     _pair_exact,
@@ -85,13 +98,25 @@ def test_pair_distribution_refuses_inexact_numpy_products():
 
 def test_sampled_pair_distribution_names_a_point_past_the_first_block(leech):
     arr = leech.integer_array()[0].copy()
-    bad = 3 * POINT_BLOCK + 5
+    bad = 3 * (ENTRIES // DEFAULT_SAMPLE) + 5  # in the fourth block of points
     arr[bad, 0] += 1
     X = SphericalConfiguration("leech", 24, 32, leech.omegas, array=arr)
     pd = pair_distribution(X, mode="sampled")
     assert not pd.closure_ok
     first = next(i for i in pd.base_indices if arr[i, 0] != 0)
     assert pd.witness == (first, bad, dot(arr[first].tolist(), arr[bad].tolist()))
+
+
+def test_sampled_pair_distribution_peaks_below_one_copy_of_the_points(leech):
+    # each point block forms at most ENTRIES product entries, so the pass
+    # holds far less than the 196,560 x 24 int8 points (4.7 MB)
+    tracemalloc.start()
+    try:
+        assert pair_distribution(leech, mode="sampled").closure_ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < 196560 * 24, peak
 
 
 def test_sampled_pair_distribution_multiplies_in_point_blocks(leech, monkeypatch):
@@ -167,6 +192,25 @@ def test_pair_counts_compare_on_int8_only_inside_its_range(edge):
     counts, witness = _pair_counts(rows, pts, keys[1:])
     assert counts.tolist() == [[1, 1, 0, 0, 0, 0], [0, 0, 3, 0, 0, 0]]
     assert witness == (0, 1, (edge, 0))
+
+
+@pytest.mark.parametrize("build", [build_e8, build_icosahedron])
+def test_pair_counts_are_the_same_at_every_block_budget(build, monkeypatch):
+    # one point moved off the shell: budgets down to one point a block give
+    # the same histogram and name the same first stray pair
+    X = build()
+    pts = X.quad_array()
+    A = pts.A.copy()
+    A[7, 0] += 1
+    pts = QuadArray(A, pts.B, pts.den, pts.d)
+    rows = pts.take(list(range(0, X.npoints, 3)))
+    keys = [quad_key(w, pts.den * pts.den, pts.d) for w in X.omegas]
+    counts, witness = _pair_counts(rows, pts, keys)
+    assert witness is not None and witness[1] == 7
+    for budget in (1, 7 * len(rows), 100, 2**30):
+        monkeypatch.setattr("idealforge.exact.ENTRIES", budget)
+        again = _pair_counts(rows, pts, keys)
+        assert again[0].tolist() == counts.tolist() and again[1] == witness
 
 
 def test_full_pair_distribution_reports_progress(e8):
@@ -246,16 +290,17 @@ def test_leech_counts(leech):
 
 def test_leech_build_holds_no_int64_copy_of_the_points():
     # one int64 copy of the 196,560 x 24 points is 37.7 MB; the build holds
-    # them as int8 from the first row on, blocks its whole-set passes, and
-    # peaks well below one such copy
-    one_int64_copy = 196560 * 24 * 8
+    # them as int8 from the first row on, writes each shape into the one
+    # array, and runs its whole-set passes in row blocks: it peaks below
+    # three int8 copies, the array, the proof's snapshot and the blocks
+    three_int8_copies = 3 * 196560 * 24
     tracemalloc.start()
     try:
         cfg = build_leech()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < one_int64_copy, peak
+    assert peak < three_int8_copies, peak
     reps = cfg.lattice.reps
     assert cfg.integer_array()[0].dtype == np.int8 and reps.dtype == np.int8
     assert not reps.flags.writeable and reps.nbytes == 98280 * 24
@@ -378,6 +423,30 @@ def test_point_file_roundtrip(tmp_path):
     bad.write_text("dim 3 r2 1 field Q\n")
     with pytest.raises(ValueError):
         read_points(str(bad))
+
+
+def test_point_file_reads_integer_fraction_and_sqrt_tokens_as_parse_scalar(tmp_path):
+    # plain integers skip parse_scalar; every token reads as parse_scalar
+    # reads it, including the forms int() alone would get wrong
+    lines = ["3 -2 +7", "007 1/2 -3/4", "1/2+3/2*sqrt(5) sqrt(5) -0", "\u0663 -sqrt(5) 12/4"]
+    path = tmp_path / "mixed.pts"
+    path.write_text("dim 3 norm 1 field Q(sqrt 5)\n" + "\n".join(lines) + "\n")
+    want = [tuple(parse_scalar(tok) for tok in line.split()) for line in lines]
+    got = read_points(str(path)).points
+    assert got == want
+    assert [[scalar_to_text(c) for c in p] for p in got] == [[scalar_to_text(c) for c in p] for p in want]
+    assert type(got[0][0]) is int and type(got[3][0]) is Fraction
+
+
+@pytest.mark.parametrize("token", ["1_0", "1.5", "3/", "/4", "++3", "3x", "0x10", "sqrt(7)", "2*"])
+def test_point_file_refuses_malformed_tokens_as_parse_scalar(token, tmp_path):
+    with pytest.raises(ValueError) as want:
+        parse_scalar(token)
+    path = tmp_path / "bad.pts"
+    path.write_text(f"dim 2 norm 1 field Q\n1 {token}\n")
+    with pytest.raises(ValueError) as got:
+        read_points(str(path))
+    assert str(got.value) == str(want.value)
 
 
 def test_splitmix_determinism():

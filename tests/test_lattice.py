@@ -338,6 +338,23 @@ def test_corrupted_leech_build_names_the_failed_premise(premise, monkeypatch):
         _corrupted_leech(monkeypatch, CORRUPTIONS[premise])
 
 
+def test_distinct_premise_compares_rows_whose_keys_collide(monkeypatch):
+    # every row given the same key: the premise falls back to comparing the
+    # rows exactly, so the distinct Leech points still pass and a copied row
+    # still fails
+    shared = []
+
+    def one_key(rows):
+        shared.append(rows.shape[0])
+        return np.zeros(rows.shape[0], dtype=np.int64)
+
+    monkeypatch.setattr(lattice, "_row_keys", one_key)
+    assert build_leech().lattice.norm == 4
+    assert shared == [196560, 196560]
+    with pytest.raises(ConstructionError, match="value-set premise 'distinct' fails"):
+        _corrupted_leech(monkeypatch, CORRUPTIONS["distinct"])
+
+
 def test_odd_lattice_fails_the_evenness_premise():
     # D12+: the half-integer vectors (+-1/2)^12 with an even number of minus
     # signs span an odd integral lattice of minimum 2, one below their norm

@@ -3,13 +3,14 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
-from idealforge import lattice, verify
+from idealforge import exact, lattice, verify
 from idealforge.configs import (
     SphericalConfiguration,
     build_4cube,
@@ -30,6 +31,7 @@ from idealforge.exact import (
     independent_rows,
     int_product,
     quad_array,
+    row_blocks,
     stride_order,
 )
 from idealforge.generators import (
@@ -310,8 +312,9 @@ def test_vanishing_names_points_outside_the_lattice():
 
 
 def test_point_blocks_leave_passes_and_witnesses_unchanged(monkeypatch):
-    # two points moved off E8 but kept on the shell: the membership pass,
-    # run over point blocks of 1 and 7 rows, names the same two
+    # two points moved off E8 but kept on the shell: the snapshot comparison
+    # and the membership pass, run over row blocks of 1 and 7 rows (a budget
+    # of that many rows of m entries), name the same two
     G = build_generator_set("e8")
     whole = [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses]
     assert whole == [[], []]
@@ -320,11 +323,34 @@ def test_point_blocks_leave_passes_and_witnesses_unchanged(monkeypatch):
     arr[200] = arr[37] = [2, 1, 1, 1, 1, 0, 0, 0]
     whole = [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses]
     assert whole[0] == whole[1] == [("outside-lattice", 37), ("outside-lattice", 200)]
+    steps = []
+
+    def recording(nrows, width):
+        blocks = list(row_blocks(nrows, width))
+        steps.append(blocks[0].stop)
+        return blocks
+
+    monkeypatch.setattr(lattice, "row_blocks", recording)
     for size in (1, 7):
-        monkeypatch.setattr(lattice, "POINT_BLOCK", size)
+        monkeypatch.setattr(exact, "ENTRIES", size * G.nvars)
         assert [check_vanishing(G).witnesses, jacobian_full_pass(G).witnesses] == whole
+    assert steps == [1, 1, 7, 7]  # one membership pass per check
     arr[:] = saved
     assert check_vanishing(G).passed and jacobian_full_pass(G).passed
+
+
+def test_leech_vanishing_and_jacobian_stay_below_one_copy_of_the_points():
+    # the snapshot comparison runs in row blocks: neither pass forms an
+    # array the size of the 196,560 x 24 int8 points (4.7 MB)
+    G = build_generator_set("leech")
+    for check in (check_vanishing, jacobian_full_pass):
+        tracemalloc.start()
+        try:
+            assert check(G).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak < 196560 * 24, (check.__name__, peak)
 
 
 def test_vanishing_perturbed_point_fails():
