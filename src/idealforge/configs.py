@@ -432,8 +432,9 @@ def build_leech() -> SphericalConfiguration:
 
     type2[:] = _leech_type2(code.codewords)
     probe = type1[list(itertools.islice(stride_order(n1), 32))].T
-    # x & 7 is x mod 8 in two's complement, negative x included; one row
-    # block at a time, so no product against all type-2 rows is held
+    # x & 7 is x mod 8 in two's complement, negative x included, in the
+    # product's own dtype (int16: the bound is 24 * 3 * 2); one row block at
+    # a time, so no product against all type-2 rows is held
     for s in row_blocks(n2, probe.shape[1]):
         if np.any(int_product(type2[s], probe) & 7):
             raise ConstructionError("type-2 rows break the mod-8 rule")
@@ -629,7 +630,9 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
     is compared as int8, which keeps equal values equal and distinct ones
     distinct.  The point blocks come from ``row_blocks``, sized by the
     product rows; a block row counts at most ENTRIES < 2^31 hits, so int32
-    sums are exact.
+    sums are exact.  R and I come in the narrowest dtype that holds the
+    product bound (int16 on Leech); they are only compared, and a key part
+    outside that dtype compares unequal to every entry, as it should.
     """
     left, right = quad_operands(rows, pts)
     counts = np.zeros((len(rows), len(keys)), dtype=np.int64)
@@ -644,7 +647,7 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
         R, I = quad_parts(int_product(left, right[s].T), len(rows))
         low, high = int(R.min()), int(R.max())
         if I is None and -128 <= low and high < 128:
-            R = R.astype(np.int8)
+            R = R.astype(np.int8, copy=False)
         for k, key in enumerate(keys):
             if key is not None and low <= key[0] <= high:
                 counts[:, k] += hits(R, I, key).sum(axis=1, dtype=np.int32)
@@ -671,7 +674,7 @@ def observed_omegas(r2: Scalar, pts: QuadArray, base: List[int]) -> List[Scalar]
         left, right = quad_operands(rows, pts)
         for s in row_blocks(len(pts), left.shape[0]):
             R, I = quad_parts(int_product(left, right[s].T), len(rows))
-            I = np.zeros_like(R) if I is None else I
+            I = np.zeros_like(R) if I is None else I  # R's dtype: read out only
             pairs = np.unique(np.stack([R.ravel(), I.ravel()], 1), axis=0)
             seen.update(map(tuple, pairs.tolist()))
     values = {quad_scalar(r, i, pts.den * pts.den, pts.d) for r, i in seen}

@@ -425,9 +425,11 @@ def independent_rows(rows: Sequence, limit: int, skip: Iterable[int] = ()) -> Li
 
 # Whole-set numpy passes run over row blocks that form at most ENTRIES
 # product entries each.  ``int_product`` holds a block's product in float32
-# (4 bytes an entry; float64 takes 8) beside its int64 copy (8 bytes), so
-# the two stay under 3 MiB (4 MiB in float64) however large the set: no
-# pass over the 196,560 Leech points forms a temporary the size of the set.
+# (4 bytes an entry; float64 takes 8) beside its integer result, at most 8
+# bytes an entry (int16, 2 bytes, on Leech, whose product bound is
+# 24 * 4 * 4 = 384), so the two stay under 3 MiB (4 MiB in float64; 1.5 MiB
+# on Leech) however large the set: no pass over the 196,560 Leech points
+# forms a temporary the size of the set.
 ENTRIES = 2**18
 
 
@@ -446,8 +448,16 @@ def _max_abs(X: np.ndarray) -> int:
     return max(int(X.max()), -int(X.min())) if X.size else 0
 
 
+def _narrowest_int(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype whose range holds every |x| <= bound < 2^63."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for integer arrays, exactly, as int64.
+    """A @ B for integer arrays, exactly, in the narrowest dtype its bound allows.
 
     With k the inner dimension, every term a*b of an entry is at most
     max|A| * max|B| in magnitude, and every partial sum of its k terms at
@@ -462,13 +472,20 @@ def int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ``idealforge/__init__.py``).  Below 2^63 the same argument holds for
     int64, which numpy multiplies without BLAS.  Beyond that the product is
     refused with ArithmeticError before anything is multiplied.
+
+    The result's dtype is the narrowest of int8, int16, int32 and int64
+    whose range holds the bound k * max|A| * max|B| (int8 below 2^7, int16
+    below 2^15, int32 below 2^31): every entry is at most the bound in
+    magnitude, so the cast of each exact value is exact.  Callers compare, mask, reduce by a
+    modulus the dtype holds or read the entries out; any other arithmetic
+    on the result upcasts first.
     """
     if A.dtype.kind not in "iu" or B.dtype.kind not in "iu":
         raise TypeError("int_product needs integer arrays")
     bound = A.shape[-1] * _max_abs(A) * _max_abs(B)
     if bound < 2**53:
         real = np.float32 if bound < 2**24 else np.float64
-        return (A.astype(real) @ B.astype(real)).astype(np.int64)
+        return (A.astype(real) @ B.astype(real)).astype(_narrowest_int(bound))
     if bound < 2**63:
         return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
     raise ArithmeticError(f"integer product bound {bound} leaves the exact int64 range")
@@ -580,7 +597,10 @@ def quad_parts(both: np.ndarray, n: int) -> Tuple[np.ndarray, Optional[np.ndarra
 
 
 def quad_product(X: QuadArray, Y: QuadArray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """X @ Y^T = (R + I*sqrt(d)) / (X.den * Y.den), exactly: returns (R, I)."""
+    """X @ Y^T = (R + I*sqrt(d)) / (X.den * Y.den), exactly: returns (R, I).
+
+    R and I share ``int_product``'s dtype, the narrowest that holds the bound.
+    """
     L, M = quad_operands(X, Y)
     return quad_parts(int_product(L, M.T), len(X))
 
@@ -637,12 +657,13 @@ def rank_mod_p(M: np.ndarray) -> int:
     it, so each minor reduces to the same minor of M; a minor nonzero mod p
     is nonzero.  So rank mod p <= rank, and the answer proves the rank only
     where it meets an upper bound.  Per-pivot elimination in int64 on
-    entries in [0, p): every product is below 2^40.
+    entries in [0, p): every product is below 2^40.  M may have any integer
+    dtype: it is reduced in int64, since p fits no narrower one.
     """
     if M.dtype.kind not in "iu":
         raise TypeError("rank_mod_p needs an integer array")
     p = RANK_PRIME
-    A = np.mod(M, p).astype(np.int64)
+    A = np.mod(M, p, dtype=np.int64)
     nrows, ncols = A.shape
     r = 0
     for col in range(ncols):

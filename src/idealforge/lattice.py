@@ -140,7 +140,13 @@ def _outside(P: List[List[int]], rows: np.ndarray) -> np.ndarray:
     of ``int_product``.  When e is a power of two (8 on Leech, 4 on E8),
     x & (e - 1) is x mod e in two's complement, negative x included, and
     cheaper than ``%``.  The product is formed as adj^T r^T, one row block
-    at a time, so that the test of each row reduces over a column.
+    at a time, so that the test of each row reduces over a column.  Its
+    dtype is the narrowest that holds the block's product bound (int16 on
+    Leech, int8 on E8), and the residue is taken in place in that dtype.  A
+    k the dtype cannot hold exceeds that bound, so every entry x has
+    |x| < e, and x = 0 mod e iff x = 0: such a block is tested as it is
+    (numpy would raise OverflowError on k, sending every row to the
+    fallback).
     """
     m = len(P)
     dval = math.prod(P[i][i] for i in range(m))
@@ -153,7 +159,9 @@ def _outside(P: List[List[int]], rows: np.ndarray) -> np.ndarray:
         out = np.empty(rows.shape[0], dtype=bool)
         for s in row_blocks(rows.shape[0], m):
             prod = int_product(At, rows[s].T)
-            out[s] = op(prod, k, out=prod).any(axis=0)
+            if k <= np.iinfo(prod.dtype).max:
+                op(prod, k, out=prod)
+            out[s] = prod.any(axis=0)
             del prod  # so the next block's product is not formed beside it
         return out
     except ArithmeticError:  # stay exact beyond the kernel's range
@@ -322,6 +330,7 @@ def enumerate_short_vectors(B: LatticeBasis, bound) -> EnumerationResult:
 
     coeffs = np.array(half, dtype=np.int64).reshape(-1, m)
     vectors: List[Tuple[int, ...]] = []
+    # any dtype: the product's entries are read out as Python ints
     for v in map(tuple, int_product(coeffs, np.array(reduced, dtype=np.int64)).tolist()):
         vectors.append(v)
         vectors.append(tuple(-c for c in v))

@@ -17,8 +17,9 @@ Five families of checks, each exact:
 * certificates: the per-claim records assembled into a report.
 
 Bulk integer passes multiply through ``exact.int_product``, which proves its
-float32/float64/int64 range exact before it multiplies; the test suite
-cross-checks them against the generic exact evaluator on samples.
+float32/float64/int64 range exact before it multiplies and returns the
+narrowest integer dtype that holds its bound; the test suite cross-checks
+them against the generic exact evaluator on samples.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def _nonzero_at(items, P: QuadArray, points) -> np.ndarray:
     ]
     if factored:
         F = quad_array([tuple(v) + (c,) for _, p in factored for v, c in p.factors])
-        R, I = quad_product(F, P)
+        R, I = quad_product(F, P)  # any dtype: compared with 0 only
         zero = (R == 0) if I is None else (R == 0) & (I == 0)
         starts = np.cumsum([0] + [len(p.factors) for _, p in factored[:-1]])
         nonzero[[g for g, _ in factored]] = ~np.logical_or.reduceat(zero, starts, axis=0)
@@ -518,7 +519,9 @@ def _full_rank_mod_p(G: GeneratorSet, pts) -> np.ndarray:
         ).reshape(-1, m + 1)
     except ZeroDivisionError:
         return proven
-    U = int_product(F, np.array(coords, dtype=np.int64).T) % p
+    # int_product's dtype holds its own bound only, and the prefix and
+    # suffix products below reach p^2 < 2^40: reduce in int64
+    U = np.mod(int_product(F, np.array(coords, dtype=np.int64).T), p, dtype=np.int64)
     W = np.empty_like(U)
     lo = 0
     for q in factored:
@@ -534,7 +537,7 @@ def _full_rank_mod_p(G: GeneratorSet, pts) -> np.ndarray:
     S = np.repeat(np.eye(len(factored), dtype=np.int64), [q.degree() for q in factored], axis=1)
     sparse = np.array(sparse_rows, dtype=np.int64).reshape(len(live), -1, m)
     for i, idx in enumerate(live):
-        rows = int_product(S * W[:, i], F[:, :m]) % p
+        rows = int_product(S * W[:, i], F[:, :m])  # rank_mod_p reduces it in int64
         proven[idx] = rank_mod_p(np.vstack([rows, sparse[i]])) == m
     return proven
 
@@ -568,7 +571,7 @@ def _lattice_jacobian(G: GeneratorSet) -> List[Tuple]:
     if len(second) < m:
         return [("independent-base-selection", len(base), len(second))]
     _, den = G.config.integer_array()
-    V = int_product(reps[base], reps[second].T)
+    V = int_product(reps[base], reps[second].T)  # compared and read out only
     stray = np.argwhere(~np.isin(V, [v * den * den for v in G.config.lattice.values]))
     return [
         ("second-base", f"pair{base[i]}", f"pair{second[j]}", int(V[i, j])) for i, j in stray[:5]

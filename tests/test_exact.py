@@ -274,14 +274,17 @@ def test_scalar_text_roundtrip():
 
 
 def _bounded_factors(draw, st):
-    """Integer factors with k * max|A| * max|B| within a few k*a of 2^24, 2^53 or 2^63.
+    """Integer factors with k * max|A| * max|B| within a few k*a of a dtype or float limit.
+
+    The limits are 2^7, 2^15 and 2^31 (the int8, int16 and int32 results),
+    2^24 and 2^53 (the float32 and float64 products) and 2^63 (the refusal).
 
     Each factor holds one entry at +-its bound; sometimes one factor is all
     zero, which makes the product bound 0 whatever the other holds.
     """
     k = draw(st.integers(1, 5))
     n, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    limit = draw(st.sampled_from([2**24, 2**53, 2**63]))
+    limit = draw(st.sampled_from([2**7, 2**15, 2**24, 2**31, 2**53, 2**63]))
     a = draw(st.integers(1, 2**20))
     b = min(max(limit // (k * a) + draw(st.integers(-2, 2)), 1), 2**63 - 1)
 
@@ -314,9 +317,37 @@ def test_int_product_matches_python_ints_at_the_bounds():
             return
         expected = [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)] for row in A]
         got = int_product(An, Bn)
-        assert got.dtype == np.int64 and got.tolist() == expected
+        assert got.dtype == _narrowest(bound) and got.tolist() == expected
 
     check()
+
+
+def _narrowest(bound):
+    """The narrowest signed integer dtype whose range holds +-bound."""
+    tops = [(np.int8, 2**7), (np.int16, 2**15), (np.int32, 2**31), (np.int64, 2**63)]
+    return next(np.dtype(t) for t, top in tops if bound < top)
+
+
+@pytest.mark.parametrize("bound", [2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31])
+def test_int_product_dtype_holds_its_bound_at_the_edges(bound):
+    # the product reaches +-bound exactly, with one term (k = 1) or two equal
+    # halves (k = 2, even bounds); -2^7 fits int8, but its bound 2^7 does not
+    A = [[bound], [-bound], [1], [0]]
+    B = [[1, -1]]
+    halves = ([[bound // 2] * 2, [-(bound // 2)] * 2], [[1], [1]])
+    for A, B in [(A, B)] + ([halves] if bound % 2 == 0 else []):
+        An, Bn = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+        expected = [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)] for row in A]
+        got = int_product(An, Bn)
+        assert got.dtype == _narrowest(bound) and got.tolist() == expected
+        assert max(map(max, expected)) == bound and min(map(min, expected)) == -bound
+        # the transposed product meets the same bound
+        assert int_product(Bn.T, An.T).tolist() == [list(c) for c in zip(*expected)]
+    # an all-zero factor makes the bound 0, whatever the other holds
+    big = np.array([[bound, -(2**40)]], dtype=np.int64)
+    zero = np.zeros((2, 3), dtype=np.int64)
+    got = int_product(big, zero)
+    assert got.dtype == np.int8 and got.tolist() == [[0, 0, 0]]
 
 
 def test_int_product_float_path_never_rounds():
@@ -390,6 +421,11 @@ def test_rank_mod_p_bounds_the_exact_rank():
             # unreduced integers, negative and beyond p, reduce inside
             ints = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
             assert rank_mod_p(ints) == got
+            if small:
+                # the narrow dtypes int_product returns; p fits neither
+                # int8 nor int16
+                for narrow in (np.int8, np.int16, np.int32):
+                    assert rank_mod_p(ints.astype(narrow)) == got
 
     check()
 

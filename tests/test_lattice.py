@@ -180,6 +180,44 @@ def test_membership_on_int8_rows_matches_int64(leech_basis):
     assert np.array_equal(mask, lattice._outside(P, rows.astype(np.int64)))
 
 
+def _record_contains(monkeypatch):
+    """Make ``HnfAccumulator.contains`` record its calls; returns the record."""
+    calls = []
+    monkeypatch.setattr(HnfAccumulator, "contains", lambda self, row: calls.append(row))
+    return calls
+
+
+@pytest.mark.parametrize("build", [build_e8, build_leech])
+def test_membership_pass_never_takes_the_exact_fallback(build, monkeypatch):
+    # the build's membership passes (basis and value-set proof) and a pass
+    # over every point against the proof's basis all stay in the kernel: an
+    # OverflowError from % on a narrow product would send every row to
+    # HnfAccumulator.contains, silently
+    calls = _record_contains(monkeypatch)
+    X = build()
+    arr, _ = X.integer_array()
+    assert not X.lattice.outside(arr).any()
+    assert calls == []
+
+
+@pytest.mark.parametrize("e", [256, 1000])
+def test_membership_modulus_wider_than_the_product_dtype(e, monkeypatch):
+    # Z + eZ-cosets of diag(1, e): the product bound of small rows fits
+    # int8, which holds neither e nor e - 1, so the residue step is skipped
+    # (every entry is below e in magnitude) and no row takes the fallback
+    P = [[1, 0], [0, e]]
+    rows = [[3, 0], [0, 5], [-7, -3], [2, 0], [1, 1], [0, 0]]
+    expected = [False, True, True, False, True, False]
+    calls = _record_contains(monkeypatch)
+    mask = lattice._outside(P, np.array(rows, dtype=np.int8))
+    assert mask.tolist() == expected and calls == []
+    monkeypatch.undo()
+    assert _membership_agrees(P, rows).tolist() == expected
+    # rows that reach e go through the residue in a dtype that holds it
+    wide = [[0, e], [0, -e], [0, e + 1], [5, 2 * e]]
+    assert _membership_agrees(P, wide).tolist() == [False, False, True, False]
+
+
 def test_membership_modulo_the_exponent_matches_hnf_contains():
     rng = np.random.default_rng(23)
     # diag(6, 6, 6): g = 36 and the exponent 6 is no power of 2

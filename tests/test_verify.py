@@ -420,6 +420,38 @@ def test_jacobian_proves_rank_mod_p_without_elimination(name, monkeypatch):
     assert rec.passed and rec.witnesses == []
 
 
+@pytest.mark.parametrize("name", ["icosahedron", "e6", "e7"])
+def test_rank_mod_p_rows_do_not_depend_on_the_product_dtype(name, monkeypatch):
+    # _full_rank_mod_p forms prefix and suffix products up to p^2 ~ 2^40
+    # from int_product's result, so only an explicit int64 upcast keeps them
+    # exact whatever dtype the product comes in: an int64 product and an
+    # int32 one reduced mod p (same residues) give the same rows and mask
+    G = build_generator_set(name)
+    pts = list(verify._eval_points(G))
+    p = exact.RANK_PRIME
+
+    def rows_and_mask(product):
+        seen = []
+
+        def recording(M):
+            seen.append(np.mod(M.astype(np.int64), p))
+            return exact.rank_mod_p(M)
+
+        monkeypatch.setattr(verify, "rank_mod_p", recording)
+        monkeypatch.setattr(verify, "int_product", product)
+        return verify._full_rank_mod_p(G, pts), seen
+
+    mask, rows = rows_and_mask(int_product)
+    assert mask.all() and len(rows) == len(pts)
+    for product in (
+        lambda A, B: int_product(A, B).astype(np.int64),
+        lambda A, B: (int_product(A, B).astype(np.int64) % p).astype(np.int32),
+    ):
+        again, again_rows = rows_and_mask(product)
+        assert np.array_equal(again, mask)
+        assert all(np.array_equal(a, b) for a, b in zip(again_rows, rows, strict=True))
+
+
 def test_jacobian_falls_back_to_the_exact_rank(monkeypatch):
     full = build_generator_set("icosahedron")
     # Nm and three sliced cubics: rank 2 at points 4 and 7, as the plain
