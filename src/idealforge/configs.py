@@ -410,8 +410,8 @@ def build_leech() -> SphericalConfiguration:
     forms only entries of those shapes.  An entry that wrapped would change
     its row's squared norm, which the proof's exact int64 'norm' premise
     checks.  Each shape is written into its rows of the one point array, so
-    no shape is held beside it.  The array stays writable; the proof keeps
-    its own read-only snapshot.
+    no shape is held beside it.  The proof keeps this array as its points
+    and makes it read-only, so a later write to it fails at once.
     """
     code = build_golay()
     octads = [w for w in code.codewords if w.bit_count() == 8]

@@ -394,11 +394,12 @@ class LatticeProof:
     """The lattice L the points span, with the proven bound on their inner products.
 
     Lattice units are configuration units over ``lattice_scale``.
-    ``points`` is a read-only copy of the integer rows (coord_den times
-    configuration units) the proof covers; ``values`` are the inner
-    products (configuration units, descending) that two of them x != +-y
-    can have; ``norm`` is their norm N in lattice units; ``search_nodes`` is
-    the work of the search below N.
+    ``points`` holds the integer rows (coord_den times configuration units)
+    the proof covers, read-only: the configuration's own array when it
+    already has the proof's dtype (Leech: int8), else a copy (e8: int8 from
+    int64); ``values`` are the inner products (configuration units,
+    descending) that two of them x != +-y can have; ``norm`` is their norm
+    N in lattice units; ``search_nodes`` is the work of the search below N.
     """
 
     def __init__(
@@ -460,9 +461,11 @@ def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
             f"value-set premise 'norm' fails: point {i} has squared norm "
             f"{Fraction(int(norms[i]), den * den)}, not {X.r2}"
         )
-    del norms, bad  # not held beside the copies below
-    # a copy of the points the proof covers; int8 holds small entries exactly
-    points = np.array(arr, dtype=np.int8 if _max_abs(arr) < 128 else np.int64)
+    del norms, bad  # not held beside the points below
+    # the points the proof covers, in int8 when it holds them exactly: the
+    # configuration's own array when it already has that dtype (Leech), made
+    # read-only so that no later write can leave the proof, else a copy (e8)
+    points = arr.astype(np.int8 if _max_abs(arr) < 128 else np.int64, copy=False)
     points.flags.writeable = False
     if _has_repeat(points):
         raise ConstructionError("value-set premise 'distinct' fails: a point repeats")

@@ -269,14 +269,16 @@ def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List
     these premises hold:
 
     * the interior roots hold every proven value;
-    * the points are the proof's, or have norm r2 and lie in L;
+    * the points are the proof's (by identity, else row by row), or have
+      norm r2 and lie in L;
     * the representatives are the proof's ``reps`` (its points with a
       positive leading entry), which the families pass as they are, or have
       norm r2 and lie in L.
 
     ``points`` (rational, else FieldMismatchError) replaces the
-    configuration's own points.  Given points, and points or
-    representatives changed after the build, are checked by norm, then
+    configuration's own points.  Given points, points changed after the
+    build (only a copied array can change: Leech's is the proof's own,
+    read-only) and changed representatives are checked by norm, then
     membership; no pair product is formed.
     """
     cfg, reps, proof = G.config, G.pair_reps, G.config.lattice
@@ -292,7 +294,8 @@ def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List
             raise FieldMismatchError(f"{G.name} points must be rational")
         witnesses = _lattice_witnesses(G, q.A, q.den)
     else:
-        witnesses = [] if _same_rows(arr, proof.points) else _lattice_witnesses(G, arr, den)
+        same = arr is proof.points or _same_rows(arr, proof.points)
+        witnesses = [] if same else _lattice_witnesses(G, arr, den)
     if witnesses:
         return witnesses
     if reps is proof.reps or _same_rows(reps, proof.reps):

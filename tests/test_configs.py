@@ -292,16 +292,17 @@ def test_leech_counts(leech):
 def test_leech_build_holds_no_int64_copy_of_the_points():
     # one int64 copy of the 196,560 x 24 points is 37.7 MB; the build holds
     # them as int8 from the first row on, writes each shape into the one
-    # array, and runs its whole-set passes in row blocks: it peaks below
-    # three int8 copies, the array, the proof's snapshot and the blocks
-    three_int8_copies = 3 * 196560 * 24
+    # array, which the proof keeps as its points, and runs its whole-set
+    # passes in row blocks: it peaks below two int8 copies, the array and
+    # the blocks
+    two_int8_copies = 2 * 196560 * 24
     tracemalloc.start()
     try:
         cfg = build_leech()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < three_int8_copies, peak
+    assert peak < two_int8_copies, peak
     reps = cfg.lattice.reps
     assert cfg.integer_array()[0].dtype == np.int8 and reps.dtype == np.int8
     assert not reps.flags.writeable and reps.nbytes == 98280 * 24

@@ -1,6 +1,7 @@
 """Generator sets: shapes, vanishing, gradients, sections, the e7 identity."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,21 @@ def test_pair_reps_are_the_proofs_read_only_rows(name):
     assert G.pair_reps.dtype == proof.points.dtype and not G.pair_reps.flags.writeable
     arr, _ = G.config.integer_array()
     assert G.pair_reps.tolist() == [r for r in arr.tolist() if next(x for x in r if x) > 0]
+
+
+def test_leech_set_holds_the_points_once():
+    # after the build the set keeps the int8 points (4.7 MB), which are the
+    # proof's own, and the proof's representatives (half of them): below two
+    # int8 copies of the 196,560 x 24 points, so no second copy is held
+    two_int8_copies = 2 * 196560 * 24
+    tracemalloc.start()
+    try:
+        G = build_generator_set("leech")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < two_int8_copies, held
+    assert G.config.lattice.points is G.config.integer_array()[0]
 
 
 def test_leech_stream_is_deterministic():

@@ -330,8 +330,17 @@ def test_value_set_proofs_of_e8_and_leech():
         assert proof.basis.det_gram() == det_gram
         arr = cfg.integer_array()[0]
         assert not proof.outside(arr).any()
-        assert np.array_equal(proof.points, arr) and not np.shares_memory(proof.points, arr)
+        assert np.array_equal(proof.points, arr)
         assert not proof.points.flags.writeable
+        if build is build_e8:
+            # e8's points are int64 exact rows: the proof holds an int8 copy
+            assert not np.shares_memory(proof.points, arr)
+        else:
+            # Leech's are int8 from the build: the proof keeps that array,
+            # so no write to the configuration's points can leave it
+            assert proof.points is arr
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
 
 
 def test_leech_basis_takes_one_membership_pass(monkeypatch):
