@@ -35,6 +35,10 @@ GOLDEN_RUNS = {
     "gamma_leech": ["gamma", "leech"],
     "report_e8": ["report", "e8"],
     "enumerate_e8": ["enumerate", "e8"],
+    "groebner_icosahedron": ["groebner", "icosahedron", "--basis-out", "groebner_icosahedron.basis.txt"],
+    "build_icosahedron": ["build", "icosahedron", "--generators-out", "build_icosahedron.generators.txt"],
+    "build_cube4": ["build", "cube4", "--generators-out", "build_cube4.generators.txt"],
+    "build_leech": ["build", "leech"],
 }
 
 
