@@ -258,18 +258,27 @@ class SphericalConfiguration:
 # ---------------------------------------------------------------------------
 
 
+def _with_negations(reps: Sequence[Tuple[Scalar, ...]]) -> List[Tuple[Scalar, ...]]:
+    """One representative of each antipodal pair, then their negations in the same order.
+
+    Point i + n/2 is -(point i), so the first half holds one point of each
+    pair +-x: the generator families read their representatives there, and
+    the value-set proof's 'antipodal' premise checks the layout.
+    """
+    return list(reps) + [tuple(-c for c in p) for p in reps]
+
+
 def build_icosahedron() -> SphericalConfiguration:
-    """12 vertices over Q(sqrt 5): cyclic shifts of (±1, ±phi, 0)."""
-    pts = []
-    for s1, s2 in itertools.product((1, -1), repeat=2):
-        a, b = s1, PHI * s2
-        pts.append((a, b, 0))
-        pts.append((0, a, b))
-        pts.append((b, 0, a))
+    """12 vertices over Q(sqrt 5): cyclic shifts of (±1, ±phi, 0).
+
+    The representatives, one vertex of each pair +-x, are (1, s phi, 0),
+    (0, 1, s phi) and (phi, 0, s) for s = 1, then s = -1.
+    """
+    reps = [p for s in (1, -1) for p in ((1, s * PHI, 0), (0, 1, s * PHI), (PHI, 0, s))]
     r2 = 2 + PHI
     omegas = [r2, PHI, -PHI, -r2]
     cfg = SphericalConfiguration(
-        "icosahedron", 3, r2, omegas, points=pts, field_d=5, antipodal=True,
+        "icosahedron", 3, r2, omegas, points=_with_negations(reps), field_d=5, antipodal=True,
         design_strength=5,
     )
     cfg.validate_norms()
@@ -277,8 +286,17 @@ def build_icosahedron() -> SphericalConfiguration:
 
 
 def icosahedron_adjacency() -> List[List[int]]:
-    """0/1 adjacency: vertices are adjacent exactly when their inner product is phi."""
-    pts = build_icosahedron().points
+    """0/1 adjacency: vertices are adjacent exactly when their inner product is phi.
+
+    The vertices are the cyclic shifts of (s1, s2 phi, 0) for the signs
+    (s1, s2) in the order (1, 1), (1, -1), (-1, 1), (-1, -1).  This labelling,
+    not the configuration's point order, fixes the coordinates of the Golay
+    code and so the Leech points.
+    """
+    pts = []
+    for s1, s2 in itertools.product((1, -1), repeat=2):
+        a, b = s1, PHI * s2
+        pts += [(a, b, 0), (0, a, b), (b, 0, a)]
     return [
         [1 if i != j and dot(pts[i], pts[j]) == PHI else 0 for j in range(12)]
         for i in range(12)
@@ -305,16 +323,20 @@ def build_golay() -> BinaryCode:
     return code
 
 
-def _e8_points() -> List[Tuple[Scalar, ...]]:
-    """The 240 roots: ±e_i±e_j plus half-integer sign patterns with even minus count."""
+def _e8_points(first: Tuple[int, ...] = (1, -1)) -> List[Tuple[Scalar, ...]]:
+    """The 240 roots: ±e_i±e_j plus half-integer sign patterns with even minus count.
+
+    ``first`` holds the signs the first nonzero entry takes: (1,) gives the
+    120 roots with a positive one, a representative of each pair +-x.
+    """
     pts: List[Tuple[Scalar, ...]] = []
     for i, j in itertools.combinations(range(8), 2):
-        for si, sj in itertools.product((1, -1), repeat=2):
+        for si, sj in itertools.product(first, (1, -1)):
             v = [0] * 8
             v[i], v[j] = si, sj
             pts.append(tuple(v))
     half = Fraction(1, 2)
-    for signs in itertools.product((1, -1), repeat=8):
+    for signs in itertools.product(first, *[(1, -1)] * 7):
         if signs.count(-1) % 2 == 0:
             pts.append(tuple(half * s for s in signs))
     return pts
@@ -323,8 +345,8 @@ def _e8_points() -> List[Tuple[Scalar, ...]]:
 def build_e8() -> SphericalConfiguration:
     """The 240 norm-2 vectors of E8, minimal vectors of an even unimodular lattice."""
     cfg = SphericalConfiguration(
-        "e8", 8, 2, [2, 1, 0, -1, -2], points=_e8_points(), antipodal=True,
-        lattice_scale=1, design_strength=7, theorem="E8",
+        "e8", 8, 2, [2, 1, 0, -1, -2], points=_with_negations(_e8_points(first=(1,))),
+        antipodal=True, lattice_scale=1, design_strength=7, theorem="E8",
     )
     if cfg.npoints != 240:
         raise ConstructionError(f"expected 240 points, got {cfg.npoints}")
@@ -397,21 +419,28 @@ def build_leech() -> SphericalConfiguration:
     Three shapes: (±2^8, 0^16) on weight-8 codeword supports with an even
     number of minus signs; (∓3, ±1^23) from a codeword sign pattern with one
     coordinate shifted by ±4; (±4^2, 0^22).  The second shape is checked
-    against 32 fixed rows of the first by the mod-8 inner-product rule.  A
-    global sign flip gives the same rows, since the code holds the
-    complement of each codeword, so there is no other convention to try.
+    against 32 fixed rows of the first by the mod-8 inner-product rule.
     The value-set proof that declaring the lattice scale runs checks every
-    squared norm, that no vector repeats, and that every inner product lies
-    in the declared values.
+    squared norm, that row i + 98280 is -(row i), that no vector repeats,
+    and that every inner product lies in the declared values.
+
+    The first 98280 rows hold one vector of each pair +-x, the second half
+    their negations in the same order.  The representatives are the first
+    shape with a plus sign on the octad's first coordinate, the second from
+    the 2048 codewords with bit 0 clear, and the third with +4 on the pair's
+    first coordinate.  The code holds the complement of each codeword, whose
+    rows of the second shape are the negations of the codeword's, so the
+    second half holds every row of that shape the other codewords give.
 
     The points are int8 from the first row on: the three shapes have
     entries 0, +-1, +-2, +-3 and +-4, so |x| <= 4 (Conway & Sloane,
     *Sphere Packings, Lattices and Groups*, ch. 4), and every step here
-    forms only entries of those shapes.  An entry that wrapped would change
-    its row's squared norm, which the proof's exact int64 'norm' premise
-    checks.  Each shape is written into its rows of the one point array, so
-    no shape is held beside it.  The proof keeps this array as its points
-    and makes it read-only, so a later write to it fails at once.
+    forms only entries of those shapes or their negations.  An entry that
+    wrapped would change its row's squared norm, which the proof's exact
+    int64 'norm' premise checks.  Each shape is written into its rows of
+    the one point array, so no shape is held beside it.  The proof keeps
+    this array as its points and makes it read-only, so a later write to it
+    fails at once.
     """
     code = build_golay()
     octads = [w for w in code.codewords if w.bit_count() == 8]
@@ -419,18 +448,20 @@ def build_leech() -> SphericalConfiguration:
         raise ConstructionError(f"expected 759 weight-8 words, got {len(octads)}")
 
     sign8 = np.array(
-        [s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0],
+        [(1,) + s for s in itertools.product((1, -1), repeat=7) if s.count(-1) % 2 == 0],
         dtype=np.int8,
     )
-    n1, n2 = 759 * 128, 24 * len(code.codewords)
-    arr = np.zeros((n1 + n2 + 1104, 24), dtype=np.int8)
-    type1, type2, type3 = arr[:n1], arr[n1 : n1 + n2], arr[n1 + n2 :]
-    # rows 128k..128k+127 put 2 * sign8 on the support of octad k, in
+    words = [w for w in code.codewords if not w & 1]
+    n1, n2, n3 = 759 * 64, 24 * len(words), 276 * 2
+    h = n1 + n2 + n3
+    arr = np.zeros((2 * h, 24), dtype=np.int8)
+    type1, type2, type3 = arr[:n1], arr[n1 : n1 + n2], arr[n1 + n2 : h]
+    # rows 64k..64k+63 put 2 * sign8 on the support of octad k, in
     # ascending column order
     support = np.nonzero((np.array(octads)[:, None] >> np.arange(24)) & 1)[1].reshape(759, 8)
-    type1[np.arange(n1).reshape(759, 128, 1), support[:, None, :]] = 2 * sign8
+    type1[np.arange(n1).reshape(759, 64, 1), support[:, None, :]] = 2 * sign8
 
-    type2[:] = _leech_type2(code.codewords)
+    type2[:] = _leech_type2(words)
     probe = type1[list(itertools.islice(stride_order(n1), 32))].T
     # x & 7 is x mod 8 in two's complement, negative x included, in the
     # product's own dtype (int16: the bound is 24 * 3 * 2); one row block at
@@ -441,9 +472,10 @@ def build_leech() -> SphericalConfiguration:
 
     r = 0
     for i, j in itertools.combinations(range(24), 2):
-        for si, sj in itertools.product((4, -4), repeat=2):
-            type3[r, i], type3[r, j] = si, sj
+        for sj in (4, -4):
+            type3[r, i], type3[r, j] = 4, sj
             r += 1
+    np.negative(arr[:h], out=arr[h:])
 
     cfg = SphericalConfiguration(
         "leech",
@@ -456,7 +488,7 @@ def build_leech() -> SphericalConfiguration:
         design_strength=11,
         theorem="Leech",
     )
-    cfg.type_counts = (type1.shape[0], type2.shape[0], type3.shape[0])
+    cfg.type_counts = (2 * n1, 2 * n2, 2 * n3)
     return cfg
 
 
@@ -505,9 +537,9 @@ def default_ngon_parameters(n: int) -> List[Fraction]:
 
 def build_4cube() -> Tuple[SphericalConfiguration, List[Tuple[int, ...]]]:
     """The 16 vertices (±1)^4, plus the 24 permutation vectors (±1, ±1, 0, 0)."""
-    pts = [tuple(s) for s in itertools.product((1, -1), repeat=4)]
+    reps = [(1,) + s for s in itertools.product((1, -1), repeat=3)]
     cfg = SphericalConfiguration(
-        "cube4", 4, 4, [4, 2, 0, -2, -4], points=pts, antipodal=True
+        "cube4", 4, 4, [4, 2, 0, -2, -4], points=_with_negations(reps), antipodal=True
     )
     cfg.validate_norms()
     return cfg, cell24_points()
@@ -562,7 +594,7 @@ def build_knn(n: int) -> SphericalConfiguration:
 
 
 class PairDistribution:
-    """Per-base-point inner-product histograms and the checks hung off them."""
+    """Per-base-point inner-product histograms and their closure check."""
 
     def __init__(
         self,
@@ -581,16 +613,6 @@ class PairDistribution:
         self.counts = counts  # len(base_indices) × len(omegas)
         self.closure_ok = closure_ok
         self.witness = witness
-
-    @property
-    def distance_invariant(self) -> bool:
-        if len(self.base_indices) == 0:
-            return True
-        first = self.counts[0]
-        return bool(np.all(self.counts == first))
-
-    def histogram(self, k: int) -> Dict[Scalar, int]:
-        return {w: int(c) for w, c in zip(self.omegas, self.counts[k])}
 
 
 def _pair_exact(X: SphericalConfiguration, base: List[int], mode: str) -> PairDistribution:
@@ -688,7 +710,7 @@ def pair_distribution(
     seed: int = DEFAULT_SEED,
     progress: Optional[Callable[[str], None]] = None,
 ) -> PairDistribution:
-    """Inner-product histogram per base point, with closure and invariance checks.
+    """Inner-product histogram per base point, with the closure check.
 
     Every configuration, rational or over Q(sqrt d), takes one exact path:
     the points as a ``QuadArray``, blocks of 128 base rows against all of

@@ -121,9 +121,6 @@ class Quad:
             e >>= 1
         return out
 
-    def conjugate(self) -> "Quad":
-        return Quad(self.a, -self.b, self.d)
-
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):

@@ -3,7 +3,10 @@
 Each configuration gets a named set of polynomials that vanish on all of its
 points: the squared-norm relation Nm plus zonal or sliced zonal products, with
 a handful of special shapes (cubics for e7, chord products for polygons,
-bipartite quadratics, the e7 set restricted to the e6 section).
+bipartite quadratics, the e7 set restricted to the e6 section).  The zonal
+and sliced-zonal families take one representative of each pair +-x: the
+first half of the configuration's points, which ``configs`` lists ahead of
+their negations.
 
 Products of affine-linear factors are kept factored (FactoredPoly); the big
 streamed families only ever need evaluations and gradients, and expansion
@@ -253,25 +256,12 @@ class GeneratorSet:
         return best
 
 
-def _antipodal_reps(points: Sequence[Tuple[Scalar, ...]]) -> List[Tuple[Scalar, ...]]:
-    """One point per antipodal pair: keep those whose first nonzero entry is positive."""
-    reps = []
-    for p in points:
-        lead = next((x for x in p if x != 0), 0)
-        if lead > 0:
-            reps.append(p)
-    if 2 * len(reps) != len(points):
-        raise ConstructionError("point set is not antipodally paired")
-    return reps
-
-
 def _icosahedron_set() -> GeneratorSet:
     cfg = build_icosahedron()
     items: List[Tuple[str, object]] = [
         (LABEL_NM, nm_poly(3, cfg.r2, field_d=5))
     ]
-    reps = _antipodal_reps(cfg.points)
-    for p, a in enumerate(reps):
+    for p, a in enumerate(cfg.points[: cfg.npoints // 2]):
         for i, b in enumerate(orthogonal_complement_basis(a)):
             items.append(
                 (
@@ -285,9 +275,8 @@ def _icosahedron_set() -> GeneratorSet:
 def _e8_set() -> GeneratorSet:
     cfg = build_e8()
     items: List[Tuple[str, object]] = [(LABEL_NM, nm_poly(8, cfg.r2))]
-    reps = _antipodal_reps(cfg.points)
     interior = (1, 0, -1)
-    for p, a in enumerate(reps):
+    for p, a in enumerate(cfg.points[: cfg.npoints // 2]):
         for i, b in enumerate(orthogonal_complement_basis(a)):
             items.append(
                 (f"{LABEL_SLICED} pair{p} c{i}", _sliced_factored(a, b, interior))
@@ -357,7 +346,7 @@ def _cube4_set() -> GeneratorSet:
     cfg, _cell = build_4cube()
     items: List[Tuple[str, object]] = []
     roots = (4, 2, 0, -2, -4)
-    for p, a in enumerate(_antipodal_reps(cfg.points)):
+    for p, a in enumerate(cfg.points[: cfg.npoints // 2]):
         items.append(
             (f"{LABEL_ZONAL} pair{p}", FactoredPoly(4, [(a, r) for r in roots]))
         )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
@@ -269,12 +268,6 @@ class EnumerationResult:
         self.coord_den = coord_den
         self.search_nodes = search_nodes
 
-    def config_points(self) -> List[Tuple]:
-        if self.coord_den == 1:
-            return list(self.vectors)
-        d = self.coord_den
-        return [tuple(Fraction(c, d) for c in v) for v in self.vectors]
-
 
 def enumerate_short_vectors(B: LatticeBasis, bound) -> EnumerationResult:
     """List the nonzero vectors of squared norm <= bound.
@@ -342,18 +335,6 @@ def enumerate_short_vectors(B: LatticeBasis, bound) -> EnumerationResult:
 # ---------------------------------------------------------------------------
 
 
-def _antipodal_rows(arr: np.ndarray) -> np.ndarray:
-    """The integer rows whose first nonzero entry is positive, in order: one per antipodal pair."""
-    positive = np.empty(arr.shape[0], dtype=bool)
-    for s in row_blocks(arr.shape[0], arr.shape[1]):
-        block = arr[s]
-        positive[s] = block[np.arange(block.shape[0]), (block != 0).argmax(axis=1)] > 0
-    reps = np.ascontiguousarray(arr[positive])
-    if 2 * reps.shape[0] != arr.shape[0]:
-        raise ConstructionError("point set is not antipodally paired")
-    return reps
-
-
 _KEY_BASE = 0x9E3779B97F4A7C15  # odd, so each power is a unit mod 2^64
 
 
@@ -400,6 +381,14 @@ class LatticeProof:
     int64); ``values`` are the inner products (configuration units,
     descending) that two of them x != +-y can have; ``norm`` is their norm
     N in lattice units; ``search_nodes`` is the work of the search below N.
+
+    ``reps`` is the first half of ``points``, a read-only view: one point of
+    each pair +-x, since the 'antipodal' premise puts -(reps[i]) at row
+    i + len(reps).  It keeps the dtype of ``points`` (int8 for e8 and
+    Leech), so its consumers multiply it only through ``int_product`` or
+    ``squared_norms``.  The sliced-zonal families take it as their
+    ``pair_reps``, so a check that finds it there by identity knows the
+    rows are the proof's.
     """
 
     def __init__(
@@ -407,23 +396,10 @@ class LatticeProof:
     ):
         self.basis = basis
         self.points = points
+        self.reps = points[: points.shape[0] // 2]
         self.norm = norm
         self.values = values
         self.search_nodes = search_nodes
-
-    @cached_property
-    def reps(self) -> np.ndarray:
-        """Read-only copy of the points with a positive leading entry, one per pair.
-
-        It keeps the dtype of ``points`` (int8 for e8 and Leech), so its
-        consumers multiply it only through ``int_product`` or
-        ``squared_norms``.  The sliced-zonal families take it as their
-        ``pair_reps``, so a check that finds it there by identity knows the
-        rows are the proof's.
-        """
-        reps = _antipodal_rows(self.points)
-        reps.flags.writeable = False
-        return reps
 
     def outside(self, rows: np.ndarray) -> np.ndarray:
         """Mask of the integer rows (coord_den times configuration units) outside L."""
@@ -437,6 +413,8 @@ def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
     fails:
 
     * norm: every point has squared norm r2;
+    * antipodal: point i + n/2 is -(point i) for each of the n points, the
+      layout ``reps`` reads;
     * distinct: no point repeats, so |X| counts vectors;
     * integral, even: Gram / scale of the Hermite basis of L, the Z-span of
       X (every point lies in L by ``basis_from_generators``), is integral
@@ -467,6 +445,19 @@ def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
     # read-only so that no later write can leave the proof, else a copy (e8)
     points = arr.astype(np.int8 if _max_abs(arr) < 128 else np.int64, copy=False)
     points.flags.writeable = False
+    # after 'norm' every entry x has x^2 <= r2 den^2, so |x| < 6 on Leech and
+    # |x| < 3 on e8 (den 2): negating a row cannot wrap in int8, nor in
+    # int64, whose squared norms ``squared_norms`` proved exact
+    n, h = points.shape[0], points.shape[0] // 2
+    if n % 2:
+        raise ConstructionError(f"value-set premise 'antipodal' fails: {n} points, an odd count")
+    for s in row_blocks(h, X.m):
+        bad = np.flatnonzero((points[h:][s] != np.negative(points[:h][s])).any(axis=1))
+        if bad.size:
+            i = s.start + int(bad[0])
+            raise ConstructionError(
+                f"value-set premise 'antipodal' fails: point {i + h} is not -(point {i})"
+            )
     if _has_repeat(points):
         raise ConstructionError("value-set premise 'distinct' fails: a point repeats")
 

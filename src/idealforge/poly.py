@@ -294,34 +294,6 @@ class SparsePoly:
         out.terms = terms
         return out
 
-    def substitute(self, subs: Dict[int, "SparsePoly"]) -> "SparsePoly":
-        """Replace variables (1-indexed keys) by polynomials of the same arity."""
-        for sub in subs.values():
-            if sub.nvars != self.nvars or sub.field_d != self.field_d:
-                raise ValueError("substitution polynomials must match arity and field")
-        out = SparsePoly.zero(self.nvars, self.field_d)
-        cache: Dict[Tuple[int, int], SparsePoly] = {}
-
-        def var_power(i: int, e: int) -> SparsePoly:
-            key = (i, e)
-            if key not in cache:
-                cache[key] = subs[i] ** e
-            return cache[key]
-
-        for m, c in self.terms.items():
-            piece = SparsePoly.constant(self.nvars, c, self.field_d)
-            for i, e in enumerate(m, start=1):
-                if not e:
-                    continue
-                if i in subs:
-                    piece = piece * var_power(i, e)
-                else:
-                    mono = [0] * self.nvars
-                    mono[i - 1] = e
-                    piece = piece * SparsePoly(self.nvars, {tuple(mono): 1}, self.field_d)
-            out = out + piece
-        return out
-
     def compose_linear(
         self,
         rows: Sequence[Sequence[Scalar]],

@@ -271,9 +271,9 @@ def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List
     * the interior roots hold every proven value;
     * the points are the proof's (by identity, else row by row), or have
       norm r2 and lie in L;
-    * the representatives are the proof's ``reps`` (its points with a
-      positive leading entry), which the families pass as they are, or have
-      norm r2 and lie in L.
+    * the representatives are the proof's ``reps`` (the first half of its
+      points), which the families pass as they are, or have norm r2 and lie
+      in L.
 
     ``points`` (rational, else FieldMismatchError) replaces the
     configuration's own points.  Given points, points changed after the
@@ -593,9 +593,13 @@ def _lattice_bases(G: GeneratorSet) -> Tuple[List[int], List[int]]:
 
 
 class DesignStrengthResult:
-    """Gegenbauer pair sums for k = 1..t plus the pass verdict."""
+    """Gegenbauer pair sums for k = 1..t plus the pass verdict.
 
-    def __init__(self, name, t, mode, k_sums, per_point_ok, closure_ok, base_count):
+    ``witness`` is the first pair (base point, point, value) whose inner
+    product is no declared value, None when closure holds.
+    """
+
+    def __init__(self, name, t, mode, k_sums, per_point_ok, closure_ok, base_count, witness=None):
         self.name = name
         self.t = t
         self.mode = mode
@@ -603,6 +607,7 @@ class DesignStrengthResult:
         self.per_point_ok = per_point_ok
         self.closure_ok = closure_ok
         self.base_count = base_count
+        self.witness = witness
 
     @property
     def passed(self) -> bool:
@@ -617,6 +622,19 @@ class DesignStrengthResult:
             if self.k_sums[k] != 0:
                 return k
         return None
+
+    def detail(self) -> str:
+        """What the pair sums show: the first failure, else that they vanish."""
+        if not self.closure_ok:
+            i, j, v = self.witness
+            return f"point {i} meets point {j} at {scalar_to_text(v)}, no declared value"
+        over = f"over {self.base_count} base points"
+        k = self.first_failure()
+        if k is not None:
+            return f"pair sums nonzero first at k = {k}: {scalar_to_text(self.k_sums[k])} {over}"
+        if not self.per_point_ok:
+            return f"pair sums zero for k = 1..{self.t} {over} in total, not at each"
+        return f"pair sums zero for k = 1..{self.t} {over}"
 
     def to_dict(self) -> Dict:
         return {
@@ -677,7 +695,8 @@ def design_strength_gegenbauer(
             total = total + times * row_sum
         k_sums[k] = total
     return DesignStrengthResult(
-        cfg.name, t, dist.mode, k_sums, per_point_ok, dist.closure_ok, len(dist.base_indices)
+        cfg.name, t, dist.mode, k_sums, per_point_ok, dist.closure_ok, len(dist.base_indices),
+        dist.witness,
     )
 
 
@@ -924,6 +943,7 @@ def assemble_certificate(
     if design is None:
         raise MissingCheckError(f"certificate for {name} needs the design result")
     nontriv = need("nontrivial")
+    design_id = f"design.{label}.t{design.t}"
     lower = design.t // 2 + 1
     iii_ok = design.passed and nontriv.passed and degree == lower
     if degree != lower:
@@ -938,7 +958,8 @@ def assemble_certificate(
             PASS if iii_ok else FAIL,
             design.mode,
             [],
-            detail=f"strength {design.t} forces degree >= {lower}; {found}",
+            detail=f"strength {design.t} forces degree >= {lower}; {found}"
+            + ("" if design.passed else f"; {design_id} fails"),
         )
     )
 
@@ -960,14 +981,7 @@ def assemble_certificate(
     report.certificate_level = level
     report.add(
         ClaimRecord(
-            f"design.{label}.t{design.t}",
-            PASS if design.passed else FAIL,
-            design.mode,
-            [],
-            detail=(
-                f"pair sums zero for k = 1..{design.t} "
-                f"over {design.base_count} base points"
-            ),
+            design_id, PASS if design.passed else FAIL, design.mode, [], detail=design.detail()
         )
     )
     return report

@@ -147,23 +147,23 @@ def test_corrupted_point_value_fails(tmp_path):
 
 
 def test_moved_point_names_the_same_witnesses(tmp_path):
-    # point 5, (-phi, 0, 1), moved to (0, -phi, 1): still on the sphere, so
+    # point 11, (-phi, 0, 1), moved to (0, -phi, 1): still on the sphere, so
     # only sliced cubics miss it; the witnesses are those of the exact loop
     pts = tmp_path / "ico.pts"
     run(["build", "icosahedron", "--points-out", str(pts), "--out", str(tmp_path / "b.json")])
     lines = pts.read_text().splitlines()
-    x = lines[6].split()
-    lines[6] = " ".join([x[1], x[0], x[2]])
+    x = lines[12].split()
+    lines[12] = " ".join([x[1], x[0], x[2]])
     bad = tmp_path / "moved.pts"
     bad.write_text("\n".join(lines) + "\n")
     code, doc = run_json(["verify", "icosahedron", "--points", str(bad)], tmp_path)
     assert code == EXIT_CHECK
     assert doc["claims"][0]["witness"] == [
-        "('SLICED pair0 c0', 5, '-7/2-3/2*sqrt(5)')",
-        "('SLICED pair0 c1', 5, '2+sqrt(5)')",
-        "('SLICED pair1 c1', 5, '-5-2*sqrt(5)')",
-        "('SLICED pair2 c0', 5, '2+sqrt(5)')",
-        "('SLICED pair2 c1', 5, '-3/2-1/2*sqrt(5)')",
+        "('SLICED pair0 c0', 11, '-7/2-3/2*sqrt(5)')",
+        "('SLICED pair0 c1', 11, '2+sqrt(5)')",
+        "('SLICED pair1 c1', 11, '-5-2*sqrt(5)')",
+        "('SLICED pair2 c0', 11, '2+sqrt(5)')",
+        "('SLICED pair2 c1', 11, '-3/2-1/2*sqrt(5)')",
     ]
 
 
@@ -400,6 +400,47 @@ def test_claim_iii_reads_the_generators_degree(tmp_path, monkeypatch):
     assert claims["thmE8.iii"]["status"] == "fail"
     assert claims["thmE8.iii"]["detail"].endswith("top degree 5 misses it")
     assert "degree <= 5" in claims["thmE8.iv"]["detail"]
+
+
+def _verify_with(monkeypatch, tmp_path, name, declare):
+    """``verify name`` with ``declare`` applied to the built configuration."""
+    build = cli.build_generator_set
+
+    def declared(config, n=None):
+        G = build(config, n)
+        declare(G.config)
+        return G
+
+    monkeypatch.setattr(cli, "build_generator_set", declared)
+    code, doc = run_json(["verify", name], tmp_path)
+    return code, {c["id"]: c for c in doc["claims"]}, doc["design"]
+
+
+def test_failed_design_claim_names_its_first_nonzero_sum(tmp_path, monkeypatch):
+    # E8 is no 8-design: the degree-8 pair sum is the first that is nonzero
+    code, claims, design = _verify_with(
+        monkeypatch, tmp_path, "e8", lambda cfg: setattr(cfg, "design_strength", 8)
+    )
+    assert code == EXIT_CHECK
+    assert design["k_sums"]["8"] == "1555200"
+    assert claims["design.E8.t8"]["status"] == "fail"
+    assert claims["design.E8.t8"]["detail"] == "pair sums nonzero first at k = 8: 1555200 over 240 base points"
+    assert claims["thmE8.iii"]["detail"].endswith("; design.E8.t8 fails")
+
+
+def test_failed_design_closure_names_the_stray_pair(tmp_path, monkeypatch):
+    # -r2 left out of the declared values: point 0 meets its negation, point 6, there
+    code, claims, _ = _verify_with(
+        monkeypatch, tmp_path, "icosahedron", lambda cfg: setattr(cfg, "omegas", cfg.omegas[:-1])
+    )
+    assert code == EXIT_CHECK
+    rec = claims["design.icosahedron.t5"]
+    assert rec["status"] == "fail"
+    assert rec["detail"] == "point 0 meets point 6 at -5/2-1/2*sqrt(5), no declared value"
+    assert claims["icosahedron.iii"]["detail"] == (
+        "strength 5 forces degree >= 3; non-trivial generator of degree 3 meets it; "
+        "design.icosahedron.t5 fails"
+    )
 
 
 def test_gamma_times_its_work(tmp_path):

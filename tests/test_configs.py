@@ -146,9 +146,9 @@ def test_pair_distribution_derives_values_without_a_declared_list():
     # the exact oracle, given every integer value in range, on the same rows
     Y = SphericalConfiguration("z4shell", 4, 210, list(range(210, -211, -1)), points=pts)
     exact = _pair_exact(Y, pd.base_indices, "sampled")
-    for k in range(len(pd.base_indices)):
-        seen = {w: c for w, c in pd.histogram(k).items() if c}
-        assert seen == {w: c for w, c in exact.histogram(k).items() if c}
+    for row, oracle in zip(pd.counts, exact.counts):
+        seen = {w: int(c) for w, c in zip(pd.omegas, row) if c}
+        assert seen == {w: int(c) for w, c in zip(exact.omegas, oracle) if c}
 
 
 def test_pair_distribution_matches_omegas_exactly():
@@ -227,7 +227,7 @@ def test_icosahedron_pair_distribution():
     ico = build_icosahedron()
     pd = pair_distribution(ico, mode="full")
     assert pd.closure_ok
-    assert pd.distance_invariant
+    assert (pd.counts == pd.counts[0]).all()
     assert list(pd.counts[0]) == [1, 5, 5, 1]
 
 
@@ -239,7 +239,7 @@ def test_e8_counts_and_histogram(e8):
     assert all(tuple(-c for c in p) in point_set for p in e8.points)
     pd = pair_distribution(e8, mode="full")
     assert pd.closure_ok
-    assert pd.distance_invariant
+    assert (pd.counts == pd.counts[0]).all()
     assert list(pd.counts[0]) == [1, 56, 126, 56, 1]
 
 
@@ -256,7 +256,7 @@ def test_e7_section(e8):
             )
     pd = pair_distribution(e7, mode="full")
     assert pd.closure_ok
-    assert pd.distance_invariant
+    assert (pd.counts == pd.counts[0]).all()
     assert int(pd.counts[0].sum()) == 126
 
 
@@ -271,7 +271,7 @@ def test_e6_section():
             )
     pd = pair_distribution(e6, mode="full")
     assert pd.closure_ok
-    assert pd.distance_invariant
+    assert (pd.counts == pd.counts[0]).all()
     assert int(pd.counts[0].sum()) == 72
 
 
@@ -310,11 +310,17 @@ def test_leech_build_holds_no_int64_copy_of_the_points():
 
 def test_leech_type2_rows_are_closed_under_negation(leech):
     # the code holds each codeword's complement, so a global sign flip gives
-    # the same type-2 rows: the build has no other convention to try
-    rows = configs._leech_type2(build_golay().codewords)
+    # the same type-2 rows: the codewords with bit 0 clear give one row of
+    # each pair +-x, and their negations in the second half are the rest
+    codewords = build_golay().codewords
+    rows = configs._leech_type2(codewords)
     assert np.array_equal(np.unique(rows, axis=0), np.unique(-rows, axis=0))
-    n1, n2, _ = leech.type_counts
-    assert np.array_equal(leech.integer_array()[0][n1 : n1 + n2], rows)
+    arr, h = leech.integer_array()[0], leech.npoints // 2
+    n1, n2, _ = (n // 2 for n in leech.type_counts)
+    reps = arr[n1 : n1 + n2]
+    assert np.array_equal(reps, configs._leech_type2([w for w in codewords if not w & 1]))
+    assert np.array_equal(arr[h + n1 : h + n1 + n2], -reps)
+    assert np.array_equal(np.unique(np.vstack([reps, -reps]), axis=0), np.unique(rows, axis=0))
 
 
 def test_leech_build_refuses_type2_rows_off_the_mod8_rule(monkeypatch):
@@ -336,7 +342,7 @@ def test_leech_build_refuses_type2_rows_off_the_mod8_rule(monkeypatch):
 def test_leech_sampled_histogram(leech):
     pd = pair_distribution(leech, mode="sampled", seed=0xC0DE)
     assert pd.closure_ok
-    assert pd.distance_invariant
+    assert (pd.counts == pd.counts[0]).all()
     assert list(pd.counts[0]) == [1, 4600, 47104, 93150, 47104, 4600, 1]
     assert int(pd.counts[0].sum()) == 196560
 

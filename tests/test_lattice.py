@@ -112,7 +112,7 @@ def test_e8_enumeration_recovers_roots(e8_basis):
     cfg = build_e8()
     res = enumerate_short_vectors(e8_basis, 2)
     assert res.count == 240
-    assert set(res.config_points()) == set(cfg.points)
+    assert {tuple(Fraction(c, res.coord_den) for c in v) for v in res.vectors} == set(cfg.points)
 
 
 def test_leech_basis_determinant(leech_basis):
@@ -248,7 +248,7 @@ def test_membership_modulo_the_exponent_matches_hnf_contains():
         acc.add_row(arr[i].tolist())
         if len(acc.pivot_rows) == 8:
             break
-    assert _membership_agrees(acc.normalized_rows(), arr).sum() == 112
+    assert _membership_agrees(acc.normalized_rows(), arr).sum() == 176
 
     # p^2 - 1 with p = 2^31 + 11 puts the product bound past int64: the
     # exact fallback decides
@@ -370,12 +370,24 @@ def _corrupted_leech(monkeypatch, corrupt):
     return build_leech()
 
 
+LEECH_HALF = 98280  # Leech row i + LEECH_HALF is -(row i)
+
+
+def _set_pair(a, i, row):
+    """Leech row i set to ``row`` and row i + LEECH_HALF to its negation, so the layout holds."""
+    a[i], a[i + LEECH_HALF] = row, -np.asarray(row)
+
+
 CORRUPTIONS = {
     # norm 32 and distinct, but outside the lattice: the lattice the points
     # span is no longer integral (Gram / 8)
-    "integral": lambda a: a.__setitem__(5, [4, 2, 2, 2, 2] + [0] * 19),
+    "integral": lambda a: _set_pair(a, 5, [4, 2, 2, 2, 2] + [0] * 19),
     "norm": lambda a: a.__setitem__(5, 2 * a[5]),
-    "distinct": lambda a: a.__setitem__(5, a[6]),
+    "distinct": lambda a: _set_pair(a, 5, a[6]),
+    # the same point set, two negations swapped: row 5 + LEECH_HALF is -(row 6)
+    "antipodal": lambda a: a.__setitem__(
+        [LEECH_HALF + 5, LEECH_HALF + 6], a[[LEECH_HALF + 6, LEECH_HALF + 5]]
+    ),
 }
 
 
@@ -402,18 +414,32 @@ def test_distinct_premise_compares_rows_whose_keys_collide(monkeypatch):
         _corrupted_leech(monkeypatch, CORRUPTIONS["distinct"])
 
 
+def test_broken_pair_layout_fails_the_antipodal_premise():
+    # e8 with two negations swapped keeps its point set, but row 120 is no
+    # longer -(row 0); 239 points cannot pair at all
+    pts = build_e8().points
+    swapped = pts[:120] + [pts[121], pts[120]] + pts[122:]
+    for points, premise in (
+        (swapped, r"point 120 is not -\(point 0\)"),
+        (pts[:-1], "239 points, an odd count"),
+    ):
+        with pytest.raises(ConstructionError, match=f"premise 'antipodal' fails: {premise}"):
+            SphericalConfiguration("e8", 8, 2, [2, 1, 0, -1, -2], points=points, lattice_scale=1)
+
+
 def test_odd_lattice_fails_the_evenness_premise():
     # D12+: the half-integer vectors (+-1/2)^12 with an even number of minus
     # signs span an odd integral lattice of minimum 2, one below their norm
     # 3.  The search below the minimum (norm <= 1) finds nothing, yet two
     # points differing in two signs have inner product 2 > 3/2: only the
     # evenness premise keeps the proof from claiming the values 0, +-1
+    # 3.  The points come one of each pair +-x first, then the negations
     half = Fraction(1, 2)
-    pts = [
+    pts = configs._with_negations([
         tuple(half * s for s in signs)
-        for signs in itertools.product((1, -1), repeat=12)
+        for signs in itertools.product((1,), *[(1, -1)] * 11)
         if signs.count(-1) % 2 == 0
-    ]
+    ])
     assert dot(pts[0], pts[3]) == 2
     with pytest.raises(ConstructionError, match="premise 'even' fails"):
         SphericalConfiguration("d12+", 12, 3, [3, 2, 1, 0, -1, -2, -3], points=pts, lattice_scale=1)
@@ -422,14 +448,14 @@ def test_odd_lattice_fails_the_evenness_premise():
 def test_short_lattice_vector_fails_the_minimum_premise():
     # (+-3, +-1) and (+-1, +-3) span the even lattice x1 = x2 mod 2, which
     # holds (1, 1) of norm 2 below their norm 10
-    pts = [(a * x, b * y) for x, y in ((3, 1), (1, 3)) for a in (1, -1) for b in (1, -1)]
+    pts = configs._with_negations([(x, b * y) for x, y in ((3, 1), (1, 3)) for b in (1, -1)])
     with pytest.raises(ConstructionError, match="premise 'minimum' fails: 12 nonzero"):
         SphericalConfiguration("octagon", 2, 10, [10, 8, 6, 0, -6, -8, -10], points=pts, lattice_scale=1)
 
 
 def test_undeclared_proven_value_fails_the_values_premise():
     with pytest.raises(ConstructionError, match=r"premise 'values' fails: \[0\]"):
-        SphericalConfiguration("e8", 8, 2, [2, 1, -1, -2], points=configs._e8_points(), lattice_scale=1)
+        SphericalConfiguration("e8", 8, 2, [2, 1, -1, -2], points=build_e8().points, lattice_scale=1)
 
 
 def test_configuration_without_a_lattice_scale_has_no_proof():

@@ -158,16 +158,6 @@ def test_pow_matches_repeated_product():
     assert f ** 3 == f * f * f
 
 
-def test_substitute_matches_pointwise_composition():
-    rng = random.Random(555)
-    f = rand_poly(rng, nvars=2, nterms=4, maxexp=2)
-    g = rand_poly(rng, nvars=2, nterms=3, maxexp=2)
-    composed = f.substitute({1: g})
-    for _ in range(5):
-        x = rand_point(rng, 2)
-        assert composed.eval(x) == f.eval([g.eval(x), x[1]])
-
-
 def test_compose_linear_matches_pointwise():
     rng = random.Random(606)
     f = rand_poly(rng, nvars=3, nterms=5, maxexp=2)

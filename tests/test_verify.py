@@ -49,6 +49,7 @@ from idealforge.verify import (
     SAMPLED,
     SKIPPED,
     ClaimRecord,
+    DesignStrengthResult,
     MissingCheckError,
     _eval_vanishing,
     _exact_jacobian_rank,
@@ -131,6 +132,14 @@ def test_e8_design_strength_and_failure():
     assert res8.first_failure() == 8
     assert res8.k_sums[8] == E8_GLOBAL_K8
     assert not res8.per_point_ok
+
+
+def test_design_detail_names_sums_that_cancel_only_in_total():
+    # base points whose own sums are nonzero but add up to zero: the total
+    # alone would pass, so the detail says the sums vanish only in total
+    res = DesignStrengthResult("x", 2, "sampled", {1: 0, 2: 0}, False, True, 2)
+    assert not res.passed and res.first_failure() is None
+    assert res.detail() == "pair sums zero for k = 1..2 over 2 base points in total, not at each"
 
 
 def test_design_sums_match_a_row_by_row_loop():
@@ -454,10 +463,10 @@ def test_rank_mod_p_rows_do_not_depend_on_the_product_dtype(name, monkeypatch):
 
 def test_jacobian_falls_back_to_the_exact_rank(monkeypatch):
     full = build_generator_set("icosahedron")
-    # Nm and three sliced cubics: rank 2 at points 4 and 7, as the plain
-    # exact elimination over every point finds
+    # Nm and three sliced cubics: rank 2 at points 4 and 10, (0, 1, -phi) and
+    # its negation, as the plain exact elimination over every point finds
     G = GeneratorSet("few", 3, full.r2, full.items[:4], field_d=5, config=full.config)
-    expected = [(4, 2), (7, 2)]
+    expected = [(4, 2), (10, 2)]
     ranks = [_exact_jacobian_rank(G, x) for x in full.config.points]
     assert [(i, r) for i, r in enumerate(ranks) if r != 3] == expected
     assert jacobian_full_pass(G).witnesses == expected
