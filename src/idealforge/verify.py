@@ -599,7 +599,7 @@ class DesignStrengthResult:
     product is no declared value, None when closure holds.
     """
 
-    def __init__(self, name, t, mode, k_sums, per_point_ok, closure_ok, base_count, witness=None):
+    def __init__(self, name, t, mode, k_sums, per_point_ok, closure_ok, base_count, witness):
         self.name = name
         self.t = t
         self.mode = mode

@@ -137,7 +137,7 @@ def test_e8_design_strength_and_failure():
 def test_design_detail_names_sums_that_cancel_only_in_total():
     # base points whose own sums are nonzero but add up to zero: the total
     # alone would pass, so the detail says the sums vanish only in total
-    res = DesignStrengthResult("x", 2, "sampled", {1: 0, 2: 0}, False, True, 2)
+    res = DesignStrengthResult("x", 2, "sampled", {1: 0, 2: 0}, False, True, 2, None)
     assert not res.passed and res.first_failure() is None
     assert res.detail() == "pair sums zero for k = 1..2 over 2 base points in total, not at each"
 
