@@ -155,6 +155,8 @@ class SphericalConfiguration:
     value-set proof (``lattice.prove_value_set``) once, here, and keeps it
     with the lattice basis as ``lattice``; a failed premise raises
     ConstructionError.  A point set read from a file declares none of them.
+    Antipodality is no declaration: ``antipodal`` reads it off the lattice
+    proof or the points.
     """
 
     def __init__(
@@ -166,7 +168,6 @@ class SphericalConfiguration:
         points: Optional[Sequence[Tuple[Scalar, ...]]] = None,
         array: Optional[np.ndarray] = None,
         field_d: Optional[int] = None,
-        antipodal: bool = False,
         trivial_linear: Sequence[Tuple[Scalar, ...]] = (),
         section: Optional[SectionMap] = None,
         ambient_points: Optional[List[Tuple[Scalar, ...]]] = None,
@@ -186,7 +187,6 @@ class SphericalConfiguration:
         self._array = array
         self._quad: Optional[QuadArray] = None
         self.field_d = field_d
-        self.antipodal = antipodal
         self.trivial_linear = [tuple(f) for f in trivial_linear]
         self.section = section
         self.ambient_points = ambient_points
@@ -201,6 +201,22 @@ class SphericalConfiguration:
     def embedded(self) -> bool:
         """The points lie in the hyperplanes of declared linear forms (knn)."""
         return bool(self.trivial_linear)
+
+    @property
+    def antipodal(self) -> bool:
+        """X = -X, read off the lattice proof or the points, never declared.
+
+        A configuration holding a lattice proof is antipodal: the proof's
+        'antipodal' premise raised ConstructionError unless point i + n/2 is
+        -(point i), so no point list is built (Leech).  Otherwise the set
+        {-p : p in X} is compared with the set X itself, which is X = -X as
+        written, with point order and repeats left out.  Worked out on each
+        read, so a configuration changed after it was built answers for its
+        current points.
+        """
+        if self.lattice is not None:
+            return True
+        return {tuple(-c for c in p) for p in self.points} == set(self.points)
 
     @property
     def npoints(self) -> int:
@@ -278,8 +294,7 @@ def build_icosahedron() -> SphericalConfiguration:
     r2 = 2 + PHI
     omegas = [r2, PHI, -PHI, -r2]
     cfg = SphericalConfiguration(
-        "icosahedron", 3, r2, omegas, points=_with_negations(reps), field_d=5, antipodal=True,
-        design_strength=5,
+        "icosahedron", 3, r2, omegas, points=_with_negations(reps), field_d=5, design_strength=5
     )
     cfg.validate_norms()
     return cfg
@@ -346,7 +361,7 @@ def build_e8() -> SphericalConfiguration:
     """The 240 norm-2 vectors of E8, minimal vectors of an even unimodular lattice."""
     cfg = SphericalConfiguration(
         "e8", 8, 2, [2, 1, 0, -1, -2], points=_with_negations(_e8_points(first=(1,))),
-        antipodal=True, lattice_scale=1, design_strength=7, theorem="E8",
+        lattice_scale=1, design_strength=7, theorem="E8",
     )
     if cfg.npoints != 240:
         raise ConstructionError(f"expected 240 points, got {cfg.npoints}")
@@ -373,7 +388,6 @@ def _e8_slice(name: str, free: int, expected: int) -> SphericalConfiguration:
         [2, 1, 0, -1, -2],
         points=[section.to_section(a) for a in ambient],
         field_d=tied,
-        antipodal=True,
         section=section,
         ambient_points=ambient,
         design_strength=5,  # both slices are 5-designs
@@ -483,7 +497,6 @@ def build_leech() -> SphericalConfiguration:
         32,
         [32, 16, 8, 0, -8, -16, -32],
         array=arr,
-        antipodal=True,
         lattice_scale=8,  # coordinates carry the sqrt-8 scale
         design_strength=11,
         theorem="Leech",
@@ -511,15 +524,7 @@ def build_ngon(n: int, parameters: Optional[Sequence] = None) -> SphericalConfig
     for p, q in itertools.combinations(pts, 2):
         values.add(dot(p, q))
     omegas = [Fraction(1)] + sorted(values, reverse=True)
-    neg = {tuple(-c for c in p) for p in pts}
-    cfg = SphericalConfiguration(
-        "ngon",
-        2,
-        Fraction(1),
-        omegas,
-        points=pts,
-        antipodal=neg == set(pts),
-    )
+    cfg = SphericalConfiguration("ngon", 2, Fraction(1), omegas, points=pts)
     cfg.validate_norms()
     return cfg
 
@@ -538,9 +543,7 @@ def default_ngon_parameters(n: int) -> List[Fraction]:
 def build_4cube() -> Tuple[SphericalConfiguration, List[Tuple[int, ...]]]:
     """The 16 vertices (±1)^4, plus the 24 permutation vectors (±1, ±1, 0, 0)."""
     reps = [(1,) + s for s in itertools.product((1, -1), repeat=3)]
-    cfg = SphericalConfiguration(
-        "cube4", 4, 4, [4, 2, 0, -2, -4], points=_with_negations(reps), antipodal=True
-    )
+    cfg = SphericalConfiguration("cube4", 4, 4, [4, 2, 0, -2, -4], points=_with_negations(reps))
     cfg.validate_norms()
     return cfg, cell24_points()
 
@@ -581,7 +584,6 @@ def build_knn(n: int) -> SphericalConfiguration:
         r2,
         omegas,
         points=pts,
-        antipodal=False,
         trivial_linear=[lin1, lin2],
     )
     cfg.validate_norms()

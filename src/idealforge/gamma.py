@@ -338,7 +338,8 @@ def gamma1_bounds(
     A configuration averaging every degree <= t polynomial admits no
     nontrivial vanishing form of degree <= t/2; t is the strength the
     configuration declares (``cfg.design_strength``).  Upward, the number s of
-    distinct inner products bounds the threshold by s (antipodal) or s+1,
+    distinct inner products bounds the threshold by s when X = -X (which
+    ``cfg.antipodal`` reads off the points) or s+1,
     and so does the first k where the function-space dimension beats the
     point count.  An exhibited nontrivial generator pins its own degree.
     """

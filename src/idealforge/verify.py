@@ -637,11 +637,14 @@ class DesignStrengthResult:
         return f"pair sums zero for k = 1..{self.t} {over}"
 
     def to_dict(self) -> Dict:
+        # after a closure failure the sums cover the matched pairs only and
+        # would read as a strength failure; detail() names the stray pair
+        sums = self.k_sums if self.closure_ok else {}
         return {
             "config": self.name,
             "t": self.t,
             "mode": self.mode,
-            "k_sums": {str(k): scalar_to_text(v) for k, v in self.k_sums.items()},
+            "k_sums": {str(k): scalar_to_text(v) for k, v in sums.items()},
             "pass": self.passed,
         }
 
@@ -964,18 +967,19 @@ def assemble_certificate(
     )
 
     level = LEVEL_FULL_GROEBNER if groebner_certified else LEVEL_PAPER
-    iv_ok = part_i_ok and jac.passed and iii_ok
+    failed = [part for part, ok in (("i", part_i_ok), ("ii", jac.passed), ("iii", iii_ok)) if not ok]
     iv_mode = SAMPLED if SAMPLED in (vanish.mode, jac.mode, design.mode) else FULL
+    if failed:
+        rests = f"fails on part{'s' if len(failed) > 1 else ''} {', '.join(failed)}"
+    else:
+        rests = "radicality from the simple-zero pass"
     report.add(
         ClaimRecord(
             f"{theorem}.iv",
-            PASS if iv_ok else FAIL,
+            FAIL if failed else PASS,
             iv_mode,
             [],
-            detail=(
-                f"ideal generated in degree <= {degree} at level {level}; "
-                "radicality from the simple-zero pass"
-            ),
+            detail=f"ideal generated in degree <= {degree} at level {level}; {rests}",
         )
     )
     report.certificate_level = level

@@ -426,14 +426,21 @@ def test_failed_design_claim_names_its_first_nonzero_sum(tmp_path, monkeypatch):
     assert claims["design.E8.t8"]["status"] == "fail"
     assert claims["design.E8.t8"]["detail"] == "pair sums nonzero first at k = 8: 1555200 over 240 base points"
     assert claims["thmE8.iii"]["detail"].endswith("; design.E8.t8 fails")
+    assert claims["thmE8.iv"]["status"] == "fail"
+    assert claims["thmE8.iv"]["detail"] == (
+        "ideal generated in degree <= 4 at level PAPER_CERTIFICATE; fails on part iii"
+    )
 
 
 def test_failed_design_closure_names_the_stray_pair(tmp_path, monkeypatch):
     # -r2 left out of the declared values: point 0 meets its negation, point 6, there
-    code, claims, _ = _verify_with(
+    code, claims, design = _verify_with(
         monkeypatch, tmp_path, "icosahedron", lambda cfg: setattr(cfg, "omegas", cfg.omegas[:-1])
     )
     assert code == EXIT_CHECK
+    # sums over the matched pairs alone would read as a strength failure
+    assert design["k_sums"] == {}
+    assert design["pass"] is False
     rec = claims["design.icosahedron.t5"]
     assert rec["status"] == "fail"
     assert rec["detail"] == "point 0 meets point 6 at -5/2-1/2*sqrt(5), no declared value"

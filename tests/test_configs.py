@@ -85,6 +85,17 @@ def test_icosahedron_points_and_products():
     assert PHI / ico.r2 == inv_sqrt5
 
 
+@pytest.mark.parametrize("build", [build_icosahedron, lambda: build_4cube()[0]])
+def test_antipodal_sets_without_a_lattice_proof_list_each_pair_apart(build):
+    # no value-set proof checks these two; their generator families read the
+    # representatives off the first half, so point i + n/2 must be -(point i)
+    cfg = build()
+    h = cfg.npoints // 2
+    assert cfg.lattice is None and cfg.npoints == 2 * h
+    assert cfg.points[h:] == [tuple(-c for c in p) for p in cfg.points[:h]]
+    assert len(set(cfg.points[:h])) == h
+
+
 def test_pair_distribution_refuses_inexact_numpy_products():
     # more than 2000 points with squared coordinates near 2**62: the int64
     # product of such rows leaves its exact range, the float64 one rounds

@@ -169,7 +169,7 @@ def test_point_set_named_like_a_lattice_declares_no_strength():
     # the 16 cube4 points under the name "e8": the strength belongs to the
     # built E8 configuration, not to its name
     cube = build_4cube()[0]
-    X = SphericalConfiguration("e8", 4, cube.r2, cube.omegas, points=cube.points, antipodal=True)
+    X = SphericalConfiguration("e8", 4, cube.r2, cube.omegas, points=cube.points)
     bounds = gamma1_bounds(X)
     assert bounds.lower.value == 1
     assert bounds.lower.reason == "no design strength recorded"
@@ -283,15 +283,16 @@ def test_parity_bound_decides_e7_at_degree_3():
 
 def test_parity_bound_counts_classes_from_the_points_not_the_flag():
     # ten rational points of the unit sphere (inverse stereographic images
-    # of integer points), no two antipodal, flagged antipodal all the same;
-    # c = 5 read off the flag would cap the degree-2 rank at 5 + 3 = 8 and
-    # claim a nontrivial quadric, while the true rank is 9
+    # of integer points), no two antipodal, so the set is not antipodal;
+    # the sign classes are counted from the points: c = 5, as if they
+    # paired up, would cap the degree-2 rank at 5 + 3 = 8 and claim a
+    # nontrivial quadric, while the true rank is 9
     pts = []
     for a, b in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (3, 1), (1, 3)]:
         s = a * a + b * b + 1
         pts.append((Fraction(2 * a, s), Fraction(2 * b, s), Fraction(s - 2, s)))
     values = sorted({dot(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]}, reverse=True)
-    cfg = SphericalConfiguration("sphere10", 3, 1, [1] + values, points=pts, antipodal=True)
+    cfg = SphericalConfiguration("sphere10", 3, 1, [1] + values, points=pts)
     cfg.validate_norms()
     assert sign_classes(cfg) == 10
     assert rank_upper_bound(cfg, 2) == 10
@@ -411,3 +412,42 @@ def test_gamma_of_a_point_file_reads_its_values_off_the_points(tmp_path):
     assert cfg.omegas is None
     assert gamma1_exact(cfg) == 3
     assert gamma_profile(cfg).to_dict()["interval"] == [3, 3]
+    # and its antipodality off the points too
+    assert cfg.antipodal
+    prod = gamma1_bounds(cfg).uppers[0]
+    assert (prod.value, prod.reason) == (3, "3 distinct inner products, antipodal")
+
+
+@pytest.mark.parametrize(
+    "name, n, antipodal",
+    [
+        ("icosahedron", None, True),
+        ("e6", None, True),
+        ("e7", None, True),
+        ("e8", None, True),
+        ("leech", None, True),
+        ("cube4", None, True),
+        ("ngon", 4, False),
+        ("ngon", 6, False),
+        ("ngon", 8, False),
+    ],
+)
+def test_antipodality_is_read_off_each_configuration(name, n, antipodal):
+    assert FAMILIES[name].config(n).antipodal is antipodal
+
+
+def test_antipodality_is_no_constructor_option():
+    with pytest.raises(TypeError):
+        SphericalConfiguration("pair", 1, 1, [1, -1], points=[(1,), (-1,)], antipodal=True)
+
+
+def test_tetrahedron_gets_the_plain_product_bound():
+    # no vertex of the regular tetrahedron has its negation in the set, so
+    # the one inner product -1 bounds gamma1 by s + 1 = 2, which it meets
+    pts = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    cfg = SphericalConfiguration("tetrahedron", 3, 3, [3, -1], points=pts)
+    assert not cfg.antipodal
+    prod = gamma1_bounds(cfg).uppers[0]
+    assert (prod.value, prod.reason) == (2, "1 distinct inner products")
+    assert gamma1_exact(cfg) == 2
+    assert gamma_profile(cfg).to_dict()["interval"] == [2, 2]

@@ -755,6 +755,11 @@ def test_certificate_detail_says_when_the_degree_misses_the_bound():
     unmet = assemble_certificate(e8, 4, components, design).find("thmE8.iii")
     assert unmet.status == FAIL
     assert "meets" not in unmet.detail
+    # part iv names every part it rests on that fails
+    components["jacobian"] = ClaimRecord("e8.jacobian", FAIL)
+    iv = assemble_certificate(e8, 4, components, design).find("thmE8.iv")
+    assert iv.status == FAIL
+    assert iv.detail == "ideal generated in degree <= 4 at level PAPER_CERTIFICATE; fails on parts ii, iii"
 
 
 def test_certificate_missing_component():
