@@ -492,9 +492,10 @@ def run(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("idealforge: error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    for option in ("threads", "budget"):
+        if getattr(args, option) < 1:
+            print(f"idealforge: error: --{option} must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     if args.n is not None and FAMILIES[args.config].default_n is None:
         print("idealforge: error: --n only selects ngon/knn members", file=sys.stderr)
         return EXIT_USAGE

@@ -142,11 +142,10 @@ class SectionMap:
 
 
 class SphericalConfiguration:
-    """Finite point set on a sphere with a declared inner-product value list.
+    """Finite point set on a sphere of squared radius r2.
 
-    omegas is sorted descending and starts with r2 itself; the rest are the
-    values allowed for distinct pairs.  Big integer sets may be backed by a
-    numpy array, with exact tuples materialized lazily.
+    Big integer sets may be backed by a numpy array, with exact tuples
+    materialized lazily.
 
     The paper's configurations declare its facts about them: the design
     strength t, ``theorem``, the label ("E8", "Leech") their theorem claims
@@ -155,16 +154,15 @@ class SphericalConfiguration:
     value-set proof (``lattice.prove_value_set``) once, here, and keeps it
     with the lattice basis as ``lattice``; a failed premise raises
     ConstructionError.  A point set read from a file declares none of them.
-    Antipodality is no declaration: ``antipodal`` reads it off the lattice
+    The dimension ``m`` is no declaration, read off the points, and neither
+    are the inner products ``omegas`` and antipodality, read off the lattice
     proof or the points.
     """
 
     def __init__(
         self,
         name: str,
-        m: int,
         r2: Scalar,
-        omegas: Optional[Sequence[Scalar]],
         points: Optional[Sequence[Tuple[Scalar, ...]]] = None,
         array: Optional[np.ndarray] = None,
         field_d: Optional[int] = None,
@@ -178,14 +176,11 @@ class SphericalConfiguration:
         if points is None and array is None:
             raise ValueError("need points or an array")
         self.name = name
-        self.m = m
         self.r2 = r2
-        self.omegas = list(omegas) if omegas is not None else None
-        if self.omegas is not None and self.omegas[0] != r2:
-            raise ValueError("omega list must start with the squared norm")
         self._points = [tuple(p) for p in points] if points is not None else None
         self._array = array
         self._quad: Optional[QuadArray] = None
+        self._omegas: Optional[List[Scalar]] = None
         self.field_d = field_d
         self.trivial_linear = [tuple(f) for f in trivial_linear]
         self.section = section
@@ -196,6 +191,28 @@ class SphericalConfiguration:
         self.lattice: Optional[LatticeProof] = (
             None if lattice_scale is None else prove_value_set(self)
         )
+
+    @property
+    def m(self) -> int:
+        """The dimension: the row length of the points or the array."""
+        return self._array.shape[1] if self._array is not None else len(self._points[0])
+
+    @property
+    def omegas(self) -> List[Scalar]:
+        """r2, then every other inner product two points can have, descending.
+
+        With the value-set proof (``lattice``) this is r2, the proven values
+        and -r2: the proof covers every pair x != +-y, and its 'antipodal'
+        premise puts -x in X.  Otherwise it is every product of two points,
+        read off ``quad_array()`` on first use (``observed_omegas``) and
+        kept beside it.
+        """
+        if self._omegas is None:
+            if self.lattice is not None:
+                self._omegas = [self.r2, *self.lattice.values, -self.r2]
+            else:
+                self._omegas = observed_omegas(self.r2, self.quad_array())
+        return self._omegas
 
     @property
     def embedded(self) -> bool:
@@ -291,10 +308,8 @@ def build_icosahedron() -> SphericalConfiguration:
     (0, 1, s phi) and (phi, 0, s) for s = 1, then s = -1.
     """
     reps = [p for s in (1, -1) for p in ((1, s * PHI, 0), (0, 1, s * PHI), (PHI, 0, s))]
-    r2 = 2 + PHI
-    omegas = [r2, PHI, -PHI, -r2]
     cfg = SphericalConfiguration(
-        "icosahedron", 3, r2, omegas, points=_with_negations(reps), field_d=5, design_strength=5
+        "icosahedron", 2 + PHI, points=_with_negations(reps), field_d=5, design_strength=5
     )
     cfg.validate_norms()
     return cfg
@@ -360,7 +375,7 @@ def _e8_points(first: Tuple[int, ...] = (1, -1)) -> List[Tuple[Scalar, ...]]:
 def build_e8() -> SphericalConfiguration:
     """The 240 norm-2 vectors of E8, minimal vectors of an even unimodular lattice."""
     cfg = SphericalConfiguration(
-        "e8", 8, 2, [2, 1, 0, -1, -2], points=_with_negations(_e8_points(first=(1,))),
+        "e8", 2, points=_with_negations(_e8_points(first=(1,))),
         lattice_scale=1, design_strength=7, theorem="E8",
     )
     if cfg.npoints != 240:
@@ -383,9 +398,7 @@ def _e8_slice(name: str, free: int, expected: int) -> SphericalConfiguration:
     ambient = [a for a in _e8_points() if len(set(a[free:])) == 1]
     cfg = SphericalConfiguration(
         name,
-        free + 1,
         2,
-        [2, 1, 0, -1, -2],
         points=[section.to_section(a) for a in ambient],
         field_d=tied,
         section=section,
@@ -435,8 +448,8 @@ def build_leech() -> SphericalConfiguration:
     coordinate shifted by ±4; (±4^2, 0^22).  The second shape is checked
     against 32 fixed rows of the first by the mod-8 inner-product rule.
     The value-set proof that declaring the lattice scale runs checks every
-    squared norm, that row i + 98280 is -(row i), that no vector repeats,
-    and that every inner product lies in the declared values.
+    squared norm, that row i + 98280 is -(row i) and that no vector
+    repeats, and fixes the values every inner product lies in.
 
     The first 98280 rows hold one vector of each pair +-x, the second half
     their negations in the same order.  The representatives are the first
@@ -493,9 +506,7 @@ def build_leech() -> SphericalConfiguration:
 
     cfg = SphericalConfiguration(
         "leech",
-        24,
         32,
-        [32, 16, 8, 0, -8, -16, -32],
         array=arr,
         lattice_scale=8,  # coordinates carry the sqrt-8 scale
         design_strength=11,
@@ -520,11 +531,7 @@ def build_ngon(n: int, parameters: Optional[Sequence] = None) -> SphericalConfig
     for t in params:
         den = 1 + t * t
         pts.append(((1 - t * t) / den, 2 * t / den))
-    values = set()
-    for p, q in itertools.combinations(pts, 2):
-        values.add(dot(p, q))
-    omegas = [Fraction(1)] + sorted(values, reverse=True)
-    cfg = SphericalConfiguration("ngon", 2, Fraction(1), omegas, points=pts)
+    cfg = SphericalConfiguration("ngon", Fraction(1), points=pts)
     cfg.validate_norms()
     return cfg
 
@@ -543,7 +550,7 @@ def default_ngon_parameters(n: int) -> List[Fraction]:
 def build_4cube() -> Tuple[SphericalConfiguration, List[Tuple[int, ...]]]:
     """The 16 vertices (±1)^4, plus the 24 permutation vectors (±1, ±1, 0, 0)."""
     reps = [(1,) + s for s in itertools.product((1, -1), repeat=3)]
-    cfg = SphericalConfiguration("cube4", 4, 4, [4, 2, 0, -2, -4], points=_with_negations(reps))
+    cfg = SphericalConfiguration("cube4", 4, points=_with_negations(reps))
     cfg.validate_norms()
     return cfg, cell24_points()
 
@@ -574,18 +581,9 @@ def build_knn(n: int) -> SphericalConfiguration:
     ]
     pts = [vi + vi for vi in v]
     pts += [vj + tuple(-c for c in vj) for vj in v]
-    r2 = 2 - Fraction(2, n)
-    omegas = [r2, Fraction(0), -Fraction(2, n)]
     lin1 = tuple([1] * n + [0] * n)
     lin2 = tuple([0] * n + [1] * n)
-    cfg = SphericalConfiguration(
-        "knn",
-        2 * n,
-        r2,
-        omegas,
-        points=pts,
-        trivial_linear=[lin1, lin2],
-    )
+    cfg = SphericalConfiguration("knn", 2 - Fraction(2, n), points=pts, trivial_linear=[lin1, lin2])
     cfg.validate_norms()
     return cfg
 
@@ -618,26 +616,24 @@ class PairDistribution:
 
 
 def _pair_exact(X: SphericalConfiguration, base: List[int], mode: str) -> PairDistribution:
+    """The test oracle of ``pair_distribution``: every product by ``dot``, with its own values.
+
+    The values are r2, then every other product of a base point with a
+    point, descending; they never come from ``X.omegas``, so the oracle
+    stays independent of the numpy pass that derives those.  In full mode
+    they are the values of every pair.
+    """
     pts = X.points
-    omegas = X.omegas
-    if omegas is None:
-        values = {dot(p, q) for p, q in itertools.combinations(pts, 2)}
-        values.discard(X.r2)
-        omegas = [X.r2] + sorted(values, reverse=True)
+    products = [[dot(pts[i], q) for q in pts] for i in base]
+    values = {v for row in products for v in row}
+    values.discard(X.r2)
+    omegas = [X.r2] + sorted(values, reverse=True)
     index = {w: i for i, w in enumerate(omegas)}
     counts = np.zeros((len(base), len(omegas)), dtype=np.int64)
-    witness = None
-    ok = True
-    for row, i in enumerate(base):
-        for j, q in enumerate(pts):
-            v = dot(pts[i], q)
-            k = index.get(v)
-            if k is None:
-                if ok:
-                    ok, witness = False, (i, j, v)
-                continue
-            counts[row, k] += 1
-    return PairDistribution(X.name, mode, omegas, base, counts, ok, witness)
+    for row, vals in enumerate(products):
+        for v in vals:
+            counts[row, index[v]] += 1
+    return PairDistribution(X.name, mode, omegas, base, counts, True, None)
 
 
 def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[int, int]]]):
@@ -686,24 +682,35 @@ def _pair_counts(rows: QuadArray, pts: QuadArray, keys: Sequence[Optional[Tuple[
     return counts, bad[min(bad)] if bad else None
 
 
-def observed_omegas(r2: Scalar, pts: QuadArray, base: List[int]) -> List[Scalar]:
-    """r2, then every other inner product of a base row with a point, descending.
+def observed_omegas(r2: Scalar, pts: QuadArray) -> List[Scalar]:
+    """r2, then every other inner product of two of the points, descending.
 
-    The value list of a configuration declared without one (a point file),
-    read off the exact (R, I) parts of the products of the base rows.
+    The values of a configuration without a value-set proof, read off the
+    exact (R, I) parts of the products of every point with every point, in
+    blocks of 128 rows.  A rational block's R is sorted flat and the first
+    entry of each run of equal ones kept: np.unique would import numpy.ma
+    for its masked-array check, about 0.8 MB in every process that reads a
+    value set, and on these narrow blocks sorting is the faster of the two.
+    A block over Q(sqrt d) gives its (R, I) pairs to the set as they are.
+    Integral values, r2 among them, are ints.
     """
     seen: set = set()
-    for lo in range(0, len(base), 128):
-        rows = pts.take(base[lo : lo + 128])
+    for lo in range(0, len(pts), 128):
+        rows = pts.take(slice(lo, lo + 128))
         left, right = quad_operands(rows, pts)
         for s in row_blocks(len(pts), left.shape[0]):
             R, I = quad_parts(int_product(left, right[s].T), len(rows))
-            I = np.zeros_like(R) if I is None else I  # R's dtype: read out only
-            pairs = np.unique(np.stack([R.ravel(), I.ravel()], 1), axis=0)
-            seen.update(map(tuple, pairs.tolist()))
+            if I is None:
+                v = np.sort(R, axis=None)
+                seen.update((r, 0) for r in v[np.append(True, v[1:] != v[:-1])].tolist())
+            else:
+                seen.update(zip(R.ravel().tolist(), I.ravel().tolist()))
     values = {quad_scalar(r, i, pts.den * pts.den, pts.d) for r, i in seen}
     values.discard(r2)
-    return [r2] + sorted(values, reverse=True)
+    return [
+        w.numerator if isinstance(w, Fraction) and w.denominator == 1 else w
+        for w in [r2, *sorted(values, reverse=True)]
+    ]
 
 
 def pair_distribution(
@@ -727,7 +734,7 @@ def pair_distribution(
     base = list(range(n)) if mode == "full" else sample_indices(seed, DEFAULT_SAMPLE, n)
 
     pts = X.quad_array()
-    omegas = X.omegas if X.omegas is not None else observed_omegas(X.r2, pts, base)
+    omegas = X.omegas
     keys = [quad_key(w, pts.den * pts.den, pts.d) for w in omegas]
     counts = np.zeros((len(base), len(omegas)), dtype=np.int64)
     witness = None
@@ -799,4 +806,4 @@ def read_points(path: str, name: str = "file") -> SphericalConfiguration:
             pts.append(coords)
     if not pts:
         raise ValueError("point file holds no points")
-    return SphericalConfiguration(name, m, r2, None, points=pts, field_d=field_d)
+    return SphericalConfiguration(name, r2, points=pts, field_d=field_d)

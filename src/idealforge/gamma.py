@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .configs import SphericalConfiguration, observed_omegas
+from .configs import SphericalConfiguration
 from .exact import (
     RANK_PRIME,
     SQRT_MOD_P,
@@ -338,7 +338,8 @@ def gamma1_bounds(
     A configuration averaging every degree <= t polynomial admits no
     nontrivial vanishing form of degree <= t/2; t is the strength the
     configuration declares (``cfg.design_strength``).  Upward, the number s of
-    distinct inner products bounds the threshold by s when X = -X (which
+    distinct inner products (``cfg.omegas``, read off the lattice proof or
+    the points) bounds the threshold by s when X = -X (which
     ``cfg.antipodal`` reads off the points) or s+1,
     and so does the first k where the function-space dimension beats the
     point count.  An exhibited nontrivial generator pins its own degree.
@@ -363,10 +364,7 @@ def gamma1_bounds(
         )
         uppers = [count_bound]
     else:
-        omegas = cfg.omegas
-        if omegas is None:  # a point file declares no values: read them off the points
-            omegas = observed_omegas(cfg.r2, cfg.quad_array(), list(range(cfg.npoints)))
-        s = len(omegas) - 1
+        s = len(cfg.omegas) - 1
         if cfg.antipodal:
             prod_bound = BoundEntry(s, f"{s} distinct inner products, antipodal")
         else:

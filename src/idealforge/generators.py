@@ -21,7 +21,6 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from .configs import (
-    PHI,
     ConstructionError,
     SectionMap,
     SphericalConfiguration,
@@ -221,7 +220,6 @@ class GeneratorSet:
         stream_factory: Optional[Callable[[int], Tuple[str, FactoredPoly]]] = None,
         config: Optional[SphericalConfiguration] = None,
         pair_reps: Optional[np.ndarray] = None,
-        interior_roots: Optional[Tuple[int, ...]] = None,
     ):
         self.name = name
         self.nvars = nvars
@@ -232,7 +230,6 @@ class GeneratorSet:
         self.stream_factory = stream_factory
         self.config = config
         self.pair_reps = pair_reps
-        self.interior_roots = interior_roots
 
     def __len__(self) -> int:
         return len(self.items) + self.stream_count
@@ -261,12 +258,13 @@ def _icosahedron_set() -> GeneratorSet:
     items: List[Tuple[str, object]] = [
         (LABEL_NM, nm_poly(3, cfg.r2, field_d=5))
     ]
+    interior = cfg.omegas[1:-1]  # the values of pairs x != +-y
     for p, a in enumerate(cfg.points[: cfg.npoints // 2]):
         for i, b in enumerate(orthogonal_complement_basis(a)):
             items.append(
                 (
                     f"{LABEL_SLICED} pair{p} c{i}",
-                    _sliced_factored(a, b, (PHI, -PHI), field_d=5),
+                    _sliced_factored(a, b, interior, field_d=5),
                 )
             )
     return GeneratorSet("icosahedron", 3, cfg.r2, items, field_d=5, config=cfg)
@@ -275,21 +273,13 @@ def _icosahedron_set() -> GeneratorSet:
 def _e8_set() -> GeneratorSet:
     cfg = build_e8()
     items: List[Tuple[str, object]] = [(LABEL_NM, nm_poly(8, cfg.r2))]
-    interior = (1, 0, -1)
+    interior = cfg.lattice.values
     for p, a in enumerate(cfg.points[: cfg.npoints // 2]):
         for i, b in enumerate(orthogonal_complement_basis(a)):
             items.append(
                 (f"{LABEL_SLICED} pair{p} c{i}", _sliced_factored(a, b, interior))
             )
-    return GeneratorSet(
-        "e8",
-        8,
-        cfg.r2,
-        items,
-        config=cfg,
-        pair_reps=cfg.lattice.reps,
-        interior_roots=interior,
-    )
+    return GeneratorSet("e8", 8, cfg.r2, items, config=cfg, pair_reps=cfg.lattice.reps)
 
 
 def _e7_items(r2: Scalar) -> List[Tuple[str, object]]:
@@ -317,8 +307,7 @@ def _e6_set() -> GeneratorSet:
 def _leech_set() -> GeneratorSet:
     cfg = build_leech()
     items: List[Tuple[str, object]] = [(LABEL_NM, nm_poly(24, cfg.r2))]
-    reps = cfg.lattice.reps
-    interior = (16, 8, 0, -8, -16)
+    reps, interior = cfg.lattice.reps, cfg.lattice.values
 
     def factory(k: int) -> Tuple[str, FactoredPoly]:
         p, i = divmod(k, 23)
@@ -338,17 +327,15 @@ def _leech_set() -> GeneratorSet:
         stream_factory=factory,
         config=cfg,
         pair_reps=reps,
-        interior_roots=interior,
     )
 
 
 def _cube4_set() -> GeneratorSet:
     cfg, _cell = build_4cube()
     items: List[Tuple[str, object]] = []
-    roots = (4, 2, 0, -2, -4)
     for p, a in enumerate(cfg.points[: cfg.npoints // 2]):
         items.append(
-            (f"{LABEL_ZONAL} pair{p}", FactoredPoly(4, [(a, r) for r in roots]))
+            (f"{LABEL_ZONAL} pair{p}", FactoredPoly(4, [(a, r) for r in cfg.omegas]))
         )
     return GeneratorSet("cube4", 4, cfg.r2, items, config=cfg)
 

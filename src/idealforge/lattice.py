@@ -407,7 +407,7 @@ class LatticeProof:
 
 
 def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
-    """Prove that every inner product of points x != +-y lies in X's declared values.
+    """Prove the values every inner product of points x != +-y lies in.
 
     Premises, each checked here; a ConstructionError names the first that
     fails:
@@ -421,14 +421,13 @@ def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
       with an even diagonal, so every vector of L has an even norm;
     * minimum: Fincke-Pohst finds no nonzero vector of L with norm at most
       N - 2 in lattice units, r2 - 2 lattice_scale in configuration units,
-      so no nonzero vector has norm below N (norms are even);
-    * values: the declared values hold every multiple of lattice_scale
-      down to -N / 2 lattice units and up to N / 2.
+      so no nonzero vector has norm below N (norms are even).
 
     Then for x != +-y in X, x -+ y is a nonzero vector of L, so
     2N -+ 2<x,y> >= N: <x,y> is an integer (lattice units) with
     |<x,y>| <= N / 2 (Conway & Sloane, *Sphere Packings, Lattices and Groups*,
-    ch. 1).  This covers every pair, not a sample.
+    ch. 1).  This covers every pair, not a sample.  The proven values are
+    those integers, as multiples of lattice_scale in configuration units.
     """
     arr, den = X.integer_array()
     norms = squared_norms(arr)
@@ -485,9 +484,4 @@ def prove_value_set(X: SphericalConfiguration) -> LatticeProof:
         )
     half = int(n) // 2
     values = tuple(v * X.lattice_scale for v in range(half, -half - 1, -1))
-    missing = [v for v in values if v not in X.omegas]
-    if missing:
-        raise ConstructionError(
-            f"value-set premise 'values' fails: {missing} are not declared inner products"
-        )
     return LatticeProof(basis, points, int(n), values, found.search_nodes)

@@ -215,13 +215,13 @@ def _eval_vanishing(G, points, max_witnesses=5):
 
 
 def _shell_units(G: GeneratorSet, den: int) -> Tuple[List[int], int]:
-    """The interior roots and r2 in the units of den-scaled coordinates.
+    """The interior roots (the proven values) and r2 in the units of den-scaled coordinates.
 
     Inner products of rows that carry den times the configuration's
     coordinates are den^2 times the configuration's values.
     """
     scale = den * den
-    return [w * scale for w in G.interior_roots], int(G.r2 * scale)
+    return [w * scale for w in G.config.lattice.values], int(G.r2 * scale)
 
 
 def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
@@ -265,10 +265,9 @@ def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List
     that its lattice L is even with no nonzero vector of norm below r2, and
     that its points lie in L with norm r2.  So for a point x of L with norm
     r2 and a vector a of L with norm r2, either x = +-a or x.a is a proven
-    value.  That covers every pair of a point and a representative once
-    these premises hold:
+    value, which the families take as their interior roots.  That covers
+    every pair of a point and a representative once these premises hold:
 
-    * the interior roots hold every proven value;
     * the points are the proof's (by identity, else row by row), or have
       norm r2 and lie in L;
     * the representatives are the proof's ``reps`` (the first half of its
@@ -284,9 +283,6 @@ def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List
     cfg, reps, proof = G.config, G.pair_reps, G.config.lattice
     if proof is None:
         raise ValueError(f"{G.name}: the pair structure needs the configuration's lattice proof")
-    missing = [("interior-root-missing", v) for v in proof.values if v not in G.interior_roots]
-    if missing:
-        return missing
     arr, den = cfg.integer_array()
     if points is not None:
         q = quad_array(list(points))
@@ -394,8 +390,8 @@ def lattice_jacobian_rows(G: GeneratorSet, point, method: str) -> List[Tuple[Sca
     each base vector c, the generator is (b.Y) prod_w (c.Y - w), b the first
     complement vector with b.x != 0, and the rows are in den-scaled units:
     ``closed_form`` gives (b.x) prod_{w != c.x} (c.x - w) c, ``symbolic``
-    the product-rule gradient.  ArithmeticError where c.x is not exactly one
-    interior root or no b sees the point.
+    the product-rule gradient.  ArithmeticError where c.x is no interior
+    root or no b sees the point.
     """
     if method not in ("closed_form", "symbolic"):
         raise ValueError(f"unknown jacobian method: {method}")
@@ -411,8 +407,8 @@ def lattice_jacobian_rows(G: GeneratorSet, point, method: str) -> List[Tuple[Sca
         b = next((b for b in orthogonal_complement_basis(c) if dot(b, x) != 0), None)
         if b is None:
             raise ArithmeticError("no slicing vector sees the point")
-        if roots.count(cx) != 1:
-            raise ArithmeticError("base inner product is not a single interior root")
+        if cx not in roots:
+            raise ArithmeticError("base inner product is no interior root")
         if method == "symbolic":
             rows.append(FactoredPoly(G.nvars, [(b, 0)] + [(c, w) for w in roots]).gradient_at(x))
         else:
@@ -549,9 +545,9 @@ def _lattice_jacobian(G: GeneratorSet) -> List[Tuple]:
     """Witnesses against rank nvars at every point, given ``_proof_witnesses``' premises.
 
     Every generator but Nm is (b.Y) prod_w (c.Y - w) over the interior roots
-    w, for a representative c and each b of a basis of c's orthogonal
-    complement.  Where c.x is an interior root w0 that occurs once, its
-    gradient at x is (b.x) prod_{w != w0} (w0 - w) c.
+    w, the proven values, which are distinct, for a representative c and
+    each b of a basis of c's orthogonal complement.  Where c.x is an
+    interior root w0, its gradient at x is (b.x) prod_{w != w0} (w0 - w) c.
 
     * C = ``independent_rows(reps, m)`` (``_lattice_bases``).  For a point
       x and c in C, either x = +-c or c.x is a proven value (the premises),
@@ -566,16 +562,13 @@ def _lattice_jacobian(G: GeneratorSet) -> List[Tuple]:
 
     No product against the points is formed.
     """
-    reps, m, roots = G.pair_reps, G.nvars, list(G.interior_roots)
-    repeated = sorted({w for w in roots if roots.count(w) > 1})
-    if repeated:
-        return [("interior-root-repeated", w) for w in repeated]
+    reps, m = G.pair_reps, G.nvars
     base, second = _lattice_bases(G)
     if len(second) < m:
         return [("independent-base-selection", len(base), len(second))]
-    _, den = G.config.integer_array()
+    roots, _ = _shell_units(G, G.config.integer_array()[1])
     V = int_product(reps[base], reps[second].T)  # compared and read out only
-    stray = np.argwhere(~np.isin(V, [v * den * den for v in G.config.lattice.values]))
+    stray = np.argwhere(~np.isin(V, roots))
     return [
         ("second-base", f"pair{base[i]}", f"pair{second[j]}", int(V[i, j])) for i, j in stray[:5]
     ]
@@ -596,7 +589,8 @@ class DesignStrengthResult:
     """Gegenbauer pair sums for k = 1..t plus the pass verdict.
 
     ``witness`` is the first pair (base point, point, value) whose inner
-    product is no declared value, None when closure holds.
+    product lies outside the configuration's values, None when closure
+    holds.
     """
 
     def __init__(self, name, t, mode, k_sums, per_point_ok, closure_ok, base_count, witness):
@@ -627,7 +621,10 @@ class DesignStrengthResult:
         """What the pair sums show: the first failure, else that they vanish."""
         if not self.closure_ok:
             i, j, v = self.witness
-            return f"point {i} meets point {j} at {scalar_to_text(v)}, no declared value"
+            return (
+                f"point {i} meets point {j} at {scalar_to_text(v)}, "
+                "outside the configuration's values"
+            )
         over = f"over {self.base_count} base points"
         k = self.first_failure()
         if k is not None:

@@ -101,6 +101,8 @@ def test_usage_errors_exit_64():
         ["gamma", "e8", "--n", "5"],
         ["verify", "e8", "--threads", "0"],
         ["enumerate", "e8", "--threads", "0"],
+        ["report", "icosahedron", "--budget", "-5"],
+        ["groebner", "knn", "--budget", "0"],
         ["verify", "e8", "--full", "--sampled"],
         ["groebner", "leech"],
         ["enumerate", "ngon"],
@@ -432,21 +434,25 @@ def test_failed_design_claim_names_its_first_nonzero_sum(tmp_path, monkeypatch):
     )
 
 
-def test_failed_design_closure_names_the_stray_pair(tmp_path, monkeypatch):
-    # -r2 left out of the declared values: point 0 meets its negation, point 6, there
-    code, claims, design = _verify_with(
-        monkeypatch, tmp_path, "icosahedron", lambda cfg: setattr(cfg, "omegas", cfg.omegas[:-1])
-    )
+def test_design_claim_names_a_point_moved_after_the_build(tmp_path, monkeypatch):
+    # e8 reads its values off the lattice proof, which covers the points it
+    # was built on; point 3 moved in the configuration's own array to
+    # (2, 0, ..., 0) meets points 0 to 2 at r2 and itself at 4
+    def move(cfg):
+        arr = cfg.integer_array()[0]
+        arr[3] = arr[0] + arr[1]
+
+    code, claims, design = _verify_with(monkeypatch, tmp_path, "e8", move)
     assert code == EXIT_CHECK
     # sums over the matched pairs alone would read as a strength failure
     assert design["k_sums"] == {}
     assert design["pass"] is False
-    rec = claims["design.icosahedron.t5"]
+    rec = claims["design.E8.t7"]
     assert rec["status"] == "fail"
-    assert rec["detail"] == "point 0 meets point 6 at -5/2-1/2*sqrt(5), no declared value"
-    assert claims["icosahedron.iii"]["detail"] == (
-        "strength 5 forces degree >= 3; non-trivial generator of degree 3 meets it; "
-        "design.icosahedron.t5 fails"
+    assert rec["detail"] == "point 3 meets point 3 at 4, outside the configuration's values"
+    assert claims["thmE8.iii"]["detail"] == (
+        "strength 7 forces degree >= 4; non-trivial generator of degree 4 meets it; "
+        "design.E8.t7 fails"
     )
 
 

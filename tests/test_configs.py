@@ -41,6 +41,7 @@ from idealforge.configs import (
     read_points,
     write_points,
 )
+from idealforge.generators import FAMILIES, GeneratorSet
 from idealforge.sampling import sample_indices, splitmix64
 
 
@@ -96,26 +97,71 @@ def test_antipodal_sets_without_a_lattice_proof_list_each_pair_apart(build):
     assert len(set(cfg.points[:h])) == h
 
 
+def _ngon_values(n):
+    pts = build_ngon(n).points
+    return [1] + sorted({dot(p, q) for p, q in itertools.combinations(pts, 2)}, reverse=True)
+
+
+# the dimension and the value list each builder declared before both were
+# read off the points or the lattice proof
+DECLARED = {
+    ("icosahedron", None): (3, lambda: [2 + PHI, PHI, -PHI, -2 - PHI]),
+    ("e6", None): (6, lambda: [2, 1, 0, -1, -2]),
+    ("e7", None): (7, lambda: [2, 1, 0, -1, -2]),
+    ("e8", None): (8, lambda: [2, 1, 0, -1, -2]),
+    ("leech", None): (24, lambda: [32, 16, 8, 0, -8, -16, -32]),
+    ("cube4", None): (4, lambda: [4, 2, 0, -2, -4]),
+    **{("ngon", n): (2, lambda n=n: _ngon_values(n)) for n in (4, 6, 8)},
+    **{
+        ("knn", n): (2 * n, lambda n=n: [2 - Fraction(2, n), 0, -Fraction(2, n)])
+        for n in (2, 3, 4)
+    },
+}
+
+
+@pytest.mark.parametrize("name, n", list(DECLARED))
+def test_values_and_dimension_are_read_off_as_the_builders_declared_them(name, n):
+    cfg = FAMILIES[name].config(n)
+    m, values = DECLARED[name, n]
+    assert cfg.m == m
+    assert cfg.omegas == values()
+    rational = [w for w in cfg.omegas if not isinstance(w, Quad)]
+    assert all(type(w) is int for w in rational if Fraction(w).denominator == 1)
+
+
+def test_values_and_dimension_are_no_constructor_options():
+    pts = [(1, 0), (-1, 0)]
+    for option in ({"m": 2}, {"omegas": [1, -1]}):
+        with pytest.raises(TypeError):
+            SphericalConfiguration("pair", 1, points=pts, **option)
+    with pytest.raises(TypeError):
+        GeneratorSet("pair", 2, 1, [], interior_roots=(0,))
+
+
 def test_pair_distribution_refuses_inexact_numpy_products():
     # more than 2000 points with squared coordinates near 2**62: the int64
     # product of such rows leaves its exact range, the float64 one rounds
     a = 2**31 + 1
     pts = [(a, 0), (-a, 0), (0, a), (0, -a)] * 520
-    X = SphericalConfiguration("wide", 2, a * a, [a * a, 0, -a * a], points=pts)
+    X = SphericalConfiguration("wide", a * a, points=pts)
     for mode in ("sampled", "full"):
         with pytest.raises(ArithmeticError, match="exact"):
             pair_distribution(X, mode=mode)
 
 
 def test_sampled_pair_distribution_names_a_point_past_the_first_block(leech):
+    # the sampled rows against every point, as the sampled pass forms them,
+    # over the Leech values; the moved point lies in the fourth point block
     arr = leech.integer_array()[0].copy()
-    bad = 3 * (ENTRIES // DEFAULT_SAMPLE) + 5  # in the fourth block of points
+    bad = 3 * (ENTRIES // DEFAULT_SAMPLE) + 5
     arr[bad, 0] += 1
-    X = SphericalConfiguration("leech", 24, 32, leech.omegas, array=arr)
-    pd = pair_distribution(X, mode="sampled")
-    assert not pd.closure_ok
-    first = next(i for i in pd.base_indices if arr[i, 0] != 0)
-    assert pd.witness == (first, bad, dot(arr[first].tolist(), arr[bad].tolist()))
+    pts = QuadArray(arr, None, 1, None)
+    base = sample_indices(configs.DEFAULT_SEED, DEFAULT_SAMPLE, leech.npoints)
+    keys = [quad_key(w, 1, None) for w in leech.omegas]
+    counts, witness = _pair_counts(pts.take(base), pts, keys)
+    first = next(k for k, i in enumerate(base) if arr[i, 0] != 0)
+    assert witness == (first, bad, (dot(arr[base[first]].tolist(), arr[bad].tolist()), 0))
+    assert (counts.sum(axis=1) < leech.npoints).tolist() == [bool(arr[i, 0]) for i in base]
 
 
 def test_sampled_pair_distribution_peaks_below_one_copy_of_the_points(leech):
@@ -145,31 +191,21 @@ def test_sampled_pair_distribution_multiplies_in_point_blocks(leech, monkeypatch
 
 
 def test_pair_distribution_derives_values_without_a_declared_list():
-    # a point file declares no inner-product list; with more than 2000
-    # integer points the numpy path reads the values off the products
+    # a point set without a lattice proof reads its values off the products
+    # of every pair of points, here more than 2000 integer points
     g = np.stack(np.meshgrid(*[np.arange(-14, 15)] * 4, indexing="ij"), -1).reshape(-1, 4)
     pts = [tuple(int(v) for v in p) for p in g[(g * g).sum(axis=1) == 210]]
     assert len(pts) == 4608
-    X = SphericalConfiguration("z4shell", 4, 210, None, points=pts)
+    X = SphericalConfiguration("z4shell", 210, points=pts)
     pd = pair_distribution(X, mode="sampled")
-    assert pd.closure_ok and pd.omegas[0] == 210
-    assert pd.omegas[1:] == sorted(pd.omegas[1:], reverse=True)
-    # the exact oracle, given every integer value in range, on the same rows
-    Y = SphericalConfiguration("z4shell", 4, 210, list(range(210, -211, -1)), points=pts)
-    exact = _pair_exact(Y, pd.base_indices, "sampled")
+    assert pd.closure_ok and pd.omegas == X.omegas and len(X.omegas) == 415
+    assert X.omegas[0] == 210 and X.omegas[1:] == sorted(X.omegas[1:], reverse=True)
+    # the exact oracle reads its own values off the same rows
+    exact = _pair_exact(X, pd.base_indices, "sampled")
+    assert set(exact.omegas) <= set(X.omegas)
     for row, oracle in zip(pd.counts, exact.counts):
         seen = {w: int(c) for w, c in zip(pd.omegas, row) if c}
         assert seen == {w: int(c) for w, c in zip(exact.omegas, oracle) if c}
-
-
-def test_pair_distribution_matches_omegas_exactly():
-    # 1/2 times den^2 = 1 is no integer: the value matches nothing, where
-    # truncating it to 0 would count the two orthogonal points there
-    pts = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    X = SphericalConfiguration("square", 2, 1, [1, Fraction(1, 2), 0, -1], points=pts)
-    pd = pair_distribution(X)
-    assert pd.closure_ok
-    assert pd.counts.tolist() == [[1, 0, 2, 1]] * 4
 
 
 @pytest.mark.parametrize("name", ["icosahedron", "e6", "e7", "knn"])
@@ -178,16 +214,16 @@ def test_pair_distribution_agrees_with_the_exact_oracle(name):
                 "knn": lambda: build_knn(3)}
     X = builders[name]()
     pts = list(X.points)
-    pts[3] = tuple(pts[3][::-1])  # a moved point: closure fails in both
-    # the declared values on the moved set; values read off the products on X
-    for omegas, points in ((X.omegas, pts), (None, X.points)):
-        Z = SphericalConfiguration(name, X.m, X.r2, omegas, points=points)
+    pts[3] = tuple(pts[3][::-1])  # a moved point brings values of its own
+    # both derive their values: numpy over every pair, the oracle by dot
+    for points in (X.points, pts):
+        Z = SphericalConfiguration(name, X.r2, points=points)
         pd = pair_distribution(Z)
         exact = _pair_exact(Z, pd.base_indices, "full")
-        assert pd.omegas == exact.omegas
+        assert pd.omegas == Z.omegas == exact.omegas
         assert pd.counts.tolist() == exact.counts.tolist()
-        assert (pd.closure_ok, pd.witness) == (exact.closure_ok, exact.witness)
-        assert pd.closure_ok == (omegas is None)
+        assert pd.closure_ok and pd.witness is None
+    assert Z.omegas != X.omegas
 
 
 @pytest.mark.parametrize("edge", [127, 128])
@@ -427,6 +463,7 @@ def test_point_file_roundtrip(tmp_path):
     write_points(ico, str(path))
     back = read_points(str(path), name="icosahedron")
     assert back.m == 3
+    assert back.omegas == ico.omegas
     assert back.r2 == ico.r2
     assert back.field_d == 5
     assert back.points == ico.points

@@ -21,7 +21,7 @@ from idealforge.configs import (
     read_points,
     write_points,
 )
-from idealforge.exact import RANK_PRIME, Echelon, Matrix, dot, rank, rank_mod_p, to_mod_p
+from idealforge.exact import RANK_PRIME, Echelon, Matrix, rank, rank_mod_p, to_mod_p
 from idealforge.gamma import (
     EntryGuardError,
     evaluation_nullity,
@@ -169,7 +169,7 @@ def test_point_set_named_like_a_lattice_declares_no_strength():
     # the 16 cube4 points under the name "e8": the strength belongs to the
     # built E8 configuration, not to its name
     cube = build_4cube()[0]
-    X = SphericalConfiguration("e8", 4, cube.r2, cube.omegas, points=cube.points)
+    X = SphericalConfiguration("e8", cube.r2, points=cube.points)
     bounds = gamma1_bounds(X)
     assert bounds.lower.value == 1
     assert bounds.lower.reason == "no design strength recorded"
@@ -291,8 +291,7 @@ def test_parity_bound_counts_classes_from_the_points_not_the_flag():
     for a, b in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (3, 1), (1, 3)]:
         s = a * a + b * b + 1
         pts.append((Fraction(2 * a, s), Fraction(2 * b, s), Fraction(s - 2, s)))
-    values = sorted({dot(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]}, reverse=True)
-    cfg = SphericalConfiguration("sphere10", 3, 1, [1] + values, points=pts)
+    cfg = SphericalConfiguration("sphere10", 1, points=pts)
     cfg.validate_norms()
     assert sign_classes(cfg) == 10
     assert rank_upper_bound(cfg, 2) == 10
@@ -327,7 +326,7 @@ def test_denominator_divisible_by_p_needs_no_exact_elimination(monkeypatch):
     ico = build_icosahedron()
     pts = [tuple(c * Fraction(1, RANK_PRIME) for c in x) for x in ico.points]
     r2 = ico.r2 / RANK_PRIME**2
-    cfg = SphericalConfiguration("ico_over_p", 3, r2, None, points=pts, field_d=5)
+    cfg = SphericalConfiguration("ico_over_p", r2, points=pts, field_d=5)
 
     def refuse(self, row):
         raise AssertionError("exact elimination ran")
@@ -360,7 +359,7 @@ def test_points_mod_p_reduces_int8_rows_exactly():
     # p = 1047961 fits no int8, so a residue formed in the points' own
     # dtype would overflow; the residues are Python's x % p at the extremes
     X = np.array([[-128, 127, 0, -1], [127, -128, 5, 1], [-3, 4, -128, 127]], dtype=np.int8)
-    cfg = SphericalConfiguration("edge", 4, 1, None, array=X)
+    cfg = SphericalConfiguration("edge", 1, array=X)
     expected = [[x % RANK_PRIME for x in row] for row in X.tolist()]
     assert gamma._points_mod_p(cfg, None).tolist() == expected
     assert gamma._points_mod_p(cfg, [2, 0]).tolist() == [expected[2], expected[0]]
@@ -409,7 +408,7 @@ def test_gamma_of_a_point_file_reads_its_values_off_the_points(tmp_path):
     path = tmp_path / "ico.pts"
     write_points(build_icosahedron(), str(path))
     cfg = read_points(str(path))
-    assert cfg.omegas is None
+    assert cfg.lattice is None and cfg.omegas == build_icosahedron().omegas
     assert gamma1_exact(cfg) == 3
     assert gamma_profile(cfg).to_dict()["interval"] == [3, 3]
     # and its antipodality off the points too
@@ -438,14 +437,14 @@ def test_antipodality_is_read_off_each_configuration(name, n, antipodal):
 
 def test_antipodality_is_no_constructor_option():
     with pytest.raises(TypeError):
-        SphericalConfiguration("pair", 1, 1, [1, -1], points=[(1,), (-1,)], antipodal=True)
+        SphericalConfiguration("pair", 1, points=[(1,), (-1,)], antipodal=True)
 
 
 def test_tetrahedron_gets_the_plain_product_bound():
     # no vertex of the regular tetrahedron has its negation in the set, so
     # the one inner product -1 bounds gamma1 by s + 1 = 2, which it meets
     pts = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    cfg = SphericalConfiguration("tetrahedron", 3, 3, [3, -1], points=pts)
+    cfg = SphericalConfiguration("tetrahedron", 3, points=pts)
     assert not cfg.antipodal
     prod = gamma1_bounds(cfg).uppers[0]
     assert (prod.value, prod.reason) == (2, "1 distinct inner products")

@@ -148,7 +148,7 @@ def test_design_sums_match_a_row_by_row_loop():
     e8 = build_e8()
     pts = list(e8.points)
     pts[0] = pts[1]
-    X = SphericalConfiguration("e8", 8, e8.r2, e8.omegas, points=pts)
+    X = SphericalConfiguration("e8", e8.r2, points=pts)
     counts = pair_distribution(X).counts
     assert 1 < len(np.unique(counts, axis=0)) < len(counts)
     table = [gegenbauer_values(8, 7, Fraction(w) / X.r2) for w in X.omegas]
@@ -561,7 +561,7 @@ def test_jacobian_second_base_sees_exactly_the_pairs():
     G = build_generator_set("e8")
     arr, den = G.config.integer_array()
     reps, m = G.pair_reps, G.nvars
-    interior = [w * den * den for w in G.interior_roots]
+    interior = [w * den * den for w in G.config.lattice.values]
     extreme = int(G.config.r2 * den * den)
     base = independent_rows(reps, m)
     second = independent_rows(reps, m, skip=base)
@@ -605,22 +605,6 @@ def test_jacobian_names_a_second_base_vector_equal_to_a_first():
     rec = jacobian_full_pass(G)
     assert rec.status == FAIL
     assert rec.witnesses == [("second-base", f"pair{base[0]}", f"pair{second[0]}", 8)]
-
-
-def test_interior_roots_missing_a_proven_value_fail_both_passes():
-    G = build_generator_set("e8")
-    G.interior_roots = (1, 0)
-    for rec in (check_vanishing(G), jacobian_full_pass(G)):
-        assert rec.status == FAIL
-        assert rec.witnesses == [("interior-root-missing", -1)]
-
-
-def test_repeated_interior_root_fails_only_the_jacobian():
-    # a double root still vanishes, but its gradient is zero there
-    G = build_generator_set("e8")
-    G.interior_roots = (1, 0, 0, -1)
-    assert check_vanishing(G).passed
-    assert jacobian_full_pass(G).witnesses == [("interior-root-repeated", 0)]
 
 
 def test_independent_rows_leech_stride_reaches_full_rank_at_once():
