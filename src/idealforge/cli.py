@@ -167,7 +167,7 @@ def _file_points(path: str, G: GeneratorSet) -> List[Tuple[Scalar, ...]]:
     if pf.field_d not in (None, G.config.field_d):
         raise ValueError(
             f"points are over {field_label(pf.field_d)}, "
-            f"the {G.name} configuration over {field_label(G.config.field_d)}"
+            f"the {G.config.name} configuration over {field_label(G.config.field_d)}"
         )
     section = G.config.section
     if pf.m == G.nvars:
@@ -175,7 +175,7 @@ def _file_points(path: str, G: GeneratorSet) -> List[Tuple[Scalar, ...]]:
     if section is not None and (pf.m, G.nvars) == (section.dim, section.ambient_dim):
         return [section.to_ambient(y) for y in pf.points]
     raise ValueError(
-        f"points have {pf.m} coordinates, the {G.name} generators take {G.nvars}"
+        f"points have {pf.m} coordinates, the {G.config.name} generators take {G.nvars}"
     )
 
 

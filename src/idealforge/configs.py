@@ -106,25 +106,19 @@ class SectionMap:
     """Isometric coordinates for a configuration sitting inside a larger ambient one.
 
     rows[i][j] expresses ambient coordinate i as a linear function of the
-    section coordinates, so ambient_point = rows @ section_point.  The columns
-    of rows must be orthonormal (rows^T rows = I exactly, else
+    section coordinates, so ambient_point = rows @ section_point: the row
+    count is the ambient dimension, the row length the section's.  The
+    columns of rows must be orthonormal (rows^T rows = I exactly, else
     ConstructionError): the forward map is then the transpose.
     """
 
-    def __init__(
-        self,
-        ambient_dim: int,
-        dim: int,
-        rows: Sequence[Sequence[Scalar]],
-        field_d: Optional[int],
-    ):
-        self.ambient_dim = ambient_dim
-        self.dim = dim
+    def __init__(self, rows: Sequence[Sequence[Scalar]]):
         self.rows = tuple(tuple(r) for r in rows)
-        self.field_d = field_d
-        if len(self.rows) != ambient_dim or any(len(r) != dim for r in self.rows):
-            raise ConstructionError(f"section rows must be {ambient_dim} x {dim}")
-        for j, k in itertools.combinations_with_replacement(range(dim), 2):
+        self.ambient_dim = len(self.rows)
+        self.dim = len(self.rows[0]) if self.rows else 0
+        if any(len(r) != self.dim for r in self.rows):
+            raise ConstructionError("section rows differ in length")
+        for j, k in itertools.combinations_with_replacement(range(self.dim), 2):
             if sum(r[j] * r[k] for r in self.rows) != int(j == k):
                 raise ConstructionError(f"section columns {j} and {k} are not orthonormal")
 
@@ -154,9 +148,9 @@ class SphericalConfiguration:
     value-set proof (``lattice.prove_value_set``) once, here, and keeps it
     with the lattice basis as ``lattice``; a failed premise raises
     ConstructionError.  A point set read from a file declares none of them.
-    The dimension ``m`` is no declaration, read off the points, and neither
-    are the inner products ``omegas`` and antipodality, read off the lattice
-    proof or the points.
+    The dimension ``m`` and the field ``field_d`` are no declarations, read
+    off the points, and neither are the inner products ``omegas`` and
+    antipodality, read off the lattice proof or the points.
     """
 
     def __init__(
@@ -165,7 +159,6 @@ class SphericalConfiguration:
         r2: Scalar,
         points: Optional[Sequence[Tuple[Scalar, ...]]] = None,
         array: Optional[np.ndarray] = None,
-        field_d: Optional[int] = None,
         trivial_linear: Sequence[Tuple[Scalar, ...]] = (),
         section: Optional[SectionMap] = None,
         ambient_points: Optional[List[Tuple[Scalar, ...]]] = None,
@@ -181,7 +174,6 @@ class SphericalConfiguration:
         self._array = array
         self._quad: Optional[QuadArray] = None
         self._omegas: Optional[List[Scalar]] = None
-        self.field_d = field_d
         self.trivial_linear = [tuple(f) for f in trivial_linear]
         self.section = section
         self.ambient_points = ambient_points
@@ -196,6 +188,11 @@ class SphericalConfiguration:
     def m(self) -> int:
         """The dimension: the row length of the points or the array."""
         return self._array.shape[1] if self._array is not None else len(self._points[0])
+
+    @property
+    def field_d(self) -> Optional[int]:
+        """d when a coordinate lies in Q(sqrt d) but not in Q, None over Q: ``quad_array().d``."""
+        return self.quad_array().d
 
     @property
     def omegas(self) -> List[Scalar]:
@@ -309,7 +306,7 @@ def build_icosahedron() -> SphericalConfiguration:
     """
     reps = [p for s in (1, -1) for p in ((1, s * PHI, 0), (0, 1, s * PHI), (PHI, 0, s))]
     cfg = SphericalConfiguration(
-        "icosahedron", 2 + PHI, points=_with_negations(reps), field_d=5, design_strength=5
+        "icosahedron", 2 + PHI, points=_with_negations(reps), design_strength=5
     )
     cfg.validate_norms()
     return cfg
@@ -394,13 +391,12 @@ def _e8_slice(name: str, free: int, expected: int) -> SphericalConfiguration:
     inv_sqrt = Quad(0, Fraction(1, tied), tied)  # 1/sqrt(t) = sqrt(t)/t
     rows: List[List[Scalar]] = [[int(i == j) for j in range(free + 1)] for i in range(free)]
     rows += [[0] * free + [inv_sqrt] for _ in range(tied)]
-    section = SectionMap(8, free + 1, rows, field_d=tied)
+    section = SectionMap(rows)
     ambient = [a for a in _e8_points() if len(set(a[free:])) == 1]
     cfg = SphericalConfiguration(
         name,
         2,
         points=[section.to_section(a) for a in ambient],
-        field_d=tied,
         section=section,
         ambient_points=ambient,
         design_strength=5,  # both slices are 5-designs
@@ -774,10 +770,11 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 def read_points(path: str, name: str = "file") -> SphericalConfiguration:
     """The configuration a point file holds.
 
-    The field must be Q or Q(sqrt d) with d in SUPPORTED_D, every coordinate
-    must lie in it, and the file must hold at least one point; otherwise
-    ValueError.  Plain integer coordinates are read as ints, every other
-    token by ``parse_scalar``.
+    The header's field must be Q or Q(sqrt d) with d in SUPPORTED_D, every
+    coordinate must lie in it, and the file must hold at least one point;
+    otherwise ValueError.  The configuration's field is then read off the
+    coordinates, like any configuration's.  Plain integer coordinates are
+    read as ints, every other token by ``parse_scalar``.
     """
     fields = {field_label(d): d for d in (None, *SUPPORTED_D)}
     with open(path) as fh:
@@ -806,4 +803,4 @@ def read_points(path: str, name: str = "file") -> SphericalConfiguration:
             pts.append(coords)
     if not pts:
         raise ValueError("point file holds no points")
-    return SphericalConfiguration(name, r2, points=pts, field_d=field_d)
+    return SphericalConfiguration(name, r2, points=pts)

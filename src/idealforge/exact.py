@@ -178,11 +178,6 @@ class Quad:
 Scalar = Union[int, Fraction, Quad]
 
 
-def scalar_field(x: Scalar) -> Optional[int]:
-    """Field tag: None for Q, d for Q(sqrt d)."""
-    return x.d if isinstance(x, Quad) else None
-
-
 # ---------------------------------------------------------------------------
 # scalar text syntax: `-3`, `7/2`, `1/2+3/2*sqrt(5)`; whitespace-insensitive
 # ---------------------------------------------------------------------------

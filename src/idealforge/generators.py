@@ -58,16 +58,10 @@ class FactoredPoly:
     SparsePoly are all exact.
     """
 
-    __slots__ = ("nvars", "field_d", "factors")
+    __slots__ = ("nvars", "factors")
 
-    def __init__(
-        self,
-        nvars: int,
-        factors: Sequence[Tuple[Sequence[Scalar], Scalar]],
-        field_d: Optional[int] = None,
-    ):
+    def __init__(self, nvars: int, factors: Sequence[Tuple[Sequence[Scalar], Scalar]]):
         self.nvars = nvars
-        self.field_d = field_d
         fs = []
         for vec, c in factors:
             vec = tuple(vec)
@@ -111,20 +105,15 @@ class FactoredPoly:
         return tuple(grad)
 
     def expand(self) -> SparsePoly:
-        out = SparsePoly.constant(self.nvars, Fraction(1), self.field_d)
+        out = SparsePoly.constant(self.nvars, Fraction(1))
         for vec, c in self.factors:
-            lin = SparsePoly.linear_form(vec, self.field_d)
+            lin = SparsePoly.linear_form(vec)
             if c != 0:
-                lin = lin - SparsePoly.constant(self.nvars, c, self.field_d)
+                lin = lin - SparsePoly.constant(self.nvars, c)
             out = out * lin
         return out
 
-    def restrict(
-        self,
-        rows: Sequence[Sequence[Scalar]],
-        new_nvars: int,
-        field_d: Optional[int] = None,
-    ) -> "FactoredPoly":
+    def restrict(self, rows: Sequence[Sequence[Scalar]], new_nvars: int) -> "FactoredPoly":
         """Compose with Y_i = sum_j rows[i][j] Z_j, factor by factor."""
         if len(rows) != self.nvars:
             raise ValueError("need one substitution row per variable")
@@ -139,7 +128,7 @@ class FactoredPoly:
                     if row[j] != 0:
                         nv[j] = nv[j] + vi * row[j]
             new_factors.append((tuple(nv), c))
-        return FactoredPoly(new_nvars, new_factors, field_d)
+        return FactoredPoly(new_nvars, new_factors)
 
     def __repr__(self):
         return f"FactoredPoly(nvars={self.nvars}, degree={self.degree()})"
@@ -152,33 +141,30 @@ def as_sparse(p) -> SparsePoly:
     return p
 
 
-def zonal(a: Sequence[Scalar], roots: Sequence[Scalar], field_d: Optional[int] = None) -> SparsePoly:
+def zonal(a: Sequence[Scalar], roots: Sequence[Scalar]) -> SparsePoly:
     """Expanded product of (a . Y - root) over the given roots."""
     if not any(x != 0 for x in a):
         raise ValueError("base vector must be nonzero")
     if not roots:
         raise ValueError("at least one root is required")
-    return FactoredPoly(len(a), [(tuple(a), r) for r in roots], field_d).expand()
+    return FactoredPoly(len(a), [(tuple(a), r) for r in roots]).expand()
 
 
 def sliced_zonal(
-    a: Sequence[Scalar],
-    b: Sequence[Scalar],
-    interior_roots: Sequence[Scalar],
-    field_d: Optional[int] = None,
+    a: Sequence[Scalar], b: Sequence[Scalar], interior_roots: Sequence[Scalar]
 ) -> SparsePoly:
     """Expanded (b . Y) * prod(a . Y - root) for b orthogonal to a."""
-    return _sliced_factored(a, b, interior_roots, field_d).expand()
+    return _sliced_factored(a, b, interior_roots).expand()
 
 
-def _sliced_factored(a, b, interior_roots, field_d=None) -> FactoredPoly:
+def _sliced_factored(a, b, interior_roots) -> FactoredPoly:
     if not any(x != 0 for x in b):
         raise ValueError("slicing vector must be nonzero")
     if dot(a, b) != 0:
         raise OrthogonalityError("slicing vector must be orthogonal to the base vector")
     factors = [(tuple(b), 0)]
     factors.extend((tuple(a), r) for r in interior_roots)
-    return FactoredPoly(len(a), factors, field_d)
+    return FactoredPoly(len(a), factors)
 
 
 def orthogonal_complement_basis(a: Sequence[Scalar]) -> List[Tuple[Scalar, ...]]:
@@ -207,28 +193,25 @@ class GeneratorSet:
 
     Small sets are materialized; the Leech family is streamed from indices.
     Iteration yields (label, poly) with poly either SparsePoly or FactoredPoly.
+    The name, the squared norm and the field are the configuration's;
+    ``nvars`` is its own, since a set may live in an ambient space (e7: 8
+    variables for 7 coordinates).
     """
 
     def __init__(
         self,
-        name: str,
+        config: SphericalConfiguration,
         nvars: int,
-        r2: Scalar,
         items: Sequence[Tuple[str, object]],
-        field_d: Optional[int] = None,
         stream_count: int = 0,
         stream_factory: Optional[Callable[[int], Tuple[str, FactoredPoly]]] = None,
-        config: Optional[SphericalConfiguration] = None,
         pair_reps: Optional[np.ndarray] = None,
     ):
-        self.name = name
+        self.config = config
         self.nvars = nvars
-        self.r2 = r2
         self.items = list(items)
-        self.field_d = field_d
         self.stream_count = stream_count
         self.stream_factory = stream_factory
-        self.config = config
         self.pair_reps = pair_reps
 
     def __len__(self) -> int:
@@ -255,19 +238,12 @@ class GeneratorSet:
 
 def _icosahedron_set() -> GeneratorSet:
     cfg = build_icosahedron()
-    items: List[Tuple[str, object]] = [
-        (LABEL_NM, nm_poly(3, cfg.r2, field_d=5))
-    ]
+    items: List[Tuple[str, object]] = [(LABEL_NM, nm_poly(3, cfg.r2))]
     interior = cfg.omegas[1:-1]  # the values of pairs x != +-y
     for p, a in enumerate(cfg.points[: cfg.npoints // 2]):
         for i, b in enumerate(orthogonal_complement_basis(a)):
-            items.append(
-                (
-                    f"{LABEL_SLICED} pair{p} c{i}",
-                    _sliced_factored(a, b, interior, field_d=5),
-                )
-            )
-    return GeneratorSet("icosahedron", 3, cfg.r2, items, field_d=5, config=cfg)
+            items.append((f"{LABEL_SLICED} pair{p} c{i}", _sliced_factored(a, b, interior)))
+    return GeneratorSet(cfg, 3, items)
 
 
 def _e8_set() -> GeneratorSet:
@@ -279,7 +255,7 @@ def _e8_set() -> GeneratorSet:
             items.append(
                 (f"{LABEL_SLICED} pair{p} c{i}", _sliced_factored(a, b, interior))
             )
-    return GeneratorSet("e8", 8, cfg.r2, items, config=cfg, pair_reps=cfg.lattice.reps)
+    return GeneratorSet(cfg, 8, items, pair_reps=cfg.lattice.reps)
 
 
 def _e7_items(r2: Scalar) -> List[Tuple[str, object]]:
@@ -294,13 +270,13 @@ def _e7_items(r2: Scalar) -> List[Tuple[str, object]]:
 
 def _e7_set() -> GeneratorSet:
     cfg = build_e7()
-    return GeneratorSet("e7", 8, cfg.r2, _e7_items(cfg.r2), config=cfg)
+    return GeneratorSet(cfg, 8, _e7_items(cfg.r2))
 
 
 def _e6_set() -> GeneratorSet:
     """The e7 generators restricted to the e6 section."""
     cfg = build_e6()
-    ambient = GeneratorSet("e6", 8, cfg.r2, _e7_items(cfg.r2), config=cfg)
+    ambient = GeneratorSet(cfg, 8, _e7_items(cfg.r2))
     return restrict_to_section(ambient, cfg.section)
 
 
@@ -319,14 +295,7 @@ def _leech_set() -> GeneratorSet:
         )
 
     return GeneratorSet(
-        "leech",
-        24,
-        cfg.r2,
-        items,
-        stream_count=reps.shape[0] * 23,
-        stream_factory=factory,
-        config=cfg,
-        pair_reps=reps,
+        cfg, 24, items, stream_count=reps.shape[0] * 23, stream_factory=factory, pair_reps=reps
     )
 
 
@@ -337,7 +306,7 @@ def _cube4_set() -> GeneratorSet:
         items.append(
             (f"{LABEL_ZONAL} pair{p}", FactoredPoly(4, [(a, r) for r in cfg.omegas]))
         )
-    return GeneratorSet("cube4", 4, cfg.r2, items, config=cfg)
+    return GeneratorSet(cfg, 4, items)
 
 
 def _angular_sort(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Tuple[Fraction, Fraction]]:
@@ -411,7 +380,7 @@ def _ngon_set(n: int) -> GeneratorSet:
         (f"{LABEL_CHORD} first", FactoredPoly(2, f_factors)),
         (f"{LABEL_CHORD} second", FactoredPoly(2, g_factors)),
     ]
-    return GeneratorSet("ngon", 2, cfg.r2, items, config=cfg)
+    return GeneratorSet(cfg, 2, items)
 
 
 def _knn_set(n: int) -> GeneratorSet:
@@ -429,7 +398,7 @@ def _knn_set(n: int) -> GeneratorSet:
             )
     for t, lin in enumerate(cfg.trivial_linear):
         items.append((f"{LABEL_LINEAR} block{t}", FactoredPoly(2 * n, [(lin, 0)])))
-    return GeneratorSet("knn", 2 * n, cfg.r2, items, config=cfg)
+    return GeneratorSet(cfg, 2 * n, items)
 
 
 class Family(NamedTuple):
@@ -469,7 +438,7 @@ def build_generator_set(name: str, n: Optional[int] = None) -> GeneratorSet:
 
 
 def restrict_to_section(G: GeneratorSet, S: SectionMap) -> GeneratorSet:
-    """Substitute Y = S.rows Z into every generator: S.dim variables, over S's field.
+    """Substitute Y = S.rows Z into every generator: S.dim variables.
 
     Only materialized sets are restricted; a streamed set is a ValueError.
     """
@@ -479,25 +448,17 @@ def restrict_to_section(G: GeneratorSet, S: SectionMap) -> GeneratorSet:
         raise ValueError("a streamed generator set cannot be restricted")
 
     def restrict(p):
-        field = S.field_d if S.field_d is not None else p.field_d
         if isinstance(p, FactoredPoly):
-            return p.restrict(S.rows, S.dim, field)
-        return p.compose_linear(S.rows, S.dim, field)
+            return p.restrict(S.rows, S.dim)
+        return p.compose_linear(S.rows, S.dim)
 
-    return GeneratorSet(
-        G.name,
-        S.dim,
-        G.r2,
-        [(label, restrict(p)) for label, p in G.items],
-        field_d=S.field_d if S.field_d is not None else G.field_d,
-        config=G.config,
-    )
+    return GeneratorSet(G.config, S.dim, [(label, restrict(p)) for label, p in G.items])
 
 
 def write_generators(G: GeneratorSet, path: str) -> None:
     """Text export, one generator per line, labels as comments."""
     with open(path, "w") as fh:
-        fh.write(f"# generator set {G.name}: {len(G)} generators in {G.nvars} variables\n")
+        fh.write(f"# generator set {G.config.name}: {len(G)} generators in {G.nvars} variables\n")
         from .poly import poly_to_text
 
         for label, p in G:

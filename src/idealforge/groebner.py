@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, mul
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .configs import SphericalConfiguration
 from .exact import FieldMismatchError, Quad, Scalar, _fdiv
@@ -110,7 +110,7 @@ class _Integers:
     def parts(x: Scalar) -> Tuple:
         if isinstance(x, Quad):
             if x.b:
-                raise FieldMismatchError(f"coefficient in Q(sqrt {x.d}) inside a field-None polynomial")
+                raise FieldMismatchError(f"coefficient in Q(sqrt {x.d}) inside a polynomial over Q")
             return (x.a,)
         return (x,)
 
@@ -164,7 +164,7 @@ class _QuadIntegers:
     def parts(self, x: Scalar) -> Tuple:
         if isinstance(x, Quad):
             if x.b and x.d != self.d:
-                raise FieldMismatchError(f"coefficient in Q(sqrt {x.d}) inside a field-{self.d} polynomial")
+                raise FieldMismatchError(f"coefficient in Q(sqrt {x.d}) inside a polynomial over Q(sqrt {self.d})")
             return (x.a, x.b)
         return (x, 0)
 
@@ -286,7 +286,7 @@ def _lead(p: Dict, ordering: MonomialOrdering) -> Tuple[Monomial, object]:
 def _monic(p: Dict, lead: Tuple[Monomial, object], ring) -> SparsePoly:
     """The field polynomial p / lc, the one place the pass forms fractions again."""
     lm, lc = lead
-    out = SparsePoly.zero(len(lm), ring.d)
+    out = SparsePoly.zero(len(lm))
     out.terms = {m: ring.to_field(c, lc) for m, c in p.items()}
     return out
 
@@ -380,8 +380,8 @@ def s_polynomial(
     fm = f.leading_monomial(ordering)
     gm = g.leading_monomial(ordering)
     l = mono_lcm(fm, gm)
-    uf = SparsePoly(f.nvars, {mono_div(l, fm): _fdiv(1, f.terms[fm])}, f.field_d)
-    ug = SparsePoly(g.nvars, {mono_div(l, gm): _fdiv(1, g.terms[gm])}, g.field_d)
+    uf = SparsePoly(f.nvars, {mono_div(l, fm): _fdiv(1, f.terms[fm])})
+    ug = SparsePoly(g.nvars, {mono_div(l, gm): _fdiv(1, g.terms[gm])})
     return uf * f - ug * g
 
 
@@ -392,17 +392,31 @@ def _as_given(gens) -> List:
     return list(gens)
 
 
+def _coefficients(p) -> Iterator[Scalar]:
+    """The scalars a generator is written with: its terms, or its factors' vectors and constants."""
+    if not isinstance(p, FactoredPoly):
+        yield from p.terms.values()
+        return
+    for vec, c in p.factors:
+        yield from vec
+        yield c
+
+
 def _integer_inputs(gens):
-    """The ring of the generators and their primitive integer forms, in order."""
+    """The ring of the generators and their primitive integer forms, in order.
+
+    The ring is Q(sqrt d) for the first coefficient with an irrational part,
+    Q when there is none; ``ring.parts`` raises FieldMismatchError on a
+    coefficient from another field.
+    """
     given = _as_given(gens)
     if not given:
         raise ValueError("no nonzero generators")
-    nvars, d = given[0].nvars, given[0].field_d
+    nvars = given[0].nvars
     for p in given:
         if p.nvars != nvars:
             raise ValueError("variable count mismatch")
-        if p.field_d != d:
-            raise FieldMismatchError(f"field tags differ: {d} vs {p.field_d}")
+    d = next((c.d for p in given for c in _coefficients(p) if isinstance(c, Quad) and c.b), None)
     ring = _ring(d)
     return ring, [_integer_form(p, ring) for p in given]
 
@@ -435,7 +449,7 @@ class GroebnerBasis:
         lead = [(p.leading_monomial(self.ordering), p.leading_coefficient(self.ordering)) for p in self.polys]
         work = _WorkMeter(budget, self.polys)
         rem = _heap_reduce(dict(f.terms), self.polys, lead, self.ordering, {}, lambda _i, _qm, _qc: work.bump())
-        out = SparsePoly.zero(f.nvars, f.field_d)
+        out = SparsePoly.zero(f.nvars)
         out.terms = rem
         return out
 

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomial arithmetic over exact scalars.
 
 Monomials are dense exponent tuples (variable count is at most 24 here).
-Coefficients are int/Fraction for Q or Quad for a quadratic field; each
-polynomial carries an explicit field tag and no implicit promotion happens.
+Coefficients are int/Fraction for Q or Quad for a quadratic field.  A
+polynomial's field is that of its coefficients: a Quad carries its d and
+raises FieldMismatchError where it meets a Quad of another field.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from operator import add, le, neg, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
-    FieldMismatchError,
     Quad,
     Scalar,
     _fdiv,
     parse_scalar,
-    scalar_field,
     scalar_to_text,
 )
 
@@ -77,28 +76,17 @@ LEX = MonomialOrdering("lex")
 
 
 class SparsePoly:
-    """Map monomial -> nonzero coefficient, with variable count and field tag."""
+    """Map monomial -> nonzero coefficient, with variable count."""
 
-    __slots__ = ("nvars", "field_d", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(
-        self,
-        nvars: int,
-        terms: Optional[Dict[Monomial, Scalar]] = None,
-        field_d: Optional[int] = None,
-    ):
+    def __init__(self, nvars: int, terms: Optional[Dict[Monomial, Scalar]] = None):
         self.nvars = nvars
-        self.field_d = field_d
         clean: Dict[Monomial, Scalar] = {}
         if terms:
             for m, c in terms.items():
                 if len(m) != nvars:
                     raise ValueError("monomial arity mismatch")
-                d = scalar_field(c)
-                if d is not None and d != field_d and not (isinstance(c, Quad) and c.b == 0):
-                    raise FieldMismatchError(
-                        f"coefficient in Q(sqrt {d}) inside a field-{field_d} polynomial"
-                    )
                 if c != 0:
                     clean[m] = c
         self.terms = clean
@@ -106,26 +94,24 @@ class SparsePoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, field_d: Optional[int] = None) -> "SparsePoly":
-        return cls(nvars, {}, field_d)
+    def zero(cls, nvars: int) -> "SparsePoly":
+        return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, c: Scalar, field_d: Optional[int] = None) -> "SparsePoly":
-        return cls(nvars, {tuple([0] * nvars): c}, field_d)
+    def constant(cls, nvars: int, c: Scalar) -> "SparsePoly":
+        return cls(nvars, {tuple([0] * nvars): c})
 
     @classmethod
-    def variable(cls, nvars: int, i: int, field_d: Optional[int] = None) -> "SparsePoly":
+    def variable(cls, nvars: int, i: int) -> "SparsePoly":
         """The variable Y_i, 1-indexed."""
         if not 1 <= i <= nvars:
             raise IndexError(f"variable index {i} out of range")
         e = [0] * nvars
         e[i - 1] = 1
-        return cls(nvars, {tuple(e): 1}, field_d)
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
-    def linear_form(
-        cls, coeffs: Sequence[Scalar], field_d: Optional[int] = None
-    ) -> "SparsePoly":
+    def linear_form(cls, coeffs: Sequence[Scalar]) -> "SparsePoly":
         """Sum of c_i * Y_i for a coefficient vector."""
         n = len(coeffs)
         terms: Dict[Monomial, Scalar] = {}
@@ -134,7 +120,7 @@ class SparsePoly:
                 e = [0] * n
                 e[i] = 1
                 terms[tuple(e)] = c
-        return cls(n, terms, field_d)
+        return cls(n, terms)
 
     # -- basics --------------------------------------------------------------
 
@@ -145,23 +131,19 @@ class SparsePoly:
         return max((sum(m) for m in self.terms), default=-1)
 
     def copy(self) -> "SparsePoly":
-        p = SparsePoly.zero(self.nvars, self.field_d)
+        p = SparsePoly.zero(self.nvars)
         p.terms = dict(self.terms)
         return p
 
     def _check_compat(self, other: "SparsePoly"):
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        if self.field_d != other.field_d:
-            raise FieldMismatchError(
-                f"field tags differ: {self.field_d} vs {other.field_d}"
-            )
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Quad)):
-            other = SparsePoly.constant(self.nvars, other, self.field_d)
+            other = SparsePoly.constant(self.nvars, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check_compat(other)
@@ -172,20 +154,20 @@ class SparsePoly:
                 terms.pop(m, None)
             else:
                 terms[m] = v
-        out = SparsePoly.zero(self.nvars, self.field_d)
+        out = SparsePoly.zero(self.nvars)
         out.terms = terms
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = SparsePoly.zero(self.nvars, self.field_d)
+        out = SparsePoly.zero(self.nvars)
         out.terms = {m: -c for m, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Quad)):
-            other = SparsePoly.constant(self.nvars, other, self.field_d)
+            other = SparsePoly.constant(self.nvars, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self + (-other)
@@ -195,8 +177,8 @@ class SparsePoly:
 
     def scale(self, c: Scalar) -> "SparsePoly":
         if c == 0:
-            return SparsePoly.zero(self.nvars, self.field_d)
-        out = SparsePoly.zero(self.nvars, self.field_d)
+            return SparsePoly.zero(self.nvars)
+        out = SparsePoly.zero(self.nvars)
         out.terms = {m: c * v for m, v in self.terms.items()}
         return out
 
@@ -219,7 +201,7 @@ class SparsePoly:
                     terms.pop(m, None)
                 else:
                     terms[m] = v
-        out = SparsePoly.zero(self.nvars, self.field_d)
+        out = SparsePoly.zero(self.nvars)
         out.terms = terms
         return out
 
@@ -228,7 +210,7 @@ class SparsePoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power")
-        out = SparsePoly.constant(self.nvars, 1, self.field_d)
+        out = SparsePoly.constant(self.nvars, 1)
         base = self
         while e:
             if e & 1:
@@ -239,7 +221,7 @@ class SparsePoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Quad)):
-            other = SparsePoly.constant(self.nvars, other, self.field_d)
+            other = SparsePoly.constant(self.nvars, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         if self.nvars != other.nvars:
@@ -290,16 +272,11 @@ class SparsePoly:
                     terms.pop(key, None)
                 else:
                     terms[key] = v
-        out = SparsePoly.zero(self.nvars, self.field_d)
+        out = SparsePoly.zero(self.nvars)
         out.terms = terms
         return out
 
-    def compose_linear(
-        self,
-        rows: Sequence[Sequence[Scalar]],
-        new_nvars: int,
-        field_d: Optional[int] = None,
-    ) -> "SparsePoly":
+    def compose_linear(self, rows: Sequence[Sequence[Scalar]], new_nvars: int) -> "SparsePoly":
         """Substitute Y_i := sum_j rows[i][j] * Z_j; result lives in new_nvars variables.
 
         Used for restricting ambient polynomials to a section's coordinates.
@@ -310,8 +287,8 @@ class SparsePoly:
         for row in rows:
             if len(row) != new_nvars:
                 raise ValueError("substitution row arity mismatch")
-            lin.append(SparsePoly.linear_form(row, field_d))
-        out = SparsePoly.zero(new_nvars, field_d)
+            lin.append(SparsePoly.linear_form(row))
+        out = SparsePoly.zero(new_nvars)
         cache: Dict[Tuple[int, int], SparsePoly] = {}
 
         def var_power(i: int, e: int) -> SparsePoly:
@@ -321,7 +298,7 @@ class SparsePoly:
             return cache[key]
 
         for m, c in self.terms.items():
-            piece = SparsePoly.constant(new_nvars, c, field_d)
+            piece = SparsePoly.constant(new_nvars, c)
             for i, e in enumerate(m):
                 if e:
                     piece = piece * var_power(i, e)
@@ -362,8 +339,8 @@ def divide(
     for d in divisors:
         if d.is_zero():
             raise ZeroDivisionError("zero divisor in division")
-        if d.nvars != f.nvars or d.field_d != f.field_d:
-            raise ValueError("divisor arity/field mismatch")
+        if d.nvars != f.nvars:
+            raise ValueError("divisor arity mismatch")
     lead = [(d.leading_monomial(ordering), d.leading_coefficient(ordering)) for d in divisors]
     quots: List[Dict[Monomial, Scalar]] = [{} for _ in divisors]
 
@@ -371,7 +348,7 @@ def divide(
         quots[i][qm] = qc  # lm falls every step, so qm is new
 
     rem = _heap_reduce(dict(f.terms), divisors, lead, ordering, {}, record)
-    return [SparsePoly(f.nvars, q, f.field_d) for q in quots], SparsePoly(f.nvars, rem, f.field_d)
+    return [SparsePoly(f.nvars, q) for q in quots], SparsePoly(f.nvars, rem)
 
 
 def _first_divisor(
@@ -458,7 +435,7 @@ def _heap_reduce(
     return rem
 
 
-def nm_poly(nvars: int, r2: Scalar, field_d: Optional[int] = None) -> SparsePoly:
+def nm_poly(nvars: int, r2: Scalar) -> SparsePoly:
     """The sphere polynomial: sum of Y_i^2 minus the squared norm."""
     terms: Dict[Monomial, Scalar] = {}
     for i in range(nvars):
@@ -466,7 +443,7 @@ def nm_poly(nvars: int, r2: Scalar, field_d: Optional[int] = None) -> SparsePoly
         e[i] = 2
         terms[tuple(e)] = 1
     terms[tuple([0] * nvars)] = -r2
-    return SparsePoly(nvars, terms, field_d)
+    return SparsePoly(nvars, terms)
 
 
 def is_trivial(f: SparsePoly, nm: SparsePoly, ordering: MonomialOrdering = GREVLEX) -> bool:
@@ -513,15 +490,13 @@ def poly_to_text(f: SparsePoly, ordering: MonomialOrdering = GREVLEX) -> str:
     return text
 
 
-def poly_from_text(
-    text: str, nvars: int, field_d: Optional[int] = None
-) -> SparsePoly:
+def poly_from_text(text: str, nvars: int) -> SparsePoly:
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ValueError("empty polynomial text")
     if s == "0":
-        return SparsePoly.zero(nvars, field_d)
-    out = SparsePoly.zero(nvars, field_d)
+        return SparsePoly.zero(nvars)
+    out = SparsePoly.zero(nvars)
     pos = 0
     while pos < len(s):
         m = _TERM_HEAD.match(s, pos)
@@ -554,7 +529,7 @@ def poly_from_text(
                 break
         if not has_mono and m.group("paren") is None and m.group("plain") is None:
             raise ValueError(f"bad polynomial syntax near {s[pos:]!r}")
-        out = out + SparsePoly(nvars, {tuple(exps): sign * coef}, field_d)
+        out = out + SparsePoly(nvars, {tuple(exps): sign * coef})
         if pos < len(s):
             if s[pos] not in "+-":
                 raise ValueError(f"bad polynomial syntax near {s[pos:]!r}")

@@ -221,7 +221,7 @@ def _shell_units(G: GeneratorSet, den: int) -> Tuple[List[int], int]:
     coordinates are den^2 times the configuration's values.
     """
     scale = den * den
-    return [w * scale for w in G.config.lattice.values], int(G.r2 * scale)
+    return [w * scale for w in G.config.lattice.values], int(G.config.r2 * scale)
 
 
 def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
@@ -239,7 +239,7 @@ def _lattice_witnesses(G: GeneratorSet, A: np.ndarray, q: int) -> List[Tuple]:
     den = G.config.integer_array()[1]
     n2 = squared_norms(A)
     f = den // math.gcd(den, q)  # lcm(den, q) / q
-    bad = np.flatnonzero(n2 != G.r2 * q * q)
+    bad = np.flatnonzero(n2 != G.config.r2 * q * q)
     if bad.size:
         return [("NM", int(i), int(n2[i]) * f * f) for i in bad[:5]]
     k = q // math.gcd(den, q)  # lcm(den, q) / den, so A / k * f is den-scaled
@@ -282,12 +282,12 @@ def _proof_witnesses(G: GeneratorSet, points: Optional[Sequence] = None) -> List
     """
     cfg, reps, proof = G.config, G.pair_reps, G.config.lattice
     if proof is None:
-        raise ValueError(f"{G.name}: the pair structure needs the configuration's lattice proof")
+        raise ValueError(f"{cfg.name}: the pair structure needs the configuration's lattice proof")
     arr, den = cfg.integer_array()
     if points is not None:
         q = quad_array(list(points))
         if q.B is not None:
-            raise FieldMismatchError(f"{G.name} points must be rational")
+            raise FieldMismatchError(f"{cfg.name} points must be rational")
         witnesses = _lattice_witnesses(G, q.A, q.den)
     else:
         same = arr is proof.points or _same_rows(arr, proof.points)
@@ -346,7 +346,7 @@ def check_vanishing(G: GeneratorSet, points: Optional[Sequence] = None) -> Claim
             witnesses = _eval_vanishing(G, pts)
             detail = f"{len(G)} generators x {len(pts)} points, exact evaluation"
     return ClaimRecord(
-        f"{G.name}.vanishing", PASS if not witnesses else FAIL, FULL, witnesses, detail=detail
+        f"{G.config.name}.vanishing", PASS if not witnesses else FAIL, FULL, witnesses, detail=detail
     )
 
 
@@ -354,7 +354,7 @@ def check_gallery_vanishing(G: GeneratorSet, gallery_points: Sequence) -> ClaimR
     """Every generator vanishes on an extra gallery of points (4-cube companion)."""
     witnesses = _generic_vanishing(G, list(gallery_points))
     return ClaimRecord(
-        f"{G.name}.gallery",
+        f"{G.config.name}.gallery",
         PASS if not witnesses else FAIL,
         FULL,
         witnesses,
@@ -425,7 +425,7 @@ def jacobian_full_pass(G: GeneratorSet) -> ClaimRecord:
     (``_lattice_jacobian``).
     """
     m = G.nvars
-    claim = f"{G.name}.jacobian"
+    claim = f"{G.config.name}.jacobian"
     if G.pair_reps is None:
         pts = _eval_points(G)
         proven = _full_rank_mod_p(G, pts)
@@ -878,12 +878,12 @@ def nontrivial_generator_check(G: GeneratorSet, degree: int) -> ClaimRecord:
     candidates = list(G.items)
     if G.stream_count:
         candidates.append(G.streamed(0))
-    found = dot(w, w) == G.r2 and next(
+    found = dot(w, w) == G.config.r2 and next(
         (label for label, p in candidates if p.degree() == degree and p.eval(w) != 0),
         None,
     )
     return ClaimRecord(
-        f"{G.name}.nontrivial-degree-{degree}",
+        f"{G.config.name}.nontrivial-degree-{degree}",
         PASS if found else FAIL,
         FULL,
         [] if found else [("no nontrivial generator of degree", degree)],

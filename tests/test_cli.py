@@ -341,10 +341,26 @@ def test_e8_points_off_the_lattice_name_themselves(built_points, tmp_path):
 def test_point_file_over_another_field_fails(tmp_path):
     # sqrt(2) coordinates are valid Q(sqrt 2) input, but not icosahedron (Q(sqrt 5)) points
     pts = tmp_path / "q2.pts"
-    pts.write_text("dim 3 norm 2 field Q(sqrt 2)\nsqrt(2) 0 0\n")
+    pts.write_text("dim 3 norm 2 field Q(sqrt 2)\nsqrt(2) 0 0\n0 sqrt(2) 0\n")
     code, doc = run_json(["verify", "icosahedron", "--points", str(pts)], tmp_path)
     assert code == EXIT_CHECK
     assert [(c["id"], c["status"]) for c in doc["claims"]] == [("icosahedron.points_file", "fail")]
+    assert doc["claims"][0]["detail"] == (
+        "points are over Q(sqrt 2), the icosahedron configuration over Q(sqrt 5)"
+    )
+
+
+def test_rational_points_under_a_quadratic_header_pass(built_points, tmp_path):
+    # the header's field bounds the coordinates; the points' field is read
+    # off them, so the rational e8 points under a Q(sqrt 5) header are over Q
+    lines = built_points["e8"].read_text().splitlines()
+    lines[0] = " ".join(lines[0].split(None, 5)[:5] + ["Q(sqrt 5)"])
+    pts = tmp_path / "e8_sqrt5.pts"
+    pts.write_text("\n".join(lines) + "\n")
+    assert read_points(str(pts)).field_d is None
+    code, doc = run_json(["verify", "e8", "--points", str(pts)], tmp_path)
+    assert code == EXIT_OK
+    assert all(c["status"] == "pass" for c in doc["claims"])
 
 
 def test_report_builds_and_certifies_once(tmp_path, monkeypatch):

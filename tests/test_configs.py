@@ -38,10 +38,12 @@ from idealforge.configs import (
     build_ngon,
     e7_defining_vectors,
     pair_distribution,
+    SectionMap,
     read_points,
     write_points,
 )
-from idealforge.generators import FAMILIES, GeneratorSet
+from idealforge.generators import FAMILIES, FactoredPoly, GeneratorSet
+from idealforge.poly import SparsePoly
 from idealforge.sampling import sample_indices, splitmix64
 
 
@@ -135,7 +137,35 @@ def test_values_and_dimension_are_no_constructor_options():
         with pytest.raises(TypeError):
             SphericalConfiguration("pair", 1, points=pts, **option)
     with pytest.raises(TypeError):
-        GeneratorSet("pair", 2, 1, [], interior_roots=(0,))
+        GeneratorSet(SphericalConfiguration("pair", 1, points=pts), 2, [], interior_roots=(0,))
+
+
+# the field each builder declared before it was read off the points
+DECLARED_FIELD = {"icosahedron": 5, "e6": 3, "e7": 2}
+
+
+@pytest.mark.parametrize("name, n", list(DECLARED))
+def test_field_is_read_off_as_the_builders_declared_it(name, n):
+    cfg = FAMILIES[name].config(n)
+    assert cfg.field_d == DECLARED_FIELD.get(name)
+    with pytest.raises(AttributeError):
+        cfg.field_d = 7
+
+
+def test_field_is_no_constructor_option():
+    pts = [(1, 0), (-1, 0)]
+    cfg = SphericalConfiguration("pair", 1, points=pts)
+    makers = [
+        lambda **kw: SparsePoly(2, {(1, 0): 1}, **kw),
+        lambda **kw: FactoredPoly(2, [((1, 0), 0)], **kw),
+        lambda **kw: GeneratorSet(cfg, 2, [], **kw),
+        lambda **kw: SectionMap([[1, 0], [0, 1]], **kw),
+        lambda **kw: SphericalConfiguration("pair", 1, points=pts, **kw),
+    ]
+    for make in makers:
+        make()
+        with pytest.raises(TypeError):
+            make(field_d=None)
 
 
 def test_pair_distribution_refuses_inexact_numpy_products():

@@ -326,7 +326,7 @@ def test_denominator_divisible_by_p_needs_no_exact_elimination(monkeypatch):
     ico = build_icosahedron()
     pts = [tuple(c * Fraction(1, RANK_PRIME) for c in x) for x in ico.points]
     r2 = ico.r2 / RANK_PRIME**2
-    cfg = SphericalConfiguration("ico_over_p", r2, points=pts, field_d=5)
+    cfg = SphericalConfiguration("ico_over_p", r2, points=pts)
 
     def refuse(self, row):
         raise AssertionError("exact elimination ran")
@@ -375,15 +375,15 @@ def _trivial_dimension_by_elimination(cfg, k):
     def add_products(base, max_deg):
         for beta in monomials_upto(m, max_deg):
             row = [0] * len(monos)
-            for mono, c in (base * SparsePoly(m, {beta: 1}, cfg.field_d)).terms.items():
+            for mono, c in (base * SparsePoly(m, {beta: 1})).terms.items():
                 row[index[mono]] = c
             ech.add_row(row)
 
     if k >= 2:
-        add_products(nm_poly(m, cfg.r2, cfg.field_d), k - 2)
+        add_products(nm_poly(m, cfg.r2), k - 2)
     if k >= 1:
         for form in cfg.trivial_linear:
-            add_products(SparsePoly.linear_form(form, cfg.field_d), k - 1)
+            add_products(SparsePoly.linear_form(form), k - 1)
     return ech.rank
 
 

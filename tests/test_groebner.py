@@ -13,6 +13,7 @@ from idealforge.groebner import (
     BudgetExceededError,
     InfiniteStaircaseError,
     _integer_form,
+    _integer_inputs,
     _lead,
     _monic,
     _normalized,
@@ -176,9 +177,29 @@ def test_normal_form_idempotent():
         for _ in range(rng.randint(2, 6)):
             mono = tuple(rng.randint(0, 3) for _ in range(3))
             terms[mono] = rng.randint(-9, 9)
-        p = SparsePoly(3, terms, field_d=5)
+        p = SparsePoly(3, terms)
         nf = basis.normal_form(p)
         assert basis.normal_form(nf) == nf
+
+
+def test_rational_coefficients_run_in_the_rational_ring(monkeypatch):
+    # ngon 6 written with Q(sqrt 5) Quads of zero irrational part: the ring
+    # is read off the coefficients, so the pass runs over Q, and its basis is
+    # the one the Q(sqrt 5) ring gives
+    from idealforge import groebner
+
+    gens = [as_sparse(p) for _label, p in build_generator_set("ngon", 6)]
+    written = [SparsePoly(p.nvars, {m: Quad(c, 0, 5) for m, c in p.terms.items()}) for p in gens]
+    ring, _ = _integer_inputs(written)
+    assert ring.d is None
+    rational = buchberger(written)
+    assert rational.to_text() == buchberger(gens).to_text()
+    monkeypatch.setattr(groebner, "_ring", lambda d: _ring(5))
+    over_sqrt5 = buchberger(written)
+    assert _integer_inputs(written)[0].d == 5
+    assert over_sqrt5.to_text() == rational.to_text()
+    assert over_sqrt5.polys == rational.polys
+    assert over_sqrt5.reductions == rational.reductions
 
 
 def test_budget_error_is_loud():
@@ -200,9 +221,9 @@ def test_staircase_cap_guard():
 
 def test_certify_reports_missing_generator():
     gens = [
-        poly_from_text("Y1 - 7", 3, field_d=5),
-        poly_from_text("Y2", 3, field_d=5),
-        poly_from_text("Y3", 3, field_d=5),
+        poly_from_text("Y1 - 7", 3),
+        poly_from_text("Y2", 3),
+        poly_from_text("Y3", 3),
     ]
     cert = certify_full(build_icosahedron(), gens)
     assert cert.level == LEVEL_PAPER
@@ -234,7 +255,7 @@ def rescanning_normal_form(f, basis, ordering):
     """
     lead = [(g.leading_monomial(ordering), g.leading_coefficient(ordering)) for g in basis]
     p = f.copy()
-    rem = SparsePoly.zero(f.nvars, f.field_d)
+    rem = SparsePoly.zero(f.nvars)
     steps = 0
     while not p.is_zero():
         lm = p.leading_monomial(ordering)
@@ -242,7 +263,7 @@ def rescanning_normal_form(f, basis, ordering):
         for g, (gm, gc) in zip(basis, lead):
             if mono_divides(gm, lm):
                 steps += 1
-                p = p - g * SparsePoly(f.nvars, {mono_div(lm, gm): _fdiv(lc, gc)}, f.field_d)
+                p = p - g * SparsePoly(f.nvars, {mono_div(lm, gm): _fdiv(lc, gc)})
                 break
         else:
             rem.terms[lm] = lc
@@ -260,7 +281,7 @@ def test_reduction_kernel_against_division_and_rescanning(family, ordering):
     # generators and S-polynomials of pairs drawn, with a fixed seed, from
     # the least-lcm-degree pairs not yet reduced.
     gens = [as_sparse(p) for _label, p in build_generator_set(*family)]
-    ring = _ring(gens[0].field_d)
+    ring = _integer_inputs(gens)[0]
     rng = random.Random(f"{family}-{ordering.kind}")
     ints = [_integer_form(gens[0], ring)]
     lead = [_lead(ints[0], ordering)]
@@ -329,7 +350,7 @@ def random_ideal(rng, d, nvars=3, ngens=3):
             for _ in range(rng.randint(0, 2)):
                 e[rng.randrange(nvars)] += 1
             terms[tuple(e)] = random_scalar(rng, d)
-        p = SparsePoly(nvars, terms, d)
+        p = SparsePoly(nvars, terms)
         if p.degree() >= 1:
             polys.append(p - p.eval(point))
     if polys[0].leading_coefficient(GREVLEX) > 0:

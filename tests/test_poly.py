@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealforge.exact import Quad
+from idealforge.exact import FieldMismatchError, Quad
 from idealforge.poly import (
     GREVLEX,
     LEX,
@@ -23,21 +23,21 @@ def rand_frac(rng, span=6):
     return Fraction(rng.randint(-span, span), rng.randint(1, 4))
 
 
-def rand_poly(rng, nvars=3, nterms=5, maxexp=3, field_d=None):
+def rand_poly(rng, nvars=3, nterms=5, maxexp=3, d=None):
     terms = {}
     for _ in range(nterms):
         m = tuple(rng.randint(0, maxexp) for _ in range(nvars))
-        if field_d is None:
+        if d is None:
             terms[m] = rand_frac(rng)
         else:
-            terms[m] = Quad(rand_frac(rng), rand_frac(rng), field_d)
-    return SparsePoly(nvars, terms, field_d)
+            terms[m] = Quad(rand_frac(rng), rand_frac(rng), d)
+    return SparsePoly(nvars, terms)
 
 
-def rand_point(rng, nvars, field_d=None):
-    if field_d is None:
+def rand_point(rng, nvars, d=None):
+    if d is None:
         return [rand_frac(rng) for _ in range(nvars)]
-    return [Quad(rand_frac(rng), rand_frac(rng), field_d) for _ in range(nvars)]
+    return [Quad(rand_frac(rng), rand_frac(rng), d) for _ in range(nvars)]
 
 
 def test_difference_of_squares():
@@ -87,9 +87,9 @@ def test_eval_homomorphism():
     rng = random.Random(2024)
     for trial in range(40):
         d = None if trial % 2 == 0 else 5
-        f = rand_poly(rng, field_d=d)
-        g = rand_poly(rng, field_d=d)
-        x = rand_point(rng, 3, field_d=d)
+        f = rand_poly(rng, d=d)
+        g = rand_poly(rng, d=d)
+        x = rand_point(rng, 3, d=d)
         assert (f + g).eval(x) == f.eval(x) + g.eval(x)
         assert (f * g).eval(x) == f.eval(x) * g.eval(x)
 
@@ -174,18 +174,18 @@ def test_text_roundtrip_random():
     rng = random.Random(808)
     for trial in range(40):
         d = [None, 2, 3, 5][trial % 4]
-        f = rand_poly(rng, field_d=d)
+        f = rand_poly(rng, d=d)
         for order in (GREVLEX, LEX):
             text = poly_to_text(f, order)
-            back = poly_from_text(text, 3, field_d=d)
+            back = poly_from_text(text, 3)
             assert back == f, text
 
 
 def test_text_format_examples():
     phi_coef = Quad(Fraction(1, 2), Fraction(3, 2), 5)
-    f = SparsePoly(2, {(1, 1): phi_coef}, field_d=5)
+    f = SparsePoly(2, {(1, 1): phi_coef})
     assert poly_to_text(f) == "(1/2+3/2*sqrt(5)) * Y1*Y2"
-    assert poly_from_text("(1/2+3/2*sqrt(5))*Y1*Y2", 2, 5) == f
+    assert poly_from_text("(1/2+3/2*sqrt(5))*Y1*Y2", 2) == f
     g = poly_from_text("Y1^2 - Y2 + 3", 2)
     assert g == SparsePoly(2, {(2, 0): 1, (0, 1): -1, (0, 0): 3})
     assert poly_from_text("0", 2) == SparsePoly.zero(2)
@@ -196,15 +196,32 @@ def test_text_format_examples():
         poly_from_text("Y9", 2)
 
 
-def test_field_tags_are_strict():
-    from idealforge.exact import FieldMismatchError
+def test_two_fields_never_meet():
+    # a polynomial's field is its coefficients': sqrt(5) and sqrt(2) meet
+    # only inside a Quad operation, which refuses them
+    from idealforge.generators import FactoredPoly
+    from idealforge.groebner import buchberger
 
-    f = SparsePoly(2, {(1, 0): 1})
-    g = SparsePoly(2, {(0, 1): 1}, field_d=5)
+    f = SparsePoly(2, {(1, 0): Quad(0, 1, 5), (0, 0): 1})  # sqrt(5)*Y1 + 1
+    g = SparsePoly(2, {(1, 0): Quad(0, 1, 2), (0, 1): 1})  # sqrt(2)*Y1 + Y2
     with pytest.raises(FieldMismatchError):
         f + g
     with pytest.raises(FieldMismatchError):
-        SparsePoly(2, {(0, 0): Quad(0, 1, 2)}, field_d=5)
+        f * g
+    with pytest.raises(FieldMismatchError):
+        f.eval([Quad(0, 1, 2), 0])
+    factored = FactoredPoly(2, [((Quad(0, 1, 2), 1), 0)])  # sqrt(2)*Y1 + Y2
+    for gens in ([f, g], [g, f], [SparsePoly.variable(2, 2), f, g], [factored, f]):
+        with pytest.raises(FieldMismatchError):
+            buchberger(gens)
+    mixed = SparsePoly(2, {(1, 0): Quad(0, 1, 5), (0, 1): Quad(0, 1, 2)})
+    with pytest.raises(FieldMismatchError):
+        mixed.eval([1, 1])
+    with pytest.raises(FieldMismatchError):
+        buchberger([mixed])
+    # a rational coefficient written over another field meets both
+    h = SparsePoly(2, {(1, 0): Quad(3, 0, 2)})
+    assert (f + h).terms[(1, 0)] == Quad(3, 1, 5)
 
 
 def test_eval_power_cache_correct_on_high_exponents():

@@ -465,7 +465,7 @@ def test_jacobian_falls_back_to_the_exact_rank(monkeypatch):
     full = build_generator_set("icosahedron")
     # Nm and three sliced cubics: rank 2 at points 4 and 10, (0, 1, -phi) and
     # its negation, as the plain exact elimination over every point finds
-    G = GeneratorSet("few", 3, full.r2, full.items[:4], field_d=5, config=full.config)
+    G = GeneratorSet(full.config, 3, full.items[:4])
     expected = [(4, 2), (10, 2)]
     ranks = [_exact_jacobian_rank(G, x) for x in full.config.points]
     assert [(i, r) for i, r in enumerate(ranks) if r != 3] == expected
@@ -671,8 +671,8 @@ def test_sphere_witness_agrees_with_division(name):
     # a generator nonzero at the witness point is no multiple of Nm
     G = build_generator_set(name)
     w = sphere_witness_point(G)
-    assert dot(w, w) == G.r2
-    nm = nm_poly(G.nvars, G.r2, G.field_d)
+    assert dot(w, w) == G.config.r2
+    nm = nm_poly(G.nvars, G.config.r2)
     nonzero = [(label, p) for label, p in G.items if p.eval(w) != 0]
     assert nonzero
     for label, p in nonzero:
@@ -685,7 +685,7 @@ def test_nontrivial_rejects_a_cubic_trivial_on_the_e7_section():
     b = e7_defining_vectors()[0]
     cubic = FactoredPoly(8, [((0,) * 6 + (1, -1), 0), (b, 0), (b, 0)])
     items = [(LABEL_NM, nm_poly(8, cfg.r2)), ("CUBIC 0", cubic)]
-    G = GeneratorSet("e7", 8, cfg.r2, items, config=cfg)
+    G = GeneratorSet(cfg, 8, items)
     assert nontrivial_generator_check(G, 3).status == FAIL
 
 
@@ -694,7 +694,7 @@ def test_nontrivial_rejects_multiples_of_nm():
     nm = nm_poly(8, cfg.r2)
     y1, y2 = SparsePoly.variable(8, 1), SparsePoly.variable(8, 2)
     for multiple in (nm * y1, nm * y1 * y2):
-        G = GeneratorSet("e8", 8, cfg.r2, [("SLICED 0", multiple)], config=cfg)
+        G = GeneratorSet(cfg, 8, [("SLICED 0", multiple)])
         assert nontrivial_generator_check(G, multiple.degree()).status == FAIL
 
 
