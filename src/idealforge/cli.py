@@ -159,9 +159,10 @@ def _certificate(args, report: Dict[str, object], G: GeneratorSet) -> Certificat
 def _file_points(path: str, G: GeneratorSet) -> List[Tuple[Scalar, ...]]:
     """The points of a point file, in the variables of the generators.
 
-    The file's field must be Q or the configuration's own.  Points in the
-    section coordinates of a configuration whose generators live in the
-    ambient space (``build e7 --points-out``) are lifted to it.
+    The points' field, read off their coordinates, must be Q or the
+    configuration's own.  Points in the section coordinates of a
+    configuration whose generators live in the ambient space (``build e7
+    --points-out``) are lifted to it.
     """
     pf = read_points(path)
     if pf.field_d not in (None, G.config.field_d):
