@@ -32,7 +32,7 @@ from .configs import (
     read_points,
     write_points,
 )
-from .exact import Scalar
+from .exact import Quad, Scalar
 from .gamma import EntryGuardError, gamma2_status, gamma_profile
 from .generators import (
     FAMILIES,
@@ -159,15 +159,17 @@ def _certificate(args, report: Dict[str, object], G: GeneratorSet) -> Certificat
 def _file_points(path: str, G: GeneratorSet) -> List[Tuple[Scalar, ...]]:
     """The points of a point file, in the variables of the generators.
 
-    The points' field, read off their coordinates, must be Q or the
-    configuration's own.  Points in the section coordinates of a
+    The points' field, read off their coordinates with no integer array
+    built (an entry past int64 is the vanishing check's to route), must be
+    Q or the configuration's own.  Points in the section coordinates of a
     configuration whose generators live in the ambient space (``build e7
     --points-out``) are lifted to it.
     """
     pf = read_points(path)
-    if pf.field_d not in (None, G.config.field_d):
+    d = next((c.d for p in pf.points for c in p if isinstance(c, Quad) and c.b), None)
+    if d not in (None, G.config.field_d):
         raise ValueError(
-            f"points are over {field_label(pf.field_d)}, "
+            f"points are over {field_label(d)}, "
             f"the {G.config.name} configuration over {field_label(G.config.field_d)}"
         )
     section = G.config.section

@@ -363,6 +363,20 @@ def test_rational_points_under_a_quadratic_header_pass(built_points, tmp_path):
     assert all(c["status"] == "pass" for c in doc["claims"])
 
 
+@pytest.mark.parametrize("name", ["icosahedron", "e8"])
+def test_points_beyond_int64_reach_the_exact_loop(name, built_points, tmp_path):
+    # reading the file's field builds no integer array, so a coordinate past
+    # int64 reaches the vanishing check, whose exact loop names the point
+    lines = built_points[name].read_text().splitlines()
+    m = int(lines[0].split()[1])
+    far = " ".join([str(2**70)] + ["0"] * (m - 1))
+    code, claim = _verify_lines(name, lines[:2] + [far], tmp_path)
+    assert code == EXIT_CHECK
+    assert (claim["id"], claim["status"]) == (f"{name}.vanishing", "fail")
+    assert claim["detail"].endswith(" x 2 points, exact evaluation")
+    assert claim["witness"] and all(", 1, " in w for w in claim["witness"])
+
+
 def test_report_builds_and_certifies_once(tmp_path, monkeypatch):
     built, certified = [], []
     init, certify = SphericalConfiguration.__init__, cli.certify_full
